@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .model import UpdateRecord
+from .mrt.bgp import address_str
 
 # delegated-extended status values that mean "usable on the internet"
 ALLOCATED_STATUSES = frozenset({"allocated", "assigned"})
@@ -30,6 +31,34 @@ def _date_key(yyyymmdd: str) -> int:
 def _record_date_key(arrival_us: int) -> int:
     dt = datetime.fromtimestamp(arrival_us // 1_000_000, tz=timezone.utc)
     return dt.year * 10000 + dt.month * 100 + dt.day
+
+
+_US_PER_DAY = 86_400_000_000
+
+_V4_HOST_MASKS = {str(n): (1 << (32 - n)) - 1 for n in range(33)}
+
+
+def _v4_span(prefix: str) -> Optional[tuple[int, int]]:
+    """First and last address of a canonical IPv4 CIDR ("10.0.0.0/8").
+
+    None for any other text, including IPv6, leading zeros and set host
+    bits, which ``ipaddress`` then parses or rejects.  The address is
+    canonical when formatting its bytes gives the same text back.
+    """
+    addr, _, length = prefix.partition("/")
+    host = _V4_HOST_MASKS.get(length)
+    if host is None:
+        return None
+    try:
+        packed = bytes(map(int, addr.split(".")))
+    except ValueError:
+        return None
+    if len(packed) != 4 or address_str(packed) != addr:
+        return None
+    first = int.from_bytes(packed, "big")
+    if first & host:
+        return None
+    return first, first | host
 
 
 @dataclass
@@ -108,6 +137,9 @@ class AllocationTable:
         return self.asn_intervals.covers(asn, asn, date_key)
 
     def prefix_allocated(self, prefix: str, date_key: int) -> bool:
+        span = _v4_span(prefix)
+        if span is not None:
+            return self.v4_intervals.covers(span[0], span[1], date_key)
         net = ipaddress.ip_network(prefix)
         table = self.v4_intervals if net.version == 4 else self.v6_intervals
         return table.covers(
@@ -185,9 +217,15 @@ def filter_allocated(
     """
     if stats is None:
         stats = FilterStats()
+    day: Optional[int] = None  # the date key is worked out once per UTC day
+    date_key, covered = 0, False
     for rec in records:
-        date_key = _record_date_key(rec.arrival_us)
-        if not table.covers_date(date_key):
+        rec_day = rec.arrival_us // _US_PER_DAY
+        if rec_day != day:
+            day = rec_day
+            date_key = _record_date_key(rec.arrival_us)
+            covered = table.covers_date(date_key)
+        if not covered:
             stats.table_gaps += 1
             stats.kept += 1
             yield rec.with_flag(FLAG_TABLE_GAP)

@@ -74,6 +74,8 @@ def path_verdict(prev: tuple[PathElement, ...], cur: tuple[PathElement, ...]) ->
 
 def community_verdict(prev: Iterable[int], cur: Iterable[int]) -> str:
     """c / n verdict: order-insensitive multiset equality."""
+    if prev == cur:  # equal sequences: skip building the multisets
+        return "n"
     return "n" if Counter(prev) == Counter(cur) else "c"
 
 
@@ -87,7 +89,7 @@ _VERDICT_TO_TYPE = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamState:
     """Predecessor attributes for one (session, prefix) stream."""
 

@@ -94,7 +94,7 @@ def expand_message(
     msg = entry.message
     if msg is None or msg.message_kind != "update":
         return []
-    session = SessionKey(collector_id, msg.peer_asn, str(msg.peer_address))
+    session = SessionKey(collector_id, msg.peer_asn, msg.peer_address)
     common = dict(
         arrival_us=entry.arrival_us,
         session=session,
@@ -103,11 +103,11 @@ def expand_message(
         native_usec=entry.has_native_usec,
     )
     out = [
-        UpdateRecord(prefix=str(p), kind=WITHDRAWAL, **common)
+        UpdateRecord(prefix=p, kind=WITHDRAWAL, **common)
         for p in msg.withdrawn_prefixes
     ]
     out.extend(
-        UpdateRecord(prefix=str(p), kind=ANNOUNCEMENT, attrs=msg.attributes, **common)
+        UpdateRecord(prefix=p, kind=ANNOUNCEMENT, attrs=msg.attributes, **common)
         for p in msg.announced_prefixes
     )
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ..errors import BgpParseError
 
@@ -134,15 +134,20 @@ class BgpAttributes:
 
 @dataclass(frozen=True)
 class RawBgpMessage:
-    """A BGP message lifted out of one MRT record."""
+    """A BGP message lifted out of one MRT record.
+
+    Addresses and prefixes are canonical strings, exactly what ``str()``
+    gives for the ``ipaddress`` objects: "192.0.2.1", "10.0.0.0/24",
+    "2001:db8::/32".
+    """
 
     peer_asn: int
-    peer_address: IPAddress
+    peer_address: str
     local_asn: int
-    local_address: IPAddress
+    local_address: str
     message_kind: str  # update | keepalive | open | notification | other
-    withdrawn_prefixes: tuple[IPNetwork, ...] = ()
-    announced_prefixes: tuple[IPNetwork, ...] = ()
+    withdrawn_prefixes: tuple[str, ...] = ()
+    announced_prefixes: tuple[str, ...] = ()
     attributes: Optional[BgpAttributes] = None
 
     @property
@@ -159,6 +164,22 @@ class RawBgpMessage:
 # prefix codec
 
 
+def _prefix_chunks(buf: bytes, max_bits: int) -> Iterator[tuple[int, bytes]]:
+    """Split the (length, truncated address) encoding into (bits, bytes)."""
+    i = 0
+    n = len(buf)
+    while i < n:
+        bits = buf[i]
+        i += 1
+        if bits > max_bits:
+            raise BgpParseError(f"prefix length {bits} exceeds AFI maximum")
+        end = i + (bits + 7) // 8
+        if end > n:
+            raise BgpParseError("truncated prefix bytes")
+        yield bits, buf[i:end]
+        i = end
+
+
 def decode_prefixes(buf: bytes, afi: int) -> list[IPNetwork]:
     """Decode the (length, truncated address) prefix encoding."""
     if afi == AFI_IPV4:
@@ -168,22 +189,45 @@ def decode_prefixes(buf: bytes, afi: int) -> list[IPNetwork]:
     else:
         raise BgpParseError(f"unsupported AFI {afi}")
     out: list[IPNetwork] = []
-    i = 0
-    n = len(buf)
-    while i < n:
-        bits = buf[i]
-        i += 1
-        if bits > max_bits:
-            raise BgpParseError(f"prefix length {bits} exceeds AFI maximum")
-        nbytes = (bits + 7) // 8
-        if i + nbytes > n:
-            raise BgpParseError("truncated prefix bytes")
-        packed = buf[i : i + nbytes] + b"\x00" * (addr_len - nbytes)
-        i += nbytes
-        addr = ipaddress.ip_address(packed)
+    for bits, chunk in _prefix_chunks(buf, max_bits):
+        addr = ipaddress.ip_address(chunk + b"\x00" * (addr_len - len(chunk)))
         # strict=False masks stray host bits in non-canonical encodings
         out.append(ipaddress.ip_network((addr, bits), strict=False))
     return out
+
+
+_V4_PAD = (b"\x00\x00\x00\x00", b"\x00\x00\x00", b"\x00\x00", b"\x00", b"")
+_OCTETS = tuple(str(n) for n in range(256))
+
+
+def _dotted_quad(packed: bytes) -> str:
+    a, b, c, d = packed
+    return f"{_OCTETS[a]}.{_OCTETS[b]}.{_OCTETS[c]}.{_OCTETS[d]}"
+
+
+def decode_prefix_strs(buf: bytes, afi: int) -> list[str]:
+    """Decode prefixes straight to the text ``str()`` gives decode_prefixes.
+
+    IPv4 is formatted from the wire bytes with stray host bits cleared;
+    IPv6 goes through ``ipaddress`` to keep its RFC 5952 form.
+    """
+    if afi != AFI_IPV4:
+        return [str(net) for net in decode_prefixes(buf, afi)]
+    out: list[str] = []
+    for bits, chunk in _prefix_chunks(buf, 32):
+        if bits & 7:
+            # only the last byte can hold host bits
+            keep = 0xFF00 >> (bits & 7) & 0xFF
+            chunk = chunk[:-1] + bytes((chunk[-1] & keep,))
+        out.append(f"{_dotted_quad(chunk + _V4_PAD[len(chunk)])}/{bits}")
+    return out
+
+
+def address_str(packed: bytes) -> str:
+    """``str(ip_address(packed))`` for a 4- or 16-byte address."""
+    if len(packed) == 4:
+        return _dotted_quad(packed)
+    return str(ipaddress.IPv6Address(packed))
 
 
 def encode_prefixes(prefixes: Iterable[IPNetwork]) -> bytes:
@@ -289,7 +333,7 @@ def encode_attribute_block(attrs: Iterable[WireAttribute]) -> bytes:
     return b"".join(a.encode() for a in attrs)
 
 
-def _decode_mp_reach(payload: bytes) -> tuple[list[IPNetwork], Optional[IPAddress]]:
+def _decode_mp_reach(payload: bytes) -> tuple[list[str], Optional[IPAddress]]:
     if len(payload) < 5:
         raise BgpParseError("short MP_REACH_NLRI")
     afi, _safi, nh_len = struct.unpack_from("!HBB", payload)
@@ -304,20 +348,20 @@ def _decode_mp_reach(payload: bytes) -> tuple[list[IPNetwork], Optional[IPAddres
     elif afi == AFI_IPV6 and nh_len >= 16:
         # a 32-byte next hop carries global + link-local; keep the global one
         next_hop = ipaddress.ip_address(nh_bytes[:16])
-    return decode_prefixes(payload[i:], afi), next_hop
+    return decode_prefix_strs(payload[i:], afi), next_hop
 
 
-def _decode_mp_unreach(payload: bytes) -> list[IPNetwork]:
+def _decode_mp_unreach(payload: bytes) -> list[str]:
     if len(payload) < 3:
         raise BgpParseError("short MP_UNREACH_NLRI")
     (afi,) = struct.unpack_from("!H", payload)
-    return decode_prefixes(payload[3:], afi)
+    return decode_prefix_strs(payload[3:], afi)
 
 
 @dataclass
 class DecodedUpdate:
-    withdrawn: tuple[IPNetwork, ...]
-    announced: tuple[IPNetwork, ...]
+    withdrawn: tuple[str, ...]
+    announced: tuple[str, ...]
     attributes: BgpAttributes
 
 
@@ -337,13 +381,13 @@ def decode_update_body(body: bytes, as4: bool) -> DecodedUpdate:
     (wlen,) = struct.unpack_from("!H", body)
     if 2 + wlen + 2 > len(body):
         raise BgpParseError("withdrawn routes overflow UPDATE body")
-    withdrawn = decode_prefixes(body[2 : 2 + wlen], AFI_IPV4)
+    withdrawn = decode_prefix_strs(body[2 : 2 + wlen], AFI_IPV4)
     (alen,) = struct.unpack_from("!H", body, 2 + wlen)
     attrs_end = 4 + wlen + alen
     if attrs_end > len(body):
         raise BgpParseError("attributes overflow UPDATE body")
     wire = decode_attribute_block(body[4 + wlen : attrs_end])
-    announced = decode_prefixes(body[attrs_end:], AFI_IPV4)
+    announced = decode_prefix_strs(body[attrs_end:], AFI_IPV4)
 
     segments: tuple[PathSegment, ...] = ()
     as4_segments: Optional[tuple[PathSegment, ...]] = None

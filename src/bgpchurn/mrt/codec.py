@@ -11,7 +11,6 @@ from __future__ import annotations
 import bz2
 import gzip
 import io
-import ipaddress
 import os
 import struct
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from ..errors import BgpParseError, ContainerCorrupt, SinkFailure, TruncatedRecord
-from .bgp import RawBgpMessage, decode_update_body, split_bgp_message
+from .bgp import RawBgpMessage, address_str, decode_update_body, split_bgp_message
 
 # MRT record types
 TYPE_TABLE_DUMP = 12
@@ -157,8 +156,8 @@ def _decode_bgp4mp_message(body: bytes, subtype: int, offset: int) -> RawBgpMess
         raise BgpParseError(f"BGP4MP unknown address family {afi}")
     if len(body) < i + 2 * addr_len:
         raise BgpParseError("BGP4MP addresses truncated")
-    peer_address = ipaddress.ip_address(body[i : i + addr_len])
-    local_address = ipaddress.ip_address(body[i + addr_len : i + 2 * addr_len])
+    peer_address = address_str(body[i : i + addr_len])
+    local_address = address_str(body[i + addr_len : i + 2 * addr_len])
     i += 2 * addr_len
     kind, payload = split_bgp_message(body[i:])
     withdrawn: tuple = ()
@@ -205,30 +204,48 @@ def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
     return MrtEntry(header, body, message.message_kind, message, microsecond)
 
 
-def _wrap_container(f: BinaryIO, container: str) -> BinaryIO:
+def _container_of(head: bytes) -> str:
+    """gzip, bzip2 or plain, by the magic bytes a file starts with."""
+    if head[:2] == GZIP_MAGIC:
+        return "gzip"
+    if head[:3] == BZ2_MAGIC:
+        return "bzip2"
+    return "plain"
+
+
+def detect_container(path: Union[str, Path]) -> str:
+    """The container of the file at ``path``: gzip, bzip2 or plain."""
+    with open(path, "rb") as f:
+        return _container_of(f.read(3))
+
+
+def _wrap_container(source: Union[str, Path, BinaryIO], container: str) -> BinaryIO:
+    """A reader over a path, which it then owns, or over a binary stream."""
+    is_path = isinstance(source, (str, Path))
     if container == "auto":
-        if not f.seekable():
+        if is_path:
+            container = detect_container(source)
+        elif not source.seekable():
             raise ContainerCorrupt("container auto-detection needs a seekable stream")
-        peek = f.read(3)
-        f.seek(-len(peek), os.SEEK_CUR)
-        if peek[:2] == GZIP_MAGIC:
-            container = "gzip"
-        elif peek == BZ2_MAGIC:
-            container = "bzip2"
         else:
-            container = "plain"
+            peek = source.read(3)
+            source.seek(-len(peek), os.SEEK_CUR)
+            container = _container_of(peek)
     if container == "gzip":
-        return gzip.open(f, "rb")  # type: ignore[return-value]
+        return gzip.open(source, "rb")  # type: ignore[return-value]
     if container == "bzip2":
-        return bz2.open(f, "rb")  # type: ignore[return-value]
+        return bz2.open(source, "rb")  # type: ignore[return-value]
     if container == "plain":
-        return f
+        return open(source, "rb") if is_path else source
     raise ValueError(f"unknown container {container!r}")
 
 
 def open_archive(path: Union[str, Path], container: str = "auto") -> BinaryIO:
-    """Open a possibly gzip- or bzip2-compressed file by magic bytes."""
-    return _wrap_container(open(path, "rb"), container)
+    """Open a possibly gzip- or bzip2-compressed file by magic bytes.
+
+    Closing the returned object closes the file.
+    """
+    return _wrap_container(path, container)
 
 
 def read_mrt_stream(
@@ -294,7 +311,10 @@ def write_mrt_stream(
         with open(sink, "wb") as f:
             return write_mrt_stream(entries, f, container)
     if container == "gzip":
-        with gzip.open(sink, "wb") as z:
+        # no file name and a zero mtime in the header: same records, same bytes
+        with gzip.GzipFile(
+            fileobj=sink, mode="wb", filename="", mtime=0, compresslevel=6
+        ) as z:
             return write_mrt_stream(entries, z, "plain")
     if container == "bzip2":
         with bz2.open(sink, "wb") as z:

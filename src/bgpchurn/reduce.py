@@ -20,7 +20,7 @@ from .classify import UNNECESSARY_TYPES, AnnouncementType, StreamClassifier
 from .errors import LabelMismatch
 from .model import expand_message
 from .mrt.bgp import RawBgpMessage
-from .mrt.codec import read_mrt_stream, write_mrt_stream
+from .mrt.codec import detect_container, read_mrt_stream, write_mrt_stream
 
 
 def message_is_unnecessary(
@@ -83,7 +83,7 @@ def reduce_file(
     output_path: Union[str, Path, None],
     classifier: Optional[StreamClassifier] = None,
     collector_id: str = "",
-    container: str = "plain",
+    container: str = "auto",
 ) -> ReductionReport:
     """Prune one MRT file; returns the per-file report.
 
@@ -91,15 +91,19 @@ def reduce_file(
     by default the state is cold (first announcements label initial and
     their messages are kept).  The output file appears atomically: a
     sibling temp file is renamed over the target only after a complete
-    pass, and output_path=None runs a dry pass with no output.
+    pass, and output_path=None runs a dry pass with no output.  With
+    container="auto" the output is compressed as the input is (gzip,
+    bzip2 or plain, by magic bytes).
 
     Byte counts are uncompressed record sizes including MRT headers.
     """
     input_path = Path(input_path)
+    source_container = detect_container(input_path)
+    if container == "auto":
+        container = source_container
     clf = classifier if classifier is not None else StreamClassifier()
     total = discarded = 0
     bytes_in = bytes_out = 0
-    kept_entries = []
 
     def decide(entry) -> bool:
         """True to keep this record."""
@@ -124,8 +128,9 @@ def reduce_file(
         bytes_out += blob_len
         return True
 
+    entries = read_mrt_stream(input_path, source_container)
     if output_path is None:
-        for entry in read_mrt_stream(input_path):
+        for entry in entries:
             decide(entry)
     else:
         output_path = Path(output_path)
@@ -134,11 +139,7 @@ def reduce_file(
         )
         try:
             with os.fdopen(fd, "wb") as tmp:
-                write_mrt_stream(
-                    (e for e in read_mrt_stream(input_path) if decide(e)),
-                    tmp,
-                    container,
-                )
+                write_mrt_stream((e for e in entries if decide(e)), tmp, container)
             os.replace(tmp_name, output_path)
         except BaseException:
             try:
@@ -196,7 +197,7 @@ def corpus_reduction(
     files: Iterable[Union[str, Path]],
     output_dir: Optional[Union[str, Path]] = None,
     warm: bool = True,
-    container: str = "plain",
+    container: str = "auto",
 ) -> CorpusSummary:
     """Reduce many files; per-file failures are recorded, not fatal.
 

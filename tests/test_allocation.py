@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import io
+import ipaddress
 import random
+from datetime import datetime, timezone
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,3 +156,113 @@ def test_interval_cover_matches_linear_scan(blocks, query):
     last = first + width
     linear = any(s <= first and last <= s + c - 1 for s, c in blocks)
     assert table.asn_intervals.covers(first, last, 20150601) == linear
+
+
+# --- the canonical-text and per-day shortcuts agree with ipaddress/datetime ---
+
+
+def reference_prefix_allocated(table, prefix, date_key):
+    net = ipaddress.ip_network(prefix)
+    intervals = table.v4_intervals if net.version == 4 else table.v6_intervals
+    return intervals.covers(
+        int(net.network_address), int(net.broadcast_address), date_key
+    )
+
+
+def outcome(check, prefix, date_key):
+    try:
+        return check(prefix, date_key)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300)
+@given(
+    blocks=st.lists(
+        st.tuples(
+            st.integers(0, 2**32 - 1), st.integers(8, 32), st.integers(2000, 2020)
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_prefix_allocated_matches_ipaddress_at_block_edges(blocks, data):
+    table = AllocationTable()
+    edges, dates = [], []
+    for start, bits, year in blocks:
+        net = ipaddress.ip_network((start, bits), strict=False)
+        table.add_prefix(net, year * 10000 + 101)
+        edges += [int(net.network_address), int(net.broadcast_address)]
+        dates += [year * 10000 + 101, (year - 1) * 10000 + 1231]
+    address = (data.draw(st.sampled_from(edges)) + data.draw(st.integers(-1, 1))) % 2**32
+    prefix = str(ipaddress.ip_network((address, data.draw(st.integers(0, 32))), strict=False))
+    date_key = data.draw(st.sampled_from(dates))
+    assert table.prefix_allocated(prefix, date_key) == reference_prefix_allocated(
+        table, prefix, date_key
+    )
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        "10.0.0.0/16", "10.0.0.1/24", "010.0.0.0/8", "10.0.0.0/08", "10.0.0.0/33",
+        "10.0.0/24", "10.0.0.0.0/24", "10.0.0.0", "10.0.0.0/", "/24", "",
+        "10.0.0.0/+8", " 10.0.0.0/8", "10.0.0.0/255.255.0.0", "10.0.0.256/32",
+        "\u0661\u0660.0.0.0/8", "2001:db8::/48", "2001:db8::1/48", "garbage",
+    ],
+)
+def test_prefix_allocated_text_forms_match_ipaddress(prefix):
+    table = sample_table()
+    assert outcome(table.prefix_allocated, prefix, 20150601) == outcome(
+        lambda p, d: reference_prefix_allocated(table, p, d), prefix, 20150601
+    )
+
+
+def test_prefix_allocated_rejects_malformed_text():
+    table = sample_table()
+    for prefix in ("10.0.0.1/24", "10.0.0.0/33", "garbage"):
+        with pytest.raises(ValueError):
+            table.prefix_allocated(prefix, 20150601)
+
+
+def midnight_us(year, month, day):
+    return int(datetime(year, month, day, tzinfo=timezone.utc).timestamp()) * 1_000_000
+
+
+# the table's first day, AS64496's and 192.0.2.0/24's valid-from days
+BOUNDARIES = (midnight_us(2004, 1, 1), midnight_us(2005, 7, 1), midnight_us(2010, 1, 15))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(BOUNDARIES),
+            st.integers(-2 * 86_400_000_000, 2 * 86_400_000_000),
+            st.sampled_from(("192.0.2.0/24", "10.0.0.0/24", "11.0.0.0/24")),
+        ),
+        max_size=12,
+    )
+)
+def test_filter_dates_match_per_record_datetime(stamps):
+    table = sample_table()
+    records = [
+        make_announcement(boundary + offset, prefix=prefix, path=(64496,))
+        for boundary, offset, prefix in stamps
+    ]
+    expected = []
+    for rec in records:
+        dt = datetime.fromtimestamp(rec.arrival_us // 1_000_000, tz=timezone.utc)
+        date_key = int(dt.strftime("%Y%m%d"))
+        if not table.covers_date(date_key):
+            expected.append((rec.arrival_us, rec.prefix, True))
+        elif reference_prefix_allocated(
+            table, rec.prefix, date_key
+        ) and table.asn_allocated(64496, date_key):
+            expected.append((rec.arrival_us, rec.prefix, False))
+    kept = [
+        (r.arrival_us, r.prefix, FLAG_TABLE_GAP in r.flags)
+        for r in filter_allocated(records, table)
+    ]
+    assert kept == expected

@@ -10,7 +10,7 @@ import subprocess
 import pytest
 
 from bgpchurn.cli import main
-from bgpchurn.mrt.codec import write_mrt_stream
+from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 
 from helpers import update_entry
 
@@ -164,6 +164,19 @@ def test_reduce_cli(tmp_path, capsys):
     total_discarded = sum(r["discarded_messages"] for r in summary["reports"])
     assert total_discarded == 3
     assert "2 files reduced" in capsys.readouterr().out
+
+
+def test_reduce_cli_writes_gzip_for_gzip_input(tmp_path):
+    import io
+
+    buf = io.BytesIO()
+    write_mrt_stream(classify_fixture(), buf)
+    src = tmp_path / "updates.mrt.gz"
+    src.write_bytes(gzip.compress(buf.getvalue()))
+    out = tmp_path / "out"
+    assert main(["reduce", str(src), "-o", str(out)]) == 0
+    pruned = gzip.decompress((out / "pruned" / src.name).read_bytes())
+    assert len(list(read_mrt_stream(pruned))) == len(classify_fixture()) - 3
 
 
 def test_reduce_cold_vs_warm_state(tmp_path):

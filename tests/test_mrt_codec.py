@@ -9,24 +9,28 @@ from __future__ import annotations
 import bz2
 import gzip
 import io
+import ipaddress
 import random
+import re
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgpchurn.errors import MrtError, TruncatedRecord
+from bgpchurn.errors import BgpParseError, MrtError, TruncatedRecord
 from bgpchurn.mrt.bgp import (
     AS_SEQUENCE,
     AS_SET,
     PathSegment,
     WireAttribute,
+    address_str,
     attr_communities,
     community_str,
     community_value,
     decode_as_path,
     decode_attribute_block,
+    decode_prefix_strs,
     decode_prefixes,
     encode_as_path,
     encode_attribute_block,
@@ -257,6 +261,89 @@ def test_nonminimal_prefix_trailing_bits_masked():
     blob = bytes([23, 10, 0, 1])
     (net,) = decode_prefixes(blob, 1)
     assert str(net) == "10.0.0.0/23"
+
+
+MAX_BITS = {1: 32, 2: 128}
+
+
+@st.composite
+def prefix_encodings(draw):
+    """(afi, [(bits, wire bytes)]) with random bits past each prefix length."""
+    afi = draw(st.sampled_from((1, 2)))
+    specs = []
+    for bits in draw(st.lists(st.integers(0, MAX_BITS[afi]), max_size=6)):
+        nbytes = (bits + 7) // 8
+        specs.append((bits, draw(st.binary(min_size=nbytes, max_size=nbytes))))
+    return afi, specs
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_encodings())
+def test_prefix_strs_equal_ipaddress_text(encoding):
+    afi, specs = encoding
+    blob = b"".join(bytes([bits]) + chunk for bits, chunk in specs)
+    addr_len = MAX_BITS[afi] // 8
+    expected = [
+        str(
+            ipaddress.ip_network(
+                (ipaddress.ip_address(chunk.ljust(addr_len, b"\x00")), bits),
+                strict=False,
+            )
+        )
+        for bits, chunk in specs
+    ]
+    assert decode_prefix_strs(blob, afi) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2)), st.binary(max_size=40))
+def test_prefix_strs_fail_as_decode_prefixes(afi, blob):
+    try:
+        expected = [str(net) for net in decode_prefixes(blob, afi)]
+    except BgpParseError as exc:
+        with pytest.raises(BgpParseError, match=re.escape(str(exc))):
+            decode_prefix_strs(blob, afi)
+    else:
+        assert decode_prefix_strs(blob, afi) == expected
+
+
+@pytest.mark.parametrize(
+    "afi,blob,message",
+    [
+        (1, bytes([33, 10, 0, 0, 0, 0]), "exceeds AFI maximum"),
+        (2, bytes([129]) + b"\x20" * 17, "exceeds AFI maximum"),
+        (1, bytes([24, 10, 0]), "truncated prefix bytes"),
+        (2, bytes([48, 0x20, 0x01, 0x0D]), "truncated prefix bytes"),
+        (3, b"", "unsupported AFI"),
+    ],
+)
+def test_prefix_strs_reject_bad_encodings(afi, blob, message):
+    for decode in (decode_prefixes, decode_prefix_strs):
+        with pytest.raises(BgpParseError, match=message):
+            decode(blob, afi)
+
+
+_KEEPALIVE = b"\xff" * 16 + (19).to_bytes(2, "big") + b"\x04"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2)).flatmap(
+        lambda afi: st.tuples(
+            st.just(afi),
+            st.binary(min_size=MAX_BITS[afi] // 8, max_size=MAX_BITS[afi] // 8),
+            st.binary(min_size=MAX_BITS[afi] // 8, max_size=MAX_BITS[afi] // 8),
+        )
+    )
+)
+def test_bgp4mp_addresses_equal_ipaddress_text(fields):
+    afi, peer, local = fields
+    body = struct.pack("!HHHH", 65001, 64512, 0, afi) + peer + local + _KEEPALIVE
+    entry = decode_entry(MrtRecordHeader(0, 16, 1, len(body)), body)
+    assert entry.kind == "keepalive"
+    assert entry.message.peer_address == str(ipaddress.ip_address(peer))
+    assert entry.message.local_address == str(ipaddress.ip_address(local))
+    assert address_str(peer) == str(ipaddress.ip_address(peer))
 
 
 def test_as_path_codec_widths():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bz2
+import gzip
 import io
 import json
 
@@ -185,6 +187,37 @@ def test_reduce_atomic_on_failure(tmp_path):
         reduce_file(src, dst)
     assert not dst.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["in.mrt"]  # no temp litter
+
+
+@pytest.mark.parametrize(
+    "compress,decompress,magic",
+    [(gzip.compress, gzip.decompress, b"\x1f\x8b"), (bz2.compress, bz2.decompress, b"BZh")],
+)
+def test_reduce_keeps_input_container(tmp_path, compress, decompress, magic):
+    plain_src, plain_out = tmp_path / "in.mrt", tmp_path / "plain-out.mrt"
+    write_fixture(plain_src, fixture_entries())
+    reduce_file(plain_src, plain_out)
+    packed_src = tmp_path / "in.mrt.packed"
+    packed_src.write_bytes(compress(plain_src.read_bytes()))
+    first, second = tmp_path / "first.out", tmp_path / "second.out"
+    report = reduce_file(packed_src, first)
+    reduce_file(packed_src, second)
+    assert report.discarded_messages == 3
+    blob = first.read_bytes()
+    assert blob.startswith(magic)
+    assert decompress(blob) == plain_out.read_bytes()
+    assert second.read_bytes() == blob  # no timestamp or temp-file name inside
+
+
+def test_reduce_gzip_header_is_deterministic(tmp_path):
+    src, dst = tmp_path / "in.mrt.gz", tmp_path / "out.mrt.gz"
+    blob = io.BytesIO()
+    write_mrt_stream(fixture_entries(), blob)
+    src.write_bytes(gzip.compress(blob.getvalue()))
+    reduce_file(src, dst)
+    header = dst.read_bytes()[:10]
+    assert header[3] == 0  # no FNAME or other optional fields
+    assert header[4:8] == b"\x00\x00\x00\x00"  # mtime 0
 
 
 def test_reduce_warm_start_across_files(tmp_path):
