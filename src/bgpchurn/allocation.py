@@ -205,6 +205,44 @@ def _path_asns(record: UpdateRecord) -> Iterator[int]:
             yield el
 
 
+class AllocationFilter:
+    """The allocation filter for one record at a time; see filter_allocated.
+
+    Calling it returns the record (flagged table_gap when it predates
+    the table) or None when the record is dropped.  The date key is
+    worked out once per UTC day.
+    """
+
+    def __init__(self, table: AllocationTable, stats: Optional[FilterStats] = None):
+        self.table = table
+        self.stats = stats if stats is not None else FilterStats()
+        self._day: Optional[int] = None
+        self._date_key, self._covered = 0, False
+
+    def __call__(self, rec: UpdateRecord) -> Optional[UpdateRecord]:
+        table, stats = self.table, self.stats
+        rec_day = rec.arrival_us // _US_PER_DAY
+        if rec_day != self._day:
+            self._day = rec_day
+            self._date_key = _record_date_key(rec.arrival_us)
+            self._covered = table.covers_date(self._date_key)
+        if not self._covered:
+            stats.table_gaps += 1
+            stats.kept += 1
+            return rec.with_flag(FLAG_TABLE_GAP)
+        date_key = self._date_key
+        if not table.prefix_allocated(rec.prefix, date_key):
+            stats.dropped_prefix += 1
+            return None
+        if rec.is_announcement and any(
+            not table.asn_allocated(asn, date_key) for asn in _path_asns(rec)
+        ):
+            stats.dropped_asn += 1
+            return None
+        stats.kept += 1
+        return rec
+
+
 def filter_allocated(
     records: Iterable[UpdateRecord],
     table: AllocationTable,
@@ -215,28 +253,5 @@ def filter_allocated(
     Withdrawals are checked on prefix only.  A record dated before the
     table's coverage is flagged table_gap and passed through.
     """
-    if stats is None:
-        stats = FilterStats()
-    day: Optional[int] = None  # the date key is worked out once per UTC day
-    date_key, covered = 0, False
-    for rec in records:
-        rec_day = rec.arrival_us // _US_PER_DAY
-        if rec_day != day:
-            day = rec_day
-            date_key = _record_date_key(rec.arrival_us)
-            covered = table.covers_date(date_key)
-        if not covered:
-            stats.table_gaps += 1
-            stats.kept += 1
-            yield rec.with_flag(FLAG_TABLE_GAP)
-            continue
-        if not table.prefix_allocated(rec.prefix, date_key):
-            stats.dropped_prefix += 1
-            continue
-        if rec.is_announcement and any(
-            not table.asn_allocated(asn, date_key) for asn in _path_asns(rec)
-        ):
-            stats.dropped_asn += 1
-            continue
-        stats.kept += 1
-        yield rec
+    check = AllocationFilter(table, stats)
+    return (rec for rec in map(check, records) if rec is not None)

@@ -160,6 +160,8 @@ class StreamClassifier:
     def __init__(self):
         self.state: dict[tuple[SessionKey, str], StreamState] = {}
         self.tally = TypeTally()
+        # one key object per session, however many records carry an equal one
+        self._sessions: dict[SessionKey, SessionKey] = {}
 
     def observe(self, record: UpdateRecord) -> Optional[LabeledRecord]:
         """Label one record; withdrawals return None and update state."""
@@ -175,7 +177,8 @@ class StreamClassifier:
         communities = record.communities()
         med = record.attrs.med if record.attrs else None
         if state is None:
-            self.state[key] = StreamState(
+            session = self._sessions.setdefault(record.session, record.session)
+            self.state[(session, record.prefix)] = StreamState(
                 path, communities, med, ANNOUNCEMENT, record.arrival_us
             )
             labeled = LabeledRecord(record, AnnouncementType.INITIAL)

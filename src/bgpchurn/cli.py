@@ -13,7 +13,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .allocation import FilterStats, load_delegated
@@ -27,14 +27,9 @@ from .beacon import (
 from .classify import StreamClassifier, write_peer_csv, write_tally_csv
 from .errors import BgpChurnError, NoBeaconRecords
 from .fetch import ArchiveTarget, RetryPolicy, fetch_target
-from .model import (
-    UpdateRecord,
-    expand_stream,
-    read_records_jsonl,
-    record_to_dict,
-)
-from .mrt.codec import read_mrt_stream
-from .normalize import normalize_stream
+from .model import record_to_dict
+from .normalize import Normalizer
+from .pipeline import Message, atomic_output, label_messages, read_messages
 from .reduce import corpus_reduction, write_reports_csv, write_summary_json
 from .sim.export import write_capture_mrt, write_log_jsonl
 from .sim.lab import EXPERIMENTS, PROFILES, run_experiment, run_experiment_matrix
@@ -60,19 +55,11 @@ def _collector_id(path: Path) -> str:
     return path.stem.split(".")[0] or path.stem
 
 
-def _iter_input_records(
-    paths: Iterable[Path], collector: Optional[str]
-) -> Iterator[UpdateRecord]:
+def _input_messages(ns) -> Iterator[Message]:
     """MRT files and .jsonl record files both feed the pipeline."""
-    for path in paths:
-        if path.suffix == ".jsonl":
-            yield from read_records_jsonl(path)
-        else:
-            yield from expand_stream(
-                read_mrt_stream(path),
-                collector or _collector_id(path),
-                source_file=str(path),
-            )
+    for name in ns.inputs:
+        path = Path(name)
+        yield from read_messages(path, ns.collector or _collector_id(path))
 
 
 def _outdir(ns) -> Path:
@@ -121,21 +108,22 @@ def cmd_fetch(ns) -> int:
 
 def cmd_classify(ns) -> int:
     out = _outdir(ns)
-    records = _iter_input_records([Path(p) for p in ns.inputs], ns.collector)
     alloc_stats = None
     table = None
     if ns.allocation and not ns.no_alloc_filter:
         table = load_delegated(ns.allocation)
         alloc_stats = FilterStats()
-    normalized = normalize_stream(records, table, alloc_stats)
     clf = StreamClassifier()
-    labeled_path = out / "labels.jsonl"
-    with open(labeled_path, "w", encoding="utf-8") as f:
-        for labeled in clf.process(normalized):
-            row = record_to_dict(labeled.record)
-            row["label"] = labeled.label.value
-            row["after_withdrawal"] = labeled.after_withdrawal
-            f.write(json.dumps(row, separators=(",", ":")) + "\n")
+    labeled_messages = label_messages(
+        _input_messages(ns), Normalizer(table, alloc_stats), clf
+    )
+    with atomic_output(out / "labels.jsonl") as f:
+        for _, labeled_records in labeled_messages:
+            for labeled in labeled_records:
+                row = record_to_dict(labeled.record)
+                row["label"] = labeled.label.value
+                row["after_withdrawal"] = labeled.after_withdrawal
+                f.write(json.dumps(row, separators=(",", ":")) + "\n")
     write_tally_csv(clf.tally, out / "tally.csv")
     write_peer_csv(clf.tally, out / "peer_nc_nn.csv")
     meta = {
@@ -169,7 +157,8 @@ def cmd_beacon(ns) -> int:
     )
     records = [
         r
-        for r in _iter_input_records([Path(p) for p in ns.inputs], ns.collector)
+        for _, expanded in _input_messages(ns)
+        for r in expanded
         if r.prefix in beacons
     ]
     if not records:
@@ -254,16 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", "-o", default=".", help="output directory")
-        p.add_argument("--jobs", "-j", type=int, default=4, help="parallel workers")
-        p.add_argument(
-            "--format",
-            choices=("csv", "jsonl"),
-            default="csv",
-            help="preferred tabular output format",
-        )
 
     p = sub.add_parser("fetch", help="download archive files into the cache")
     common(p)
+    p.add_argument("--jobs", "-j", type=int, default=4, help="parallel downloads")
     p.add_argument("--project", choices=("routeviews", "ripe_ris"), required=True)
     p.add_argument("--collector", required=True)
     p.add_argument("--kind", choices=("updates", "rib"), default="updates")

@@ -10,10 +10,8 @@ from __future__ import annotations
 import bz2
 import gzip
 import io
-import os
 import re
 import struct
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,6 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .errors import UnknownCollector
 from .mrt.codec import BZ2_MAGIC, GZIP_MAGIC
+from .pipeline import atomic_output
 
 PROJECT_ROUTEVIEWS = "routeviews"
 PROJECT_RIPE_RIS = "ripe_ris"
@@ -202,10 +201,8 @@ def fetch(
                 sleep(delay)
                 continue
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as tmp:
+            with atomic_output(path, "wb") as tmp:
                 tmp.write(blob)
-            os.replace(tmp_name, path)
             return item, None, False
         return item, error, False
 

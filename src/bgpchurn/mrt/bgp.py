@@ -97,11 +97,6 @@ class WireAttribute:
         return head + self.payload
 
 
-MODELED_ATTRS = frozenset(
-    {ATTR_AS_PATH, ATTR_AS4_PATH, ATTR_NEXT_HOP, ATTR_MED, ATTR_COMMUNITIES}
-)
-
-
 @dataclass(frozen=True)
 class BgpAttributes:
     """Decoded view of an UPDATE's attribute block.
@@ -123,13 +118,6 @@ class BgpAttributes:
         for seg in self.segments:
             out.extend(seg.elements())
         return tuple(out)
-
-    @property
-    def other_attributes(self) -> tuple[WireAttribute, ...]:
-        return tuple(a for a in self.wire if a.type_code not in MODELED_ATTRS)
-
-    def community_strs(self) -> tuple[str, ...]:
-        return tuple(community_str(c) for c in self.communities)
 
 
 @dataclass(frozen=True)

@@ -116,15 +116,6 @@ def read_rib_peers(entries) -> dict[int, RibPeer]:
     return {}
 
 
-def iter_rib_entries(entries) -> Iterator[RibEntry]:
-    for entry in entries:
-        if (
-            entry.header.type == TYPE_TABLE_DUMP_V2
-            and entry.header.subtype in _RIB_SUBTYPE_AFI
-        ):
-            yield from decode_rib_record(entry.body, entry.header.subtype)
-
-
 def rib_peer_asns(source) -> set[int]:
     """Collect the set of peer ASNs present in a RIB snapshot file.
 

@@ -1,7 +1,9 @@
-"""Record cleaning: route-server path repair, timestamp disambiguation.
+"""Record cleaning: allocation filter, route-server path repair,
+timestamp disambiguation.
 
-Both operations are order-preserving and idempotent; they run per file
-before classification.
+A Normalizer applies all three to one record at a time, in that order,
+so the pipeline can clean records as it expands them.  Repair and
+disambiguation are order-preserving and idempotent.
 """
 
 from __future__ import annotations
@@ -9,19 +11,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Iterator, Optional
 
-from .allocation import AllocationTable, FilterStats, filter_allocated
-from .mrt.bgp import AS_SEQUENCE, BgpAttributes, PathSegment
+from .allocation import AllocationFilter, AllocationTable, FilterStats
+from .mrt.bgp import AS_SEQUENCE, PathSegment
 from .model import UpdateRecord
 
 FLAG_REPAIRED_PATH = "repaired_path"
 FLAG_ANOMALOUS_EMPTY_PATH = "anomalous_empty_path"
 FLAG_OVERFLOW_SECOND = "overflow_second"
-
-
-def _leftmost_asn(record: UpdateRecord) -> Optional[int]:
-    for el in record.path_elements():
-        return el if isinstance(el, int) else None
-    return None
 
 
 def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
@@ -36,7 +32,7 @@ def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
         return record
     peer = record.session.peer_asn
     elements = record.path_elements()
-    if elements and _leftmost_asn(record) == peer:
+    if elements and elements[0] == peer:
         return record
     new_segments = (PathSegment(AS_SEQUENCE, (peer,)),) + record.attrs.segments
     attrs = replace(record.attrs, segments=new_segments)
@@ -46,51 +42,71 @@ def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
     return replace(flagged, attrs=attrs)
 
 
+class Normalizer:
+    """The full cleaning pipeline, one record per call, in publication order.
+
+    Allocation filter (when a table is given), route-server repair,
+    then timestamp disambiguation.  A call returns the cleaned record,
+    or None when the filter drops it.  The current same-second run is
+    kept between calls, so one Normalizer cleans one stream in arrival
+    order.
+    """
+
+    def __init__(
+        self,
+        allocation: Optional[AllocationTable] = None,
+        allocation_stats: Optional[FilterStats] = None,
+    ):
+        self._allocated = (
+            AllocationFilter(allocation, allocation_stats)
+            if allocation is not None
+            else None
+        )
+        self._run_second: Optional[int] = None
+        self._run_index = 0
+
+    def __call__(self, rec: UpdateRecord) -> Optional[UpdateRecord]:
+        if self._allocated is not None:
+            rec = self._allocated(rec)
+            if rec is None:
+                return None
+        return self.disambiguate(repair_route_server_path(rec))
+
+    def disambiguate(self, rec: UpdateRecord) -> UpdateRecord:
+        """Spread same-second runs of coarse timestamps by +1 us per record.
+
+        Only records without native microsecond stamps are renumbered; a
+        run longer than 10^6 spills into the next second's range and is
+        flagged.  Native-stamped records break a run.
+        """
+        if rec.native_usec:
+            self._run_second = None
+            return rec
+        second = rec.arrival_us // 1_000_000
+        if second != self._run_second:
+            self._run_second = second
+            self._run_index = 1
+            return rec
+        index = self._run_index
+        self._run_index += 1
+        bumped = replace(rec, arrival_us=second * 1_000_000 + index)
+        if index >= 1_000_000:
+            bumped = bumped.with_flag(FLAG_OVERFLOW_SECOND)
+        return bumped
+
+
 def disambiguate_timestamps(
     records: Iterable[UpdateRecord],
 ) -> Iterator[UpdateRecord]:
-    """Spread same-second runs of coarse timestamps by +1 us per record.
-
-    Only records without native microsecond stamps are renumbered; a
-    run longer than 10^6 spills into the next second's range and is
-    flagged.  Native-stamped records break a run.
-    """
-    run_second: Optional[int] = None
-    run_index = 0
-    for rec in records:
-        if rec.native_usec:
-            run_second = None
-            yield rec
-            continue
-        second = rec.arrival_us // 1_000_000
-        if second != run_second:
-            run_second = second
-            run_index = 0
-        if run_index == 0:
-            run_index = 1
-            yield rec
-            continue
-        bumped = replace(rec, arrival_us=second * 1_000_000 + run_index)
-        if run_index >= 1_000_000:
-            bumped = bumped.with_flag(FLAG_OVERFLOW_SECOND)
-        run_index += 1
-        yield bumped
+    """Normalizer.disambiguate over a whole stream."""
+    return map(Normalizer().disambiguate, records)
 
 
 def normalize_stream(
     records: Iterable[UpdateRecord],
     allocation: Optional[AllocationTable] = None,
     allocation_stats: Optional[FilterStats] = None,
-    repair_paths: bool = True,
 ) -> Iterator[UpdateRecord]:
-    """Full cleaning pipeline in publication order.
-
-    Allocation filter (optional), route-server repair, then timestamp
-    disambiguation.
-    """
-    stream: Iterable[UpdateRecord] = records
-    if allocation is not None:
-        stream = filter_allocated(stream, allocation, allocation_stats)
-    if repair_paths:
-        stream = (repair_route_server_path(r) for r in stream)
-    return disambiguate_timestamps(stream)
+    """One Normalizer over a whole stream; dropped records are left out."""
+    step = Normalizer(allocation, allocation_stats)
+    return (rec for rec in map(step, records) if rec is not None)

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import UNNECESSARY_TYPES, AnnouncementType, StreamClassifier
 from .errors import LabelMismatch
-from .model import expand_message
 from .mrt.bgp import RawBgpMessage
-from .mrt.codec import detect_container, read_mrt_stream, write_mrt_stream
+from .mrt.codec import MrtEntry, detect_container, write_mrt_stream
+from .normalize import Normalizer
+from .pipeline import atomic_output, label_messages, mrt_messages
 
 
 def message_is_unnecessary(
@@ -98,55 +97,37 @@ def reduce_file(
     Byte counts are uncompressed record sizes including MRT headers.
     """
     input_path = Path(input_path)
-    source_container = detect_container(input_path)
     if container == "auto":
-        container = source_container
+        container = detect_container(input_path)
     clf = classifier if classifier is not None else StreamClassifier()
     total = discarded = 0
     bytes_in = bytes_out = 0
 
-    def decide(entry) -> bool:
-        """True to keep this record."""
+    def kept(labeled_messages) -> Iterator[MrtEntry]:
         nonlocal total, discarded, bytes_in, bytes_out
-        blob_len = len(entry.body) + 12
-        bytes_in += blob_len
-        if entry.kind != "update":
+        for entry, labeled in labeled_messages:
+            blob_len = len(entry.body) + 12
+            bytes_in += blob_len
+            if entry.kind == "update":
+                total += 1
+                if entry.message is not None and message_is_unnecessary(
+                    entry.message, [lr.label for lr in labeled]
+                ):
+                    discarded += 1
+                    continue
             bytes_out += blob_len
-            return True
-        total += 1
-        records = expand_message(entry, collector_id, str(input_path))
-        labels = []
-        for rec in records:
-            labeled = clf.observe(rec)
-            if labeled is not None:
-                labels.append(labeled.label)
-        if entry.message is not None and message_is_unnecessary(
-            entry.message, labels
-        ):
-            discarded += 1
-            return False
-        bytes_out += blob_len
-        return True
+            yield entry
 
-    entries = read_mrt_stream(input_path, source_container)
+    # A fresh Normalizer per file: its same-second runs change no label.
+    entries = kept(
+        label_messages(mrt_messages(input_path, collector_id), Normalizer(), clf)
+    )
     if output_path is None:
-        for entry in entries:
-            decide(entry)
+        for _ in entries:
+            pass
     else:
-        output_path = Path(output_path)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=output_path.parent, prefix=output_path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as tmp:
-                write_mrt_stream((e for e in entries if decide(e)), tmp, container)
-            os.replace(tmp_name, output_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_output(output_path, "wb") as tmp:
+            write_mrt_stream(entries, tmp, container)
     return ReductionReport(str(input_path), total, discarded, bytes_in, bytes_out)
 
 

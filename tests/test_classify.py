@@ -25,12 +25,15 @@ from bgpchurn.classify import (
     write_tally_csv,
 )
 
+from bgpchurn.model import expand_stream
+
 from helpers import (
     make_announcement,
     make_session,
     make_withdrawal,
     oracle_labels,
     random_stream,
+    update_entry,
 )
 
 C1 = (65001 << 16) | 100
@@ -150,6 +153,19 @@ def test_streams_keyed_by_session_and_prefix():
         make_announcement(3, session=s1, prefix="10.9.0.0/16", path=(1, 2)),
     ]
     assert labels_of(seq) == [AnnouncementType.INITIAL] * 3
+
+
+def test_state_keeps_one_session_object_per_session():
+    # every expanded message carries its own, equal SessionKey
+    entries = [
+        update_entry(1_600_000_000 + i, peer_asn=peer, announced=(f"10.{i}.0.0/16",))
+        for i in range(5)
+        for peer in (65001, 65002)
+    ]
+    clf = StreamClassifier()
+    list(clf.process(expand_stream(entries, "c")))
+    assert len(clf.state) == 10
+    assert len({id(session) for session, _ in clf.state}) == 2
 
 
 def test_med_change_flag_on_nn():

@@ -145,6 +145,18 @@ def test_classify_reads_gzip_mrt(tmp_path):
     assert read_tally(out / "tally.csv")["nn"] == "2"
 
 
+def test_classify_failure_leaves_no_output(tmp_path):
+    import io
+
+    buf = io.BytesIO()
+    write_mrt_stream(classify_fixture(), buf)
+    src = tmp_path / "updates.mrt"
+    src.write_bytes(buf.getvalue()[:-10])  # truncate the final record
+    out = tmp_path / "out"
+    assert main(["classify", str(src), "-o", str(out)]) != 0
+    assert list(out.iterdir()) == []  # no partial labels.jsonl, no temp file
+
+
 # --- reduce ---
 
 

@@ -117,7 +117,7 @@ def test_parse_hand_built_update():
     assert msg.withdrawn_prefixes == ()
     assert msg.attributes.path_elements() == (65001, 65002)
     assert msg.attributes.communities == ((65001 << 16) | 100,)
-    assert msg.attributes.community_strs() == ("65001:100",)
+    assert tuple(map(community_str, msg.attributes.communities)) == ("65001:100",)
     assert str(msg.attributes.next_hop) == "10.0.0.1"
 
 

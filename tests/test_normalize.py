@@ -40,6 +40,11 @@ def test_repair_leaves_complete_path_alone():
     assert repair_route_server_path(rec) is rec
 
 
+def test_repair_prepends_before_leading_as_set():
+    rec = _ann(6695, ((6695, 3356), 174))
+    assert repair_route_server_path(rec).path_elements() == (6695, (3356, 6695), 174)
+
+
 def test_repair_empty_path_flagged_anomalous():
     rec = _ann(6695, ())
     fixed = repair_route_server_path(rec)

@@ -6,10 +6,16 @@ import bz2
 import gzip
 import io
 import json
+import tempfile
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgpchurn.classify import AnnouncementType, StreamClassifier
+from bgpchurn.cli import main as cli_main
 from bgpchurn.errors import LabelMismatch, TruncatedRecord
 from bgpchurn.mrt.build import build_keepalive_record, build_update_record
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
@@ -218,6 +224,81 @@ def test_reduce_gzip_header_is_deterministic(tmp_path):
     header = dst.read_bytes()[:10]
     assert header[3] == 0  # no FNAME or other optional fields
     assert header[4:8] == b"\x00\x00\x00\x00"  # mtime 0
+
+
+def test_reduce_repairs_route_server_paths(tmp_path):
+    # route server 65001 leaves itself off the first path; after repair
+    # both paths read (65001, 65002, 65010), so the second is nn
+    src = tmp_path / "in.mrt"
+    write_fixture(src, [
+        update_entry(1_600_000_000, announced=("10.1.0.0/24",), path=(65002, 65010)),
+        update_entry(1_600_000_001, announced=("10.1.0.0/24",),
+                     path=(65001, 65002, 65010)),
+    ])
+    assert reduce_file(src, None).discarded_messages == 1
+
+
+ROUTE_SERVER = 65100
+PREFIXES = ("10.1.0.0/24", "10.2.0.0/24", "10.3.0.0/24")
+
+# repeated choices make nc/nn labels, and so discards, common
+message_specs = st.lists(
+    st.tuples(
+        st.sampled_from((65001, ROUTE_SERVER)),
+        st.integers(0, 2),  # seconds after the previous message
+        st.none() | st.integers(0, 999_999),  # BGP4MP or BGP4MP_ET stamp
+        st.lists(st.sampled_from(PREFIXES), unique=True, max_size=3),  # announced
+        st.sampled_from(((),) * 4 + ((PREFIXES[0],), PREFIXES[1:])),  # withdrawn
+        st.sampled_from(((65002, 65010), (65002, 65010), (65002, 65002, 65010))),
+        st.booleans(),  # the route server puts its own ASN on the path
+        st.sampled_from(((), (), (C1,), (C2, C1))),
+        st.sampled_from((False,) * 7 + (True,)),  # a keepalive instead of an update
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150)
+@given(message_specs)
+def test_reduce_drops_exactly_what_classify_labels_unnecessary(messages):
+    entries = []
+    t = 1_600_000_000
+    for peer, gap, usec, announced, withdrawn, path, on_path, comms, keepalive in messages:
+        t += gap
+        if keepalive:
+            entries.append(build_keepalive_record(
+                t, peer, "10.0.0.1", 64512, "10.0.0.2", usec
+            ))
+            continue
+        if peer != ROUTE_SERVER or on_path:
+            path = (peer,) + path
+        entries.append(update_entry(
+            t, peer, announced=announced,
+            withdrawn=[p for p in withdrawn if p not in announced],
+            path=path, communities=comms, microsecond=usec,
+        ))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src = tmp / "in.mrt"
+        write_fixture(src, entries)
+        assert cli_main(["classify", str(src), "-o", str(tmp / "labels")]) == 0
+        labels = defaultdict(list)
+        with open(tmp / "labels" / "labels.jsonl", encoding="utf-8") as f:
+            for line in f:
+                row = json.loads(line)
+                labels[row["source_message_index"]].append(row["label"])
+        decoded = list(read_mrt_stream(src))
+        dropped = [
+            e.kind == "update"
+            and bool(e.message.announced_prefixes)
+            and not e.message.withdrawn_prefixes
+            and all(label in ("nc", "nn") for label in labels[i])
+            for i, e in enumerate(decoded)
+        ]
+        report = reduce_file(src, tmp / "out.mrt")
+        kept = [e.encode() for e, drop in zip(decoded, dropped) if not drop]
+        assert [e.encode() for e in read_mrt_stream(tmp / "out.mrt")] == kept
+        assert report.discarded_messages == sum(dropped)
 
 
 def test_reduce_warm_start_across_files(tmp_path):
