@@ -12,11 +12,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Union
 
-from .classify import AnnouncementType, StreamClassifier
-from .errors import EmptySelection
-from .mrt.bgp import PathElement, community_str
+from .mrt.bgp import community_str
 from .model import UpdateRecord
 
 PHASE_ANNOUNCE = "announce_phase"
@@ -24,7 +22,6 @@ PHASE_WITHDRAW = "withdraw_phase"
 PHASE_OUTSIDE = "outside"
 
 US_PER_DAY = 86_400 * 1_000_000
-US_PER_CYCLE = 4 * 3600 * 1_000_000
 
 # RIPE RIS IPv4 beacon convention: 84.205.(64+N).0/24 per collector
 DEFAULT_BEACONS = tuple(f"84.205.{64 + n}.0/24" for n in range(16))
@@ -54,10 +51,6 @@ class BeaconSchedule:
 
 
 DEFAULT_SCHEDULE = BeaconSchedule()
-
-
-def phase_of(arrival_us: int, schedule: BeaconSchedule = DEFAULT_SCHEDULE) -> str:
-    return schedule.phase_of(arrival_us)
 
 
 @dataclass
@@ -131,74 +124,11 @@ def partition_communities(
     )
 
 
-@dataclass(frozen=True)
-class CasePoint:
-    arrival_us: int
-    label: AnnouncementType
-    cumulative: int
-
-
-@dataclass
-class CaseReport:
-    """Per-type cumulative step series plus withdrawal markers."""
-
-    prefix: str
-    series: dict[AnnouncementType, list[CasePoint]]
-    withdrawal_arrivals: list[int]
-
-    def counts(self) -> dict[AnnouncementType, int]:
-        return {t: (pts[-1].cumulative if pts else 0) for t, pts in self.series.items()}
-
-
-def beacon_case_report(
-    records: Sequence[UpdateRecord],
-    prefix: str,
-    path_filter: Optional[Sequence[PathElement]] = None,
-) -> CaseReport:
-    """Replay one beacon prefix through the classifier.
-
-    Withdrawals are tracked as markers; announcements contribute steps
-    to the per-type cumulative series.  With a path filter only
-    announcements carrying exactly that AS path are counted.
-    """
-    clf = StreamClassifier()
-    wanted = tuple(path_filter) if path_filter is not None else None
-    series: dict[AnnouncementType, list[CasePoint]] = {t: [] for t in AnnouncementType}
-    withdrawals: list[int] = []
-    matched = 0
-    for rec in records:
-        if rec.prefix != prefix:
-            continue
-        if not rec.is_announcement:
-            withdrawals.append(rec.arrival_us)
-            clf.observe(rec)
-            continue
-        labeled = clf.observe(rec)
-        if wanted is not None and rec.path_elements() != wanted:
-            continue
-        matched += 1
-        points = series[labeled.label]
-        points.append(CasePoint(rec.arrival_us, labeled.label, len(points) + 1))
-    if matched == 0:
-        raise EmptySelection(
-            f"no announcements for prefix {prefix}"
-            + (f" with path {wanted}" if wanted is not None else "")
-        )
-    return CaseReport(prefix, series, withdrawals)
-
-
-def is_beacon_record(
-    rec: UpdateRecord, beacons: Sequence[str] = DEFAULT_BEACONS
-) -> bool:
-    return rec.prefix in beacons
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 
 PARTITION_VALUE_HEADER = ["community_value", "category"]
 PARTITION_SUMMARY_HEADER = ["category", "count", "share"]
-CASE_HEADER = ["arrival_us", "type", "cumulative_count"]
 
 
 def write_partition_csv(
@@ -234,20 +164,3 @@ def write_partition_summary_csv(
     shares = part.shares()
     for category, count in part.sizes().items():
         w.writerow([category, count, f"{shares[category]:.6f}"])
-
-
-def write_case_csv(report: CaseReport, sink: Union[str, Path, IO[str]]) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="", encoding="utf-8") as f:
-            write_case_csv(report, f)
-        return
-    w = csv.writer(sink)
-    w.writerow(CASE_HEADER)
-    rows = [
-        (pt.arrival_us, label.value, pt.cumulative)
-        for label, points in report.series.items()
-        for pt in points
-    ]
-    rows.extend((t, "withdrawal", "") for t in report.withdrawal_arrivals)
-    for row in sorted(rows, key=lambda r: (r[0], str(r[1]))):
-        w.writerow(row)

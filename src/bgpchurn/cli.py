@@ -8,6 +8,7 @@ identical inputs and flags (fetch excepted).
 from __future__ import annotations
 
 import argparse
+import ipaddress
 import json
 import os
 import sys
@@ -110,7 +111,7 @@ def cmd_classify(ns) -> int:
     out = _outdir(ns)
     alloc_stats = None
     table = None
-    if ns.allocation and not ns.no_alloc_filter:
+    if ns.allocation:
         table = load_delegated(ns.allocation)
         alloc_stats = FilterStats()
     clf = StreamClassifier()
@@ -148,12 +149,27 @@ def cmd_classify(ns) -> int:
     return 0
 
 
+def _beacon_list(path: Path) -> frozenset[str]:
+    """One prefix per line, canonicalized as decoded prefixes are."""
+    beacons = set()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            beacons.add(str(ipaddress.ip_network(text)))
+        except ValueError as exc:
+            raise BgpChurnError(f"{path}:{lineno}: bad beacon prefix: {exc}") from exc
+    return frozenset(beacons)
+
+
 def cmd_beacon(ns) -> int:
     out = _outdir(ns)
     beacons = (
-        [line.strip() for line in Path(ns.beacon_list).read_text().splitlines() if line.strip()]
+        _beacon_list(Path(ns.beacon_list))
         if ns.beacon_list
-        else list(DEFAULT_BEACONS)
+        else frozenset(DEFAULT_BEACONS)
     )
     records = [
         r
@@ -262,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="MRT files or .jsonl record files")
     p.add_argument("--collector", help="collector id for session keys")
     p.add_argument("--allocation", help="delegated-extended stats file")
-    p.add_argument(
-        "--no-alloc-filter",
-        action="store_true",
-        help="skip the allocation filter even when a table is given",
-    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("beacon", help="beacon phase partition reports")

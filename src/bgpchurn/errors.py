@@ -33,10 +33,6 @@ class LabelMismatch(BgpChurnError):
     """Classifier labels do not cover a message's announced prefixes."""
 
 
-class EmptySelection(BgpChurnError):
-    """A case-report filter matched no announcements."""
-
-
 class NoBeaconRecords(BgpChurnError):
     """No input records fall on a configured beacon prefix."""
 

@@ -13,14 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from .mrt.bgp import (
-    BgpAttributes,
-    PathElement,
-    PathSegment,
-    community_str,
-    community_value,
-    path_segments,
-)
+from .mrt.bgp import BgpAttributes, PathElement, community_str, community_value
 from .mrt.codec import MrtEntry
 
 ANNOUNCEMENT = "announcement"
@@ -68,7 +61,7 @@ class UpdateRecord:
         return self.kind == ANNOUNCEMENT
 
     def path_elements(self) -> tuple[PathElement, ...]:
-        return self.attrs.path_elements() if self.attrs else ()
+        return self.attrs.path if self.attrs else ()
 
     def communities(self) -> tuple[int, ...]:
         return self.attrs.communities if self.attrs else ()
@@ -140,8 +133,8 @@ def _path_to_json(elements: tuple[PathElement, ...]) -> list:
     return [list(el) if isinstance(el, tuple) else el for el in elements]
 
 
-def _path_from_json(items: list) -> tuple[PathSegment, ...]:
-    return path_segments(tuple(i) if isinstance(i, list) else i for i in items)
+def _path_from_json(items: list) -> tuple[PathElement, ...]:
+    return tuple(i if isinstance(i, int) else tuple(sorted(i)) for i in items)
 
 
 def record_to_dict(rec: UpdateRecord) -> dict:
@@ -158,7 +151,7 @@ def record_to_dict(rec: UpdateRecord) -> dict:
         "flags": list(rec.flags),
     }
     if rec.attrs is not None:
-        out["as_path"] = _path_to_json(rec.attrs.path_elements())
+        out["as_path"] = _path_to_json(rec.attrs.path)
         out["communities"] = [community_str(c) for c in rec.attrs.communities]
         out["next_hop"] = str(rec.attrs.next_hop) if rec.attrs.next_hop else None
         out["med"] = rec.attrs.med
@@ -169,7 +162,7 @@ def record_from_dict(obj: dict) -> UpdateRecord:
     attrs = None
     if obj["kind"] == ANNOUNCEMENT:
         attrs = BgpAttributes(
-            segments=_path_from_json(obj.get("as_path", [])),
+            path=_path_from_json(obj.get("as_path", [])),
             communities=tuple(
                 community_value(c) for c in obj.get("communities", [])
             ),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ..errors import BgpParseError
 
@@ -69,13 +69,10 @@ def community_value(text: str) -> int:
 
 @dataclass(frozen=True)
 class PathSegment:
+    """One wire AS_PATH segment, for encoding and decoding only."""
+
     kind: int  # AS_SET or AS_SEQUENCE
     asns: tuple[int, ...]
-
-    def elements(self) -> tuple[PathElement, ...]:
-        if self.kind == AS_SEQUENCE:
-            return self.asns
-        return (tuple(sorted(self.asns)),)
 
 
 @dataclass(frozen=True)
@@ -102,22 +99,16 @@ class BgpAttributes:
     """Decoded view of an UPDATE's attribute block.
 
     ``wire`` is authoritative for re-serialization and keeps every
-    attribute in received order.  ``segments`` is the effective AS path
-    after AS4_PATH merging; ``communities`` keeps wire order even though
-    comparisons treat them as a multiset.
+    attribute in received order.  ``path`` is the effective AS path
+    after AS4_PATH merging, as elements; ``communities`` keeps wire
+    order even though comparisons treat them as a multiset.
     """
 
     wire: tuple[WireAttribute, ...] = ()
-    segments: tuple[PathSegment, ...] = ()
+    path: tuple[PathElement, ...] = ()
     communities: tuple[int, ...] = ()
     next_hop: Optional[IPAddress] = None
     med: Optional[int] = None
-
-    def path_elements(self) -> tuple[PathElement, ...]:
-        out: list[PathElement] = []
-        for seg in self.segments:
-            out.extend(seg.elements())
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -230,8 +221,8 @@ def encode_prefixes(prefixes: Iterable[IPNetwork]) -> bytes:
 # AS path codec
 
 
-def decode_as_path(payload: bytes, width: int) -> tuple[PathSegment, ...]:
-    segs = []
+def _as_path_segments(payload: bytes, width: int) -> Iterator[tuple[int, tuple]]:
+    """Yield (kind, asns) per segment of an AS_PATH/AS4_PATH payload."""
     i = 0
     n = len(payload)
     code = "!%dH" if width == 2 else "!%dI"
@@ -245,10 +236,23 @@ def decode_as_path(payload: bytes, width: int) -> tuple[PathSegment, ...]:
         need = count * width
         if i + need > n:
             raise BgpParseError("truncated AS path segment body")
-        asns = struct.unpack(code % count, payload[i : i + need])
+        yield kind, struct.unpack(code % count, payload[i : i + need])
         i += need
-        segs.append(PathSegment(kind, asns))
-    return tuple(segs)
+
+
+def decode_as_path(payload: bytes, width: int) -> tuple[PathSegment, ...]:
+    return tuple(PathSegment(*seg) for seg in _as_path_segments(payload, width))
+
+
+def decode_path(payload: bytes, width: int) -> tuple[PathElement, ...]:
+    """Decode an AS path payload straight to its elements."""
+    out: list[PathElement] = []
+    for kind, asns in _as_path_segments(payload, width):
+        if kind == AS_SEQUENCE:
+            out.extend(asns)
+        else:
+            out.append(tuple(sorted(asns)))
+    return tuple(out)
 
 
 def encode_as_path(segments: Iterable[PathSegment], width: int) -> bytes:
@@ -260,33 +264,17 @@ def encode_as_path(segments: Iterable[PathSegment], width: int) -> bytes:
     return b"".join(parts)
 
 
-def _segment_count(segments: Sequence[PathSegment]) -> int:
-    # RFC 4271 path length: an AS_SET counts as one
-    return sum(1 if s.kind == AS_SET else len(s.asns) for s in segments)
-
-
 def merge_as4_path(
-    segments: Sequence[PathSegment], as4_segments: Sequence[PathSegment]
-) -> tuple[PathSegment, ...]:
-    """RFC 6793 merge: keep the AS_PATH head, splice in the AS4_PATH tail."""
-    n, n4 = _segment_count(segments), _segment_count(as4_segments)
-    if n < n4:
-        return tuple(segments)
-    take = n - n4
-    head: list[PathSegment] = []
-    for seg in segments:
-        if take <= 0:
-            break
-        if seg.kind == AS_SET:
-            head.append(seg)
-            take -= 1
-        elif len(seg.asns) <= take:
-            head.append(seg)
-            take -= len(seg.asns)
-        else:
-            head.append(PathSegment(AS_SEQUENCE, seg.asns[:take]))
-            take = 0
-    return tuple(head) + tuple(as4_segments)
+    path: tuple[PathElement, ...], as4_path: tuple[PathElement, ...]
+) -> tuple[PathElement, ...]:
+    """RFC 6793 merge: keep the AS_PATH head, splice in the AS4_PATH tail.
+
+    An AS_SET is one element, which is how RFC 4271 counts path length.
+    """
+    take = len(path) - len(as4_path)
+    if take < 0:
+        return path
+    return path[:take] + as4_path
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +365,8 @@ def decode_update_body(body: bytes, as4: bool) -> DecodedUpdate:
     wire = decode_attribute_block(body[4 + wlen : attrs_end])
     announced = decode_prefix_strs(body[attrs_end:], AFI_IPV4)
 
-    segments: tuple[PathSegment, ...] = ()
-    as4_segments: Optional[tuple[PathSegment, ...]] = None
+    path: tuple[PathElement, ...] = ()
+    as4_path: Optional[tuple[PathElement, ...]] = None
     communities: tuple[int, ...] = ()
     next_hop: Optional[IPAddress] = None
     med: Optional[int] = None
@@ -389,9 +377,9 @@ def decode_update_body(body: bytes, as4: bool) -> DecodedUpdate:
             continue  # first occurrence wins for the modeled view
         seen.add(attr.type_code)
         if attr.type_code == ATTR_AS_PATH:
-            segments = decode_as_path(attr.payload, 4 if as4 else 2)
+            path = decode_path(attr.payload, 4 if as4 else 2)
         elif attr.type_code == ATTR_AS4_PATH:
-            as4_segments = decode_as_path(attr.payload, 4)
+            as4_path = decode_path(attr.payload, 4)
         elif attr.type_code == ATTR_NEXT_HOP:
             if len(attr.payload) != 4:
                 raise BgpParseError("NEXT_HOP payload must be 4 bytes")
@@ -410,11 +398,11 @@ def decode_update_body(body: bytes, as4: bool) -> DecodedUpdate:
         elif attr.type_code == ATTR_MP_UNREACH_NLRI:
             withdrawn.extend(_decode_mp_unreach(attr.payload))
 
-    if as4_segments is not None and not as4:
-        segments = merge_as4_path(segments, as4_segments)
+    if as4_path is not None and not as4:
+        path = merge_as4_path(path, as4_path)
     attributes = BgpAttributes(
         wire=tuple(wire),
-        segments=segments,
+        path=path,
         communities=communities,
         next_hop=next_hop if next_hop is not None else mp_next_hop,
         med=med,

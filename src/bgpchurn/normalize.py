@@ -12,7 +12,6 @@ from dataclasses import replace
 from typing import Iterable, Iterator, Optional
 
 from .allocation import AllocationFilter, AllocationTable, FilterStats
-from .mrt.bgp import AS_SEQUENCE, PathSegment
 from .model import UpdateRecord
 
 FLAG_REPAIRED_PATH = "repaired_path"
@@ -31,13 +30,12 @@ def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
     if not record.is_announcement or record.attrs is None:
         return record
     peer = record.session.peer_asn
-    elements = record.path_elements()
-    if elements and elements[0] == peer:
+    path = record.attrs.path
+    if path and path[0] == peer:
         return record
-    new_segments = (PathSegment(AS_SEQUENCE, (peer,)),) + record.attrs.segments
-    attrs = replace(record.attrs, segments=new_segments)
+    attrs = replace(record.attrs, path=(peer,) + path)
     flagged = record.with_flag(FLAG_REPAIRED_PATH)
-    if not elements:
+    if not path:
         flagged = flagged.with_flag(FLAG_ANOMALOUS_EMPTY_PATH)
     return replace(flagged, attrs=attrs)
 

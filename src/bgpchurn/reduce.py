@@ -81,8 +81,6 @@ def reduce_file(
     input_path: Union[str, Path],
     output_path: Union[str, Path, None],
     classifier: Optional[StreamClassifier] = None,
-    collector_id: str = "",
-    container: str = "auto",
 ) -> ReductionReport:
     """Prune one MRT file; returns the per-file report.
 
@@ -90,15 +88,13 @@ def reduce_file(
     by default the state is cold (first announcements label initial and
     their messages are kept).  The output file appears atomically: a
     sibling temp file is renamed over the target only after a complete
-    pass, and output_path=None runs a dry pass with no output.  With
-    container="auto" the output is compressed as the input is (gzip,
-    bzip2 or plain, by magic bytes).
+    pass, and output_path=None runs a dry pass with no output.  The
+    output is compressed as the input is (gzip, bzip2 or plain, by
+    magic bytes).
 
     Byte counts are uncompressed record sizes including MRT headers.
     """
     input_path = Path(input_path)
-    if container == "auto":
-        container = detect_container(input_path)
     clf = classifier if classifier is not None else StreamClassifier()
     total = discarded = 0
     bytes_in = bytes_out = 0
@@ -120,14 +116,14 @@ def reduce_file(
 
     # A fresh Normalizer per file: its same-second runs change no label.
     entries = kept(
-        label_messages(mrt_messages(input_path, collector_id), Normalizer(), clf)
+        label_messages(mrt_messages(input_path, ""), Normalizer(), clf)
     )
     if output_path is None:
         for _ in entries:
             pass
     else:
         with atomic_output(output_path, "wb") as tmp:
-            write_mrt_stream(entries, tmp, container)
+            write_mrt_stream(entries, tmp, detect_container(input_path))
     return ReductionReport(str(input_path), total, discarded, bytes_in, bytes_out)
 
 
@@ -178,7 +174,6 @@ def corpus_reduction(
     files: Iterable[Union[str, Path]],
     output_dir: Optional[Union[str, Path]] = None,
     warm: bool = True,
-    container: str = "auto",
 ) -> CorpusSummary:
     """Reduce many files; per-file failures are recorded, not fatal.
 
@@ -191,9 +186,7 @@ def corpus_reduction(
         path = Path(path)
         out = Path(output_dir) / path.name if output_dir is not None else None
         try:
-            summary.reports.append(
-                reduce_file(path, out, clf, container=container)
-            )
+            summary.reports.append(reduce_file(path, out, clf))
         except Exception as exc:  # noqa: BLE001 - per-file isolation
             summary.failures[str(path)] = str(exc)
     return summary

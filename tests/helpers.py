@@ -50,7 +50,7 @@ def make_announcement(
         prefix=prefix,
         kind=ANNOUNCEMENT,
         attrs=BgpAttributes(
-            segments=path_segments(path),
+            path=tuple(el if isinstance(el, int) else tuple(sorted(el)) for el in path),
             communities=tuple(communities),
             next_hop=ipaddress.ip_address(next_hop),
             med=med,

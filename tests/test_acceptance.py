@@ -15,11 +15,11 @@ import time
 import pytest
 
 from bgpchurn.beacon import (
+    DEFAULT_SCHEDULE,
     PHASE_ANNOUNCE,
     PHASE_OUTSIDE,
     PHASE_WITHDRAW,
     partition_communities,
-    phase_of,
 )
 from bgpchurn.classify import AnnouncementType, classify_stream
 from bgpchurn.errors import MrtError
@@ -195,10 +195,11 @@ def test_criterion_6_beacon_partition_composition():
         "ambiguous": 25,
     }
     # window boundaries: starts inclusive, ends exclusive
-    assert phase_of(day0_us + 2 * 3600 * 1_000_000) == PHASE_WITHDRAW
-    assert phase_of(day0_us + (2 * 3600 + 900) * 1_000_000) == PHASE_OUTSIDE
-    assert phase_of(day0_us) == PHASE_ANNOUNCE
-    assert phase_of(day0_us + 900 * 1_000_000) == PHASE_OUTSIDE
+    phase = DEFAULT_SCHEDULE.phase_of
+    assert phase(day0_us + 2 * 3600 * 1_000_000) == PHASE_WITHDRAW
+    assert phase(day0_us + (2 * 3600 + 900) * 1_000_000) == PHASE_OUTSIDE
+    assert phase(day0_us) == PHASE_ANNOUNCE
+    assert phase(day0_us + 900 * 1_000_000) == PHASE_OUTSIDE
 
 
 def _fixture_blobs() -> list[bytes]:
@@ -281,7 +282,7 @@ def test_criterion_8_full_data_spot_check(tmp_path):
     ]
     assert records, "no beacon traffic in the sampled window"
     in_window = [
-        r for r in records if phase_of(r.arrival_us) == PHASE_WITHDRAW
+        r for r in records if DEFAULT_SCHEDULE.phase_of(r.arrival_us) == PHASE_WITHDRAW
     ]
     # announcements cluster inside the 15-minute withdrawal window
     assert len(in_window) >= len(records) // 2

@@ -17,15 +17,10 @@ from bgpchurn.beacon import (
     PHASE_WITHDRAW,
     BeaconSchedule,
     RevealPartition,
-    beacon_case_report,
-    is_beacon_record,
     partition_communities,
-    phase_of,
     write_partition_csv,
     write_partition_summary_csv,
 )
-from bgpchurn.classify import AnnouncementType
-from bgpchurn.errors import EmptySelection
 
 from helpers import make_announcement, make_withdrawal
 
@@ -41,25 +36,27 @@ def at(hours: float, day: int = 0) -> int:
 
 
 def test_phase_window_boundaries():
-    assert phase_of(at(2.0)) == PHASE_WITHDRAW  # 02:00:00 inclusive
-    assert phase_of(at(2.0) + 14 * 60 * 1_000_000 + 59_999_999) == PHASE_WITHDRAW
-    assert phase_of(at(2.25)) == PHASE_OUTSIDE  # 02:15:00 exclusive
-    assert phase_of(at(0.0)) == PHASE_ANNOUNCE  # 00:00:00 inclusive
-    assert phase_of(at(0.25) - 1) == PHASE_ANNOUNCE
-    assert phase_of(at(0.25)) == PHASE_OUTSIDE
-    assert phase_of(at(23.75)) == PHASE_OUTSIDE  # 23:45 belongs to no window
-    assert phase_of(at(1.0)) == PHASE_OUTSIDE
+    phase = DEFAULT_SCHEDULE.phase_of
+    assert phase(at(2.0)) == PHASE_WITHDRAW  # 02:00:00 inclusive
+    assert phase(at(2.0) + 14 * 60 * 1_000_000 + 59_999_999) == PHASE_WITHDRAW
+    assert phase(at(2.25)) == PHASE_OUTSIDE  # 02:15:00 exclusive
+    assert phase(at(0.0)) == PHASE_ANNOUNCE  # 00:00:00 inclusive
+    assert phase(at(0.25) - 1) == PHASE_ANNOUNCE
+    assert phase(at(0.25)) == PHASE_OUTSIDE
+    assert phase(at(23.75)) == PHASE_OUTSIDE  # 23:45 belongs to no window
+    assert phase(at(1.0)) == PHASE_OUTSIDE
 
 
 def test_phase_cycle_anchors():
     for k in range(6):
-        assert phase_of(at(4.0 * k)) == PHASE_ANNOUNCE
-        assert phase_of(at(4.0 * k + 2.0)) == PHASE_WITHDRAW
+        assert DEFAULT_SCHEDULE.phase_of(at(4.0 * k)) == PHASE_ANNOUNCE
+        assert DEFAULT_SCHEDULE.phase_of(at(4.0 * k + 2.0)) == PHASE_WITHDRAW
 
 
 def test_phase_day_wrap():
-    assert phase_of(at(0.05, day=1)) == PHASE_ANNOUNCE
-    assert phase_of(at(22.1)) == PHASE_WITHDRAW  # last withdraw window of the day
+    phase = DEFAULT_SCHEDULE.phase_of
+    assert phase(at(0.05, day=1)) == PHASE_ANNOUNCE
+    assert phase(at(22.1)) == PHASE_WITHDRAW  # last withdraw window of the day
 
 
 def test_custom_schedule():
@@ -75,13 +72,15 @@ def test_custom_schedule():
 @given(st.integers(0, 2**55))
 def test_phase_periodicity_property(arrival_us):
     period_us = DEFAULT_SCHEDULE.period_s * 1_000_000
-    assert phase_of(arrival_us) == phase_of(arrival_us + period_us)
+    phase = DEFAULT_SCHEDULE.phase_of
+    assert phase(arrival_us) == phase(arrival_us + period_us)
 
 
 @settings(max_examples=200)
 @given(st.integers(0, 2**55))
 def test_phase_is_total_function(arrival_us):
-    assert phase_of(arrival_us) in (PHASE_ANNOUNCE, PHASE_WITHDRAW, PHASE_OUTSIDE)
+    phases = (PHASE_ANNOUNCE, PHASE_WITHDRAW, PHASE_OUTSIDE)
+    assert DEFAULT_SCHEDULE.phase_of(arrival_us) in phases
 
 
 # --- reveal partition ---
@@ -177,69 +176,11 @@ def test_partition_ignores_withdrawals_and_empty():
     assert per_multiset.total() == 0
 
 
-# --- case report ---
-
-
-def case_records(prefix="84.205.64.0/24"):
-    c = [_comm(i) for i in range(9)]
-    mk = lambda t, path, comms: make_announcement(
-        at(0.0) + t, prefix=prefix, path=path, communities=comms
-    )
-    return [
-        mk(1, (1, 2), (c[0],)),            # initial
-        mk(2, (1, 3), (c[1],)),            # pc
-        mk(3, (1, 3), (c[2],)),            # nc
-        mk(4, (1, 3), (c[3],)),            # nc
-        mk(5, (1, 3), (c[4],)),            # nc
-        make_withdrawal(at(0.0) + 6, prefix=prefix),
-    ]
-
-
-def test_case_report_counts_and_markers():
-    records = case_records()
-    report = beacon_case_report(records, "84.205.64.0/24")
-    counts = report.counts()
-    assert counts[AnnouncementType.INITIAL] == 1
-    assert counts[AnnouncementType.PC] == 1
-    assert counts[AnnouncementType.NC] == 3
-    assert counts[AnnouncementType.NN] == 0
-    assert report.withdrawal_arrivals == [at(0.0) + 6]
-    nc_points = report.series[AnnouncementType.NC]
-    assert [p.cumulative for p in nc_points] == [1, 2, 3]
-    assert [p.arrival_us for p in nc_points] == [at(0.0) + 3, at(0.0) + 4, at(0.0) + 5]
-
-
-def test_case_report_filters_other_prefixes():
-    records = case_records() + [
-        make_announcement(at(0.0) + 10, prefix="10.0.0.0/24")
-    ]
-    report = beacon_case_report(records, "84.205.64.0/24")
-    assert sum(report.counts().values()) == 5
-
-
-def test_case_report_path_filter():
-    records = case_records()
-    report = beacon_case_report(records, "84.205.64.0/24", path_filter=(1, 3))
-    counts = report.counts()
-    # labels still come from the full stream; the filter gates counting only
-    assert counts[AnnouncementType.INITIAL] == 0
-    assert counts[AnnouncementType.PC] == 1
-    assert counts[AnnouncementType.NC] == 3
-
-
-def test_case_report_empty_selection():
-    with pytest.raises(EmptySelection):
-        beacon_case_report(case_records(), "84.205.99.0/24")
-    with pytest.raises(EmptySelection):
-        beacon_case_report(case_records(), "84.205.64.0/24", path_filter=(9, 9))
-
-
 def test_default_beacon_prefixes():
     assert DEFAULT_BEACONS[0] == "84.205.64.0/24"
     assert DEFAULT_BEACONS[-1] == "84.205.79.0/24"
     assert len(DEFAULT_BEACONS) == 16
-    assert is_beacon_record(make_announcement(1, prefix="84.205.64.0/24"))
-    assert not is_beacon_record(make_announcement(1, prefix="84.205.80.0/24"))
+    assert "84.205.80.0/24" not in DEFAULT_BEACONS
 
 
 # --- CSV output ---

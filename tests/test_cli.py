@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import ipaddress
 import json
 import shutil
 import subprocess
@@ -10,9 +11,11 @@ import subprocess
 import pytest
 
 from bgpchurn.cli import main
+from bgpchurn.mrt.bgp import attr_mp_reach
+from bgpchurn.mrt.build import build_update_record
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 
-from helpers import update_entry
+from helpers import std_attrs, update_entry
 
 C1 = (65001 << 16) | 100
 C2 = (65001 << 16) | 200
@@ -124,10 +127,7 @@ def test_classify_allocation_filter(tmp_path):
     assert report["announcements"] == 3
 
     out2 = tmp_path / "out2"
-    assert main([
-        "classify", str(src), "-o", str(out2),
-        "--allocation", str(delegated), "--no-alloc-filter",
-    ]) == 0
+    assert main(["classify", str(src), "-o", str(out2)]) == 0
     report2 = json.loads((out2 / "classify_report.json").read_text())
     assert report2["allocation_filter"] is False
     assert report2["announcements"] == 5
@@ -323,6 +323,40 @@ def test_beacon_custom_list(tmp_path):
                  "--beacon-list", str(listing)]) == 0
     values = (out / "partition_values.csv").read_text()
     assert "65001:100,outside_only" in values
+
+
+def test_beacon_list_is_canonicalized(tmp_path, capsys):
+    v6 = build_update_record(
+        timestamp=DAY0 + 3600,
+        peer_asn=65001,
+        peer_address="10.0.0.1",
+        local_asn=64512,
+        local_address="10.0.0.2",
+        attributes=std_attrs(communities=(C1,))
+        + [attr_mp_reach([ipaddress.ip_network("2001:db8::/32")], "2001:db8::1")],
+    )
+    src = write_mrt(tmp_path / "updates.mrt", beacon_entries() + [v6])
+    listing = tmp_path / "beacons.txt"
+    # a non-canonical spelling of the decoded "2001:db8::/32"
+    listing.write_text("  2001:0db8::/32  \n\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["beacon", str(src), "-o", str(out),
+                 "--beacon-list", str(listing)]) == 0
+    assert "65001:100,outside_only" in (out / "partition_values.csv").read_text()
+    assert "1 beacon records" in capsys.readouterr().out
+
+
+def test_beacon_list_bad_line_exit_code(tmp_path, capsys):
+    src = write_mrt(tmp_path / "updates.mrt", beacon_entries())
+    listing = tmp_path / "beacons.txt"
+    listing.write_text("10.0.0.0/24\n10.0.0.1/24\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["beacon", str(src), "-o", str(out),
+                 "--beacon-list", str(listing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "beacons.txt:2" in err and "10.0.0.1/24" in err
+    assert not (out / "partition_values.csv").exists()
 
 
 def test_beacon_no_records_exit_code(tmp_path, capsys):

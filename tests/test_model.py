@@ -115,6 +115,19 @@ def test_jsonl_files(tmp_path):
     assert [r.kind for r in back] == [ANNOUNCEMENT, WITHDRAWAL]
 
 
+def test_jsonl_as_set_reads_back_sorted():
+    line = (
+        '{"arrival_us":1,"collector":"c","peer_asn":65001,'
+        '"peer_address":"10.0.0.1","prefix":"10.0.0.0/24",'
+        '"kind":"announcement","as_path":[65001,[65030,65010,65020],65040],'
+        '"communities":["65001:100"],"next_hop":null,"med":null}\n'
+    )
+    (rec,) = read_records_jsonl(io.StringIO(line))
+    assert rec.path_elements() == (65001, (65010, 65020, 65030), 65040)
+    as_path = record_to_dict(rec)["as_path"]
+    assert as_path == [65001, [65010, 65020, 65030], 65040]
+
+
 @settings(max_examples=100)
 @given(
     arrival=st.integers(0, 2**60),

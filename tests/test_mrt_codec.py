@@ -22,14 +22,17 @@ from bgpchurn.errors import BgpParseError, MrtError, TruncatedRecord
 from bgpchurn.mrt.bgp import (
     AS_SEQUENCE,
     AS_SET,
+    ATTR_AS4_PATH,
     PathSegment,
     WireAttribute,
     address_str,
+    attr_as_path,
     attr_communities,
     community_str,
     community_value,
     decode_as_path,
     decode_attribute_block,
+    decode_path,
     decode_prefix_strs,
     decode_prefixes,
     encode_as_path,
@@ -47,7 +50,6 @@ from bgpchurn.mrt.codec import (
     read_mrt_stream,
     write_mrt_stream,
 )
-from bgpchurn.mrt.tabledump import rib_peer_asns
 
 from helpers import update_entry
 
@@ -115,7 +117,7 @@ def test_parse_hand_built_update():
     assert msg.local_asn == 64512
     assert [str(p) for p in msg.announced_prefixes] == ["10.0.0.0/24"]
     assert msg.withdrawn_prefixes == ()
-    assert msg.attributes.path_elements() == (65001, 65002)
+    assert msg.attributes.path == (65001, 65002)
     assert msg.attributes.communities == ((65001 << 16) | 100,)
     assert tuple(map(community_str, msg.attributes.communities)) == ("65001:100",)
     assert str(msg.attributes.next_hop) == "10.0.0.1"
@@ -354,24 +356,67 @@ def test_as_path_codec_widths():
 
 
 def test_as_set_collapses_to_sorted_element():
-    segs = path_segments([65001, (65003, 65002), 65004])
-    elements = tuple(el for seg in segs for el in seg.elements())
-    assert elements == (65001, (65002, 65003), 65004)
+    payload = encode_as_path(path_segments([65001, (65003, 65002), 65004]), 2)
+    assert decode_path(payload, 2) == (65001, (65002, 65003), 65004)
+    # AS_SET members keep wire order in the segment, sorted order as an element
+    unsorted = (PathSegment(AS_SET, (65003, 65002)),)
+    assert decode_as_path(encode_as_path(unsorted, 4), 4) == unsorted
+    assert decode_path(encode_as_path(unsorted, 4), 4) == ((65002, 65003),)
 
 
 def test_merge_as4_path_splices_tail():
     # 2-byte path shows AS_TRANS placeholders; the 4-byte tail wins
-    path = (PathSegment(AS_SEQUENCE, (65001, 23456, 23456)),)
-    as4 = (PathSegment(AS_SEQUENCE, (4_200_000_001, 4_200_000_002)),)
-    merged = merge_as4_path(path, as4)
-    flat = tuple(asn for seg in merged for asn in seg.asns)
-    assert flat == (65001, 4_200_000_001, 4_200_000_002)
+    path = (65001, 23456, 23456)
+    as4 = (4_200_000_001, 4_200_000_002)
+    assert merge_as4_path(path, as4) == (65001, 4_200_000_001, 4_200_000_002)
+    assert merge_as4_path((23456, 23456), as4) == as4
+    # the cut falls inside the leading sequence
+    path = (65001, 65002, 23456, 23456)
+    assert merge_as4_path(path, as4[1:]) == (65001, 65002, 23456, 4_200_000_002)
+    # an AS_SET in the kept head, or in the AS4_PATH, counts as one element
+    path = (65001, (3, 23456), 23456, 23456)
+    as4_set = (4_200_000_001, (4_200_000_002, 4_200_000_003))
+    assert merge_as4_path(path, as4_set) == (65001, (3, 23456)) + as4_set
+    assert merge_as4_path(((1, 2), 23456), as4[:1]) == ((1, 2), 4_200_000_001)
 
 
 def test_merge_as4_path_longer_as4_ignored():
-    path = (PathSegment(AS_SEQUENCE, (65001,)),)
-    as4 = (PathSegment(AS_SEQUENCE, (1, 2, 3)),)
-    assert merge_as4_path(path, as4) == path
+    path = (65001,)
+    assert merge_as4_path(path, (1, 2, 3)) == path
+    assert merge_as4_path(path, ((1, 2), 3)) == path
+
+
+def _as4_path_update(as4: bool):
+    # an AS_TRANS-laden AS_PATH plus the AS4_PATH carrying the real tail
+    as_path = path_segments([65001, (65010, 23456), 23456, 23456])
+    as4_path = path_segments([4_200_000_001, 4_200_000_002])
+    entry = build_update_record(
+        timestamp=REFERENCE_TS,
+        peer_asn=65001,
+        peer_address="10.0.0.1",
+        local_asn=64512,
+        local_address="10.0.0.2",
+        attributes=[
+            attr_as_path(as_path, 4 if as4 else 2),
+            WireAttribute(0xC0, ATTR_AS4_PATH, encode_as_path(as4_path, 4)),
+        ],
+        announced=["10.0.0.0/24"],
+        as4=as4,
+    )
+    (back,) = read_mrt_stream(entry.encode())
+    return back
+
+
+def test_two_byte_update_merges_as4_path():
+    entry = _as4_path_update(as4=False)
+    assert entry.header.subtype == 1  # BGP4MP_MESSAGE: 2-byte ASNs
+    assert entry.message.attributes.path == (
+        65001, (23456, 65010), 4_200_000_001, 4_200_000_002
+    )
+    # a 4-byte session's AS_PATH is already exact; AS4_PATH is ignored
+    entry = _as4_path_update(as4=True)
+    assert entry.header.subtype == 4  # BGP4MP_MESSAGE_AS4
+    assert entry.message.attributes.path == (65001, (23456, 65010), 23456, 23456)
 
 
 def test_extended_length_attribute_round_trip():
@@ -424,42 +469,3 @@ def test_record_stream_round_trip_property(stamps):
         update_entry(timestamp=ts, microsecond=us).encode() for ts, us in stamps
     )
     assert b"".join(e.encode() for e in read_mrt_stream(blob)) == blob
-
-
-# ---------------------------------------------------------------------------
-# TABLE_DUMP_V2 read-only support
-
-
-def _peer_index_table_record():
-    body = (
-        bytes.fromhex("0a000001")  # collector BGP id
-        + b"\x00\x00"  # empty view name
-        + b"\x00\x02"  # two peers
-        # peer 0: v4 address, 2-byte AS 65001
-        + b"\x00" + bytes.fromhex("0a000001") + bytes.fromhex("0a000001") + bytes.fromhex("fde9")
-        # peer 1: v4 address, 4-byte AS 4200000000
-        + b"\x02" + bytes.fromhex("0a000002") + bytes.fromhex("0a000002") + struct.pack("!I", 4_200_000_000)
-    )
-    return MrtRecordHeader(0, 13, 1, len(body)).encode() + body
-
-
-def _rib_v4_record():
-    entry = struct.pack("!HIH", 1, 0, len(_ATTR_AS_PATH_4B)) + _ATTR_AS_PATH_4B
-    body = (
-        struct.pack("!I", 7)  # sequence number
-        + bytes([24, 10, 0, 0])  # 10.0.0.0/24
-        + b"\x00\x01"  # one entry
-        + entry
-    )
-    return MrtRecordHeader(0, 13, 2, len(body)).encode() + body
-
-
-# one-hop AS_SEQUENCE with a 4-byte ASN (TABLE_DUMP_V2 always uses 4)
-_ATTR_AS_PATH_4B = (
-    bytes.fromhex("4002") + bytes([6, 2, 1]) + struct.pack("!I", 4_200_000_000)
-)
-
-
-def test_rib_peer_asns_from_snapshot():
-    blob = _peer_index_table_record() + _rib_v4_record()
-    assert rib_peer_asns(blob) == {4_200_000_000}
