@@ -25,9 +25,15 @@ from .beacon import (
     write_partition_csv,
     write_partition_summary_csv,
 )
-from .classify import StreamClassifier, write_peer_csv, write_tally_csv
+from .classify import (
+    LABELED_TYPES,
+    AnnouncementType,
+    StreamClassifier,
+    write_peer_csv,
+    write_tally_csv,
+)
 from .errors import BgpChurnError, NoBeaconRecords
-from .fetch import ArchiveTarget, RetryPolicy, fetch_target
+from .fetch import ArchiveTarget, RetryPolicy, fetch_target, layout_collector
 from .model import record_to_dict
 from .normalize import Normalizer
 from .pipeline import Message, atomic_output, label_messages, read_messages
@@ -53,7 +59,8 @@ def _utc(stamp: str) -> datetime:
 
 
 def _collector_id(path: Path) -> str:
-    return path.stem.split(".")[0] or path.stem
+    """The collector by fetch's archive layout, else the file name's head."""
+    return layout_collector(path) or path.stem.split(".")[0] or path.stem
 
 
 def _input_messages(ns) -> Iterator[Message]:
@@ -142,9 +149,13 @@ def cmd_classify(ns) -> int:
         }
     with open(out / "classify_report.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2)
+    counts = " ".join(
+        f"{kind.value}={clf.tally.counts[kind]}"
+        for kind in LABELED_TYPES + (AnnouncementType.INITIAL,)
+    )
     print(
         f"labeled {clf.tally.labeled} announcements "
-        f"({clf.tally.counts} over {len(clf.state)} streams)"
+        f"({counts} over {len(clf.state)} streams)"
     )
     return 0
 

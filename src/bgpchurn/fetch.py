@@ -35,6 +35,8 @@ RIPE_RIS_BASE = "https://data.ris.ripe.net"
 
 _RIS_COLLECTOR = re.compile(r"^rrc\d{2}$")
 _RV_COLLECTOR = re.compile(r"^route-views[0-9a-z.\-]*$")
+_MONTH = re.compile(r"^\d{4}\.\d{2}$")
+_RV_DIRS = ("UPDATES", "RIBS")
 
 _KNOWN_MRT_TYPES = frozenset({11, 12, 13, 16, 17, 32, 33, 48, 49})
 
@@ -111,6 +113,23 @@ def plan_urls(target: ArchiveTarget) -> list[PlannedFile]:
             rel = f"{target.collector}/{month}/{name}.{stamp}.gz"
             plan.append(PlannedFile(f"{RIPE_RIS_BASE}/{rel}", rel))
     return plan
+
+
+def layout_collector(path: Path) -> Optional[str]:
+    """The collector of a file at a path shaped as plan_urls writes, or None.
+
+    RIS: ``rrcNN/YYYY.MM/<file>``.  RouteViews:
+    ``[collector/]bgpdata/YYYY.MM/(UPDATES|RIBS)/<file>``, where no
+    collector directory above ``bgpdata`` means route-views2.
+    """
+    if path.name.split(".")[0] not in ("updates", "bview", "rib"):
+        return None
+    dirs = ("",) * 4 + path.parts[:-1]
+    if _RIS_COLLECTOR.match(dirs[-2]) and _MONTH.match(dirs[-1]):
+        return dirs[-2]
+    if dirs[-3] == "bgpdata" and _MONTH.match(dirs[-2]) and dirs[-1] in _RV_DIRS:
+        return dirs[-4] if _RV_COLLECTOR.match(dirs[-4]) else "route-views2"
+    return None
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,8 @@ def expand_stream(
 #   kind: "announcement" | "withdrawal"
 #   as_path: list of ints / sorted-int lists (AS_SET), announcements only
 #   communities: list of "high:low" strings
-#   next_hop: string or null; med: int or null
+#   next_hop: canonical address text ("192.0.2.1", "2001:db8::1", the
+#     global address of a 32-byte IPv6 next hop) or null; med: int or null
 #   source_message_index, source_file, native_usec, flags
 
 SCHEMA_VERSION = 1
@@ -153,7 +154,7 @@ def record_to_dict(rec: UpdateRecord) -> dict:
     if rec.attrs is not None:
         out["as_path"] = _path_to_json(rec.attrs.path)
         out["communities"] = [community_str(c) for c in rec.attrs.communities]
-        out["next_hop"] = str(rec.attrs.next_hop) if rec.attrs.next_hop else None
+        out["next_hop"] = rec.attrs.next_hop
         out["med"] = rec.attrs.med
     return out
 
@@ -167,7 +168,9 @@ def record_from_dict(obj: dict) -> UpdateRecord:
                 community_value(c) for c in obj.get("communities", [])
             ),
             next_hop=(
-                ipaddress.ip_address(obj["next_hop"]) if obj.get("next_hop") else None
+                str(ipaddress.ip_address(obj["next_hop"]))
+                if obj.get("next_hop")
+                else None
             ),
             med=obj.get("med"),
         )

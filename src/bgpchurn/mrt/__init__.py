@@ -1,85 +1,1 @@
 """MRT container and BGP message codecs."""
-
-from .bgp import (
-    AS_SEQUENCE,
-    AS_SET,
-    ATTR_AS4_PATH,
-    ATTR_AS_PATH,
-    ATTR_COMMUNITIES,
-    ATTR_MED,
-    ATTR_MP_REACH_NLRI,
-    ATTR_MP_UNREACH_NLRI,
-    ATTR_NEXT_HOP,
-    ATTR_ORIGIN,
-    BgpAttributes,
-    PathSegment,
-    RawBgpMessage,
-    WireAttribute,
-    attr_as_path,
-    attr_communities,
-    attr_med,
-    attr_mp_reach,
-    attr_mp_unreach,
-    attr_next_hop,
-    attr_origin,
-    build_update_message,
-    community_str,
-    community_value,
-    merge_as4_path,
-    path_segments,
-)
-from .build import build_bgp4mp_record, build_keepalive_record, build_update_record
-from .codec import (
-    TYPE_BGP4MP,
-    TYPE_BGP4MP_ET,
-    TYPE_TABLE_DUMP_V2,
-    MrtEntry,
-    MrtReader,
-    MrtRecordHeader,
-    StreamStats,
-    open_archive,
-    read_mrt_stream,
-    write_mrt_stream,
-)
-
-__all__ = [
-    "AS_SEQUENCE",
-    "AS_SET",
-    "ATTR_AS4_PATH",
-    "ATTR_AS_PATH",
-    "ATTR_COMMUNITIES",
-    "ATTR_MED",
-    "ATTR_MP_REACH_NLRI",
-    "ATTR_MP_UNREACH_NLRI",
-    "ATTR_NEXT_HOP",
-    "ATTR_ORIGIN",
-    "BgpAttributes",
-    "MrtEntry",
-    "MrtReader",
-    "MrtRecordHeader",
-    "PathSegment",
-    "RawBgpMessage",
-    "StreamStats",
-    "TYPE_BGP4MP",
-    "TYPE_BGP4MP_ET",
-    "TYPE_TABLE_DUMP_V2",
-    "WireAttribute",
-    "attr_as_path",
-    "attr_communities",
-    "attr_med",
-    "attr_mp_reach",
-    "attr_mp_unreach",
-    "attr_next_hop",
-    "attr_origin",
-    "build_bgp4mp_record",
-    "build_keepalive_record",
-    "build_update_message",
-    "build_update_record",
-    "community_str",
-    "community_value",
-    "merge_as4_path",
-    "open_archive",
-    "path_segments",
-    "read_mrt_stream",
-    "write_mrt_stream",
-]

@@ -1,9 +1,11 @@
 """BGP UPDATE wire codec: path attributes, prefixes, message framing.
 
 Covers the RFC 4271 UPDATE layout, RFC 1997 communities, RFC 4760
-multiprotocol NLRI and RFC 6793 four-byte AS paths.  Attributes the
-toolkit does not model are carried opaquely so parsed messages can be
-re-emitted bit for bit.
+multiprotocol NLRI and RFC 6793 four-byte AS paths.  An UPDATE is
+decoded once into the fields the pipeline reads; attributes the toolkit
+does not model are skipped, not kept.  Re-emission is bit for bit
+because the bytes written back are the record's own (``MrtEntry.body``),
+never a re-encoding of the decoded view.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Iterable, Iterator, Optional, Union
 
 from ..errors import BgpParseError
 
-IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
 # BGP message types (RFC 4271 4.1)
@@ -40,7 +41,6 @@ ATTR_AS4_PATH = 17
 # Attribute flag bits
 FLAG_OPTIONAL = 0x80
 FLAG_TRANSITIVE = 0x40
-FLAG_PARTIAL = 0x20
 FLAG_EXT_LEN = 0x10
 
 # AS_PATH segment kinds
@@ -69,7 +69,7 @@ def community_value(text: str) -> int:
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One wire AS_PATH segment, for encoding and decoding only."""
+    """One wire AS_PATH segment, for building messages."""
 
     kind: int  # AS_SET or AS_SEQUENCE
     asns: tuple[int, ...]
@@ -77,7 +77,7 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class WireAttribute:
-    """One path attribute exactly as read from (or destined for) the wire."""
+    """One path attribute to encode, for building messages."""
 
     flags: int
     type_code: int
@@ -96,18 +96,19 @@ class WireAttribute:
 
 @dataclass(frozen=True)
 class BgpAttributes:
-    """Decoded view of an UPDATE's attribute block.
+    """The attributes of an UPDATE that the pipeline reads.
 
-    ``wire`` is authoritative for re-serialization and keeps every
-    attribute in received order.  ``path`` is the effective AS path
-    after AS4_PATH merging, as elements; ``communities`` keeps wire
-    order even though comparisons treat them as a multiset.
+    Only these fields are decoded; every other attribute is skipped, and
+    ``MrtEntry.body`` is the copy of the wire bytes that gets written
+    back.  ``path`` is the effective AS path after AS4_PATH merging, as
+    elements; ``communities`` keeps wire order even though comparisons
+    treat them as a multiset; ``next_hop`` is the canonical address
+    text, as ``str(ipaddress.ip_address(...))`` gives it.
     """
 
-    wire: tuple[WireAttribute, ...] = ()
     path: tuple[PathElement, ...] = ()
     communities: tuple[int, ...] = ()
-    next_hop: Optional[IPAddress] = None
+    next_hop: Optional[str] = None
     med: Optional[int] = None
 
 
@@ -128,15 +129,6 @@ class RawBgpMessage:
     withdrawn_prefixes: tuple[str, ...] = ()
     announced_prefixes: tuple[str, ...] = ()
     attributes: Optional[BgpAttributes] = None
-
-    @property
-    def is_end_of_rib(self) -> bool:
-        return (
-            self.message_kind == "update"
-            and not self.withdrawn_prefixes
-            and not self.announced_prefixes
-            and (self.attributes is None or not self.attributes.wire)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +232,6 @@ def _as_path_segments(payload: bytes, width: int) -> Iterator[tuple[int, tuple]]
         i += need
 
 
-def decode_as_path(payload: bytes, width: int) -> tuple[PathSegment, ...]:
-    return tuple(PathSegment(*seg) for seg in _as_path_segments(payload, width))
-
-
 def decode_path(payload: bytes, width: int) -> tuple[PathElement, ...]:
     """Decode an AS path payload straight to its elements."""
     out: list[PathElement] = []
@@ -281,8 +269,8 @@ def merge_as4_path(
 # attribute block codec
 
 
-def decode_attribute_block(buf: bytes) -> list[WireAttribute]:
-    attrs = []
+def decode_attribute_block(buf: bytes) -> Iterator[tuple[int, int, bytes]]:
+    """Yield (flags, type code, payload) per attribute, in wire order."""
     i = 0
     n = len(buf)
     while i < n:
@@ -300,16 +288,15 @@ def decode_attribute_block(buf: bytes) -> list[WireAttribute]:
             i += 1
         if i + length > n:
             raise BgpParseError("attribute payload exceeds block")
-        attrs.append(WireAttribute(flags, type_code, buf[i : i + length]))
+        yield flags, type_code, buf[i : i + length]
         i += length
-    return attrs
 
 
 def encode_attribute_block(attrs: Iterable[WireAttribute]) -> bytes:
     return b"".join(a.encode() for a in attrs)
 
 
-def _decode_mp_reach(payload: bytes) -> tuple[list[str], Optional[IPAddress]]:
+def _decode_mp_reach(payload: bytes) -> tuple[list[str], Optional[str]]:
     if len(payload) < 5:
         raise BgpParseError("short MP_REACH_NLRI")
     afi, _safi, nh_len = struct.unpack_from("!HBB", payload)
@@ -318,12 +305,12 @@ def _decode_mp_reach(payload: bytes) -> tuple[list[str], Optional[IPAddress]]:
         raise BgpParseError("truncated MP_REACH next hop")
     nh_bytes = payload[i : i + nh_len]
     i += nh_len + 1  # skip reserved byte
-    next_hop: Optional[IPAddress] = None
+    next_hop: Optional[str] = None
     if afi == AFI_IPV4 and nh_len >= 4:
-        next_hop = ipaddress.ip_address(nh_bytes[:4])
+        next_hop = address_str(nh_bytes[:4])
     elif afi == AFI_IPV6 and nh_len >= 16:
         # a 32-byte next hop carries global + link-local; keep the global one
-        next_hop = ipaddress.ip_address(nh_bytes[:16])
+        next_hop = address_str(nh_bytes[:16])
     return decode_prefix_strs(payload[i:], afi), next_hop
 
 
@@ -334,15 +321,13 @@ def _decode_mp_unreach(payload: bytes) -> list[str]:
     return decode_prefix_strs(payload[3:], afi)
 
 
-@dataclass
-class DecodedUpdate:
-    withdrawn: tuple[str, ...]
-    announced: tuple[str, ...]
-    attributes: BgpAttributes
-
-
-def decode_update_body(body: bytes, as4: bool) -> DecodedUpdate:
+def decode_update_body(
+    body: bytes, as4: bool
+) -> tuple[tuple[str, ...], tuple[str, ...], BgpAttributes]:
     """Decode an UPDATE payload (everything after the 19-byte header).
+
+    Returns (withdrawn, announced, attributes).  The first occurrence of
+    each attribute type code is the one read.
 
     +-------------------------------+
     | Withdrawn Routes Length (2)   |
@@ -362,52 +347,50 @@ def decode_update_body(body: bytes, as4: bool) -> DecodedUpdate:
     attrs_end = 4 + wlen + alen
     if attrs_end > len(body):
         raise BgpParseError("attributes overflow UPDATE body")
-    wire = decode_attribute_block(body[4 + wlen : attrs_end])
-    announced = decode_prefix_strs(body[attrs_end:], AFI_IPV4)
-
     path: tuple[PathElement, ...] = ()
     as4_path: Optional[tuple[PathElement, ...]] = None
     communities: tuple[int, ...] = ()
-    next_hop: Optional[IPAddress] = None
+    next_hop: Optional[str] = None
     med: Optional[int] = None
-    mp_next_hop: Optional[IPAddress] = None
+    mp_next_hop: Optional[str] = None
+    mp_announced: list[str] = []
     seen: set[int] = set()
-    for attr in wire:
-        if attr.type_code in seen:
-            continue  # first occurrence wins for the modeled view
-        seen.add(attr.type_code)
-        if attr.type_code == ATTR_AS_PATH:
-            path = decode_path(attr.payload, 4 if as4 else 2)
-        elif attr.type_code == ATTR_AS4_PATH:
-            as4_path = decode_path(attr.payload, 4)
-        elif attr.type_code == ATTR_NEXT_HOP:
-            if len(attr.payload) != 4:
+    block = body[4 + wlen : attrs_end]
+    for _flags, type_code, payload in decode_attribute_block(block):
+        if type_code in seen:
+            continue
+        seen.add(type_code)
+        if type_code == ATTR_AS_PATH:
+            path = decode_path(payload, 4 if as4 else 2)
+        elif type_code == ATTR_AS4_PATH:
+            as4_path = decode_path(payload, 4)
+        elif type_code == ATTR_NEXT_HOP:
+            if len(payload) != 4:
                 raise BgpParseError("NEXT_HOP payload must be 4 bytes")
-            next_hop = ipaddress.ip_address(attr.payload)
-        elif attr.type_code == ATTR_MED:
-            if len(attr.payload) != 4:
+            next_hop = address_str(payload)
+        elif type_code == ATTR_MED:
+            if len(payload) != 4:
                 raise BgpParseError("MED payload must be 4 bytes")
-            (med,) = struct.unpack("!I", attr.payload)
-        elif attr.type_code == ATTR_COMMUNITIES:
-            if len(attr.payload) % 4:
+            (med,) = struct.unpack("!I", payload)
+        elif type_code == ATTR_COMMUNITIES:
+            if len(payload) % 4:
                 raise BgpParseError("COMMUNITIES payload not a multiple of 4")
-            communities = struct.unpack(f"!{len(attr.payload) // 4}I", attr.payload)
-        elif attr.type_code == ATTR_MP_REACH_NLRI:
-            mp_announced, mp_next_hop = _decode_mp_reach(attr.payload)
-            announced.extend(mp_announced)
-        elif attr.type_code == ATTR_MP_UNREACH_NLRI:
-            withdrawn.extend(_decode_mp_unreach(attr.payload))
+            communities = struct.unpack(f"!{len(payload) // 4}I", payload)
+        elif type_code == ATTR_MP_REACH_NLRI:
+            mp_announced, mp_next_hop = _decode_mp_reach(payload)
+        elif type_code == ATTR_MP_UNREACH_NLRI:
+            withdrawn.extend(_decode_mp_unreach(payload))
+    announced = decode_prefix_strs(body[attrs_end:], AFI_IPV4) + mp_announced
 
     if as4_path is not None and not as4:
         path = merge_as4_path(path, as4_path)
     attributes = BgpAttributes(
-        wire=tuple(wire),
         path=path,
         communities=communities,
         next_hop=next_hop if next_hop is not None else mp_next_hop,
         med=med,
     )
-    return DecodedUpdate(tuple(withdrawn), tuple(announced), attributes)
+    return tuple(withdrawn), tuple(announced), attributes
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +477,6 @@ def attr_mp_reach(prefixes: Iterable[IPNetwork], next_hop) -> WireAttribute:
         + encode_prefixes(prefixes)
     )
     return WireAttribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload)
-
-
-def attr_mp_unreach(prefixes: Iterable[IPNetwork], afi: int = AFI_IPV6) -> WireAttribute:
-    payload = struct.pack("!HB", afi, 1) + encode_prefixes(prefixes)
-    return WireAttribute(FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, payload)
 
 
 def path_segments(path: Iterable) -> tuple[PathSegment, ...]:

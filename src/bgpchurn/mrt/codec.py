@@ -21,8 +21,6 @@ from ..errors import BgpParseError, ContainerCorrupt, SinkFailure, TruncatedReco
 from .bgp import RawBgpMessage, address_str, decode_update_body, split_bgp_message
 
 # MRT record types
-TYPE_TABLE_DUMP = 12
-TYPE_TABLE_DUMP_V2 = 13
 TYPE_BGP4MP = 16
 TYPE_BGP4MP_ET = 17
 
@@ -164,10 +162,7 @@ def _decode_bgp4mp_message(body: bytes, subtype: int, offset: int) -> RawBgpMess
     announced: tuple = ()
     attributes = None
     if kind == "update":
-        decoded = decode_update_body(payload, as4)
-        withdrawn = decoded.withdrawn
-        announced = decoded.announced
-        attributes = decoded.attributes
+        withdrawn, announced, attributes = decode_update_body(payload, as4)
     return RawBgpMessage(
         peer_asn=peer_asn,
         peer_address=peer_address,

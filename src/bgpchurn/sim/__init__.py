@@ -1,41 +1,1 @@
 """Deterministic BGP propagation simulator."""
-
-from .engine import CaptureLog, LogEntry, SimEvent, Simulation
-from .lab import (
-    EXPERIMENTS,
-    PROFILES,
-    ExperimentOutcome,
-    build_lab_topology,
-    run_experiment,
-    run_experiment_matrix,
-)
-from .routing import (
-    Announcement,
-    PolicyRule,
-    Route,
-    RouterProfile,
-    SimRouter,
-    Withdrawal,
-)
-from .scenario import load_scenario, scenario_from_dict
-
-__all__ = [
-    "Announcement",
-    "CaptureLog",
-    "EXPERIMENTS",
-    "ExperimentOutcome",
-    "LogEntry",
-    "PROFILES",
-    "PolicyRule",
-    "Route",
-    "RouterProfile",
-    "SimEvent",
-    "SimRouter",
-    "Simulation",
-    "Withdrawal",
-    "build_lab_topology",
-    "load_scenario",
-    "run_experiment",
-    "run_experiment_matrix",
-    "scenario_from_dict",
-]

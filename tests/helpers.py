@@ -42,8 +42,6 @@ def make_announcement(
     med: Optional[int] = None,
     next_hop: str = "10.0.0.1",
 ) -> UpdateRecord:
-    import ipaddress
-
     return UpdateRecord(
         arrival_us=arrival_us,
         session=session or make_session(),
@@ -52,7 +50,7 @@ def make_announcement(
         attrs=BgpAttributes(
             path=tuple(el if isinstance(el, int) else tuple(sorted(el)) for el in path),
             communities=tuple(communities),
-            next_hop=ipaddress.ip_address(next_hop),
+            next_hop=next_hop,
             med=med,
         ),
     )

@@ -54,6 +54,40 @@ def read_tally(path):
 # --- classify ---
 
 
+def test_classify_collector_from_archive_layout(tmp_path, capsys):
+    # the same peer and prefix in each file: one stream per collector
+    names = [
+        "rrc00/2023.05/updates.20230501.0000",
+        "rrc01/2023.05/updates.20230501.0000",
+        "bgpdata/2023.05/UPDATES/updates.20230501.0000.bz2",
+        "rrc02.updates.20230501.0000",
+        "bgpdata/rrc03.updates.20230501.0000",
+        "bgpdata/rrc04.updates.20230501.0000",
+    ]
+    for name in names:
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        container = "bzip2" if name.endswith(".bz2") else "plain"
+        with open(path, "wb") as f:
+            write_mrt_stream([update_entry(1_682_899_200)], f, container)
+    out = tmp_path / "out"
+    inputs = [str(tmp_path / name) for name in names]
+    assert main(["classify", *inputs, "-o", str(out)]) == 0
+    rows = [
+        json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()
+    ]
+    assert [(r["collector"], r["label"]) for r in rows] == [
+        ("rrc00", "initial"),
+        ("rrc01", "initial"),
+        ("route-views2", "initial"),
+        ("rrc02", "initial"),
+        ("rrc03", "initial"),
+        ("rrc04", "initial"),
+    ]
+    printed = capsys.readouterr().out
+    assert "(pc=0 pn=0 nc=0 nn=0 xc=0 xn=0 initial=6 over 6 streams)" in printed
+
+
 def test_classify_mrt_file(tmp_path, capsys):
     src = write_mrt(tmp_path / "updates.mrt", classify_fixture())
     out = tmp_path / "out"

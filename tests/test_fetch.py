@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import io
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from bgpchurn.fetch import (
     RetryPolicy,
     fetch,
     fetch_target,
+    layout_collector,
     plan_urls,
     probe_mrt_payload,
 )
@@ -287,3 +289,40 @@ def test_fetch_target_wrapper(tmp_path):
 
 def test_retry_policy_backoff_doubles():
     assert list(RetryPolicy(attempts=3, backoff_s=1.5).delays()) == [1.5, 3.0, 6.0]
+
+
+@pytest.mark.parametrize(
+    "project,collector",
+    [
+        ("ripe_ris", "rrc00"),
+        ("ripe_ris", "rrc21"),
+        ("routeviews", "route-views2"),
+        ("routeviews", "route-views3"),
+        ("routeviews", "route-views.linx"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["updates", "rib"])
+def test_layout_collector_reads_planned_paths(project, collector, kind):
+    for planned in plan_urls(day(kind, project, collector))[:3]:
+        assert layout_collector(Path(planned.relative_path)) == collector
+        cached = Path("/home/u/.cache/bgpchurn") / planned.relative_path
+        assert layout_collector(cached) == collector
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "rrc00.updates.20230501.0800",
+        "data/updates.20230501.0000.gz",
+        "/x/bgpdata/rrc00.updates.20230501.0800",
+        "/x/bgpdata/rrc01.updates.20230501.0800",
+        "/x/bgpdata/2023.05/rrc01.updates.20230501.0800",
+        "rrc01/2023.05/rrc00.updates.20230501.0800",
+        "rrc01/2023.05/x/updates.20230501.0000.gz",
+        "rrc01/data/updates.20230501.0000.gz",
+        "bgpdata/2023.05/OTHER/updates.20230501.0000.bz2",
+        "bgpdata/UPDATES/updates.20230501.0000.bz2",
+    ],
+)
+def test_layout_collector_outside_the_layout(path):
+    assert layout_collector(Path(path)) is None

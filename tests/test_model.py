@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import io
+import ipaddress
+import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,19 @@ from bgpchurn.model import (
     record_from_dict,
     record_to_dict,
     write_records_jsonl,
+)
+from bgpchurn.mrt.bgp import (
+    ATTR_MP_REACH_NLRI,
+    FLAG_OPTIONAL,
+    WireAttribute,
+    attr_as_path,
+    attr_communities,
+    attr_med,
+    attr_mp_reach,
+    attr_next_hop,
+    attr_origin,
+    encode_prefixes,
+    path_segments,
 )
 from bgpchurn.mrt.build import build_update_record
 
@@ -54,7 +70,6 @@ def test_expand_end_of_rib_empty():
         timestamp=1, peer_asn=65001, peer_address="10.0.0.1",
         local_asn=64512, local_address="10.0.0.2",
     )
-    assert entry.message.is_end_of_rib
     assert expand_message(entry, "c") == []
 
 
@@ -150,3 +165,104 @@ def test_record_dict_round_trip_property(arrival, peer, med, flags):
     assert back.flags == rec.flags
     assert back.attrs.med == rec.attrs.med
     assert back.path_elements() == rec.path_elements()
+
+
+_ASN = st.integers(0, 2**32 - 1)
+
+
+def _prefixes(version, min_size=0):
+    bits = 32 if version == 4 else 128
+    return st.lists(
+        st.builds(
+            lambda addr, length: ipaddress.ip_network((addr, length), strict=False),
+            st.ip_addresses(v=version),
+            st.integers(0, bits),
+        ),
+        min_size=min_size,
+        max_size=3,
+    )
+
+
+@st.composite
+def expanded_updates(draw):
+    """Records expand_message makes of one generated UPDATE, and its next hop."""
+    form = draw(st.sampled_from(("next_hop", "mp16", "mp32", "none")))
+    as_set = st.lists(_ASN, min_size=1, max_size=3)
+    path = draw(st.lists(st.one_of(_ASN, as_set), max_size=5))
+    attrs = [attr_origin(), attr_as_path(path_segments(path), 4)]
+    communities = draw(st.lists(_ASN, max_size=4))
+    if communities:
+        attrs.append(attr_communities(communities))
+    med = draw(st.one_of(st.none(), _ASN))
+    if med is not None:
+        attrs.append(attr_med(med))
+    v4 = draw(_prefixes(4, min_size=1 if form in ("next_hop", "none") else 0))
+    next_hop = None
+    if form == "next_hop":
+        next_hop = draw(st.ip_addresses(v=4))
+        attrs.append(attr_next_hop(next_hop))
+    elif form == "mp16":
+        next_hop = draw(st.ip_addresses(v=6))
+        attrs.append(attr_mp_reach(draw(_prefixes(6, min_size=1)), next_hop))
+    elif form == "mp32":
+        next_hop, link_local = draw(st.ip_addresses(v=6)), draw(st.ip_addresses(v=6))
+        payload = (
+            struct.pack("!HBB", 2, 1, 32) + next_hop.packed + link_local.packed
+            + b"\x00" + encode_prefixes(draw(_prefixes(6, min_size=1)))
+        )
+        attrs.append(WireAttribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload))
+    peer, local = draw(
+        st.sampled_from((("10.0.0.1", "10.0.0.2"), ("2001:db8::1", "2001:db8::2")))
+    )
+    entry = build_update_record(
+        timestamp=draw(st.integers(0, 2**32 - 1)),
+        peer_asn=draw(_ASN),
+        peer_address=peer,
+        local_asn=64512,
+        local_address=local,
+        withdrawn=[str(p) for p in draw(_prefixes(4))],
+        attributes=attrs,
+        announced=[str(p) for p in v4],
+        microsecond=draw(st.one_of(st.none(), st.integers(0, 999_999))),
+        as4=True,
+    )
+    index = draw(st.integers(0, 10**6))
+    records = expand_message(entry, "rrc00", "updates.mrt", index)
+    return records, None if next_hop is None else str(next_hop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expanded_updates())
+def test_jsonl_round_trip_is_identity(case):
+    records, next_hop = case
+    assert any(rec.is_announcement for rec in records)
+    for rec in records:
+        if rec.is_announcement:
+            assert rec.attrs.next_hop == next_hop
+        assert record_from_dict(json.loads(json.dumps(record_to_dict(rec)))) == rec
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "192.0.2.1",
+        "0.0.0.0",
+        "2001:0DB8:0:0::1",
+        "::ffff:192.0.2.1",
+        3_221_225_985,
+        "192.0.2.01",
+        "192.0.2.1/32",
+        " 192.0.2.1",
+        "2001:db8::g",
+    ],
+)
+def test_jsonl_next_hop_read_as_ipaddress_text(value):
+    row = record_to_dict(make_announcement(1))
+    row["next_hop"] = value
+    try:
+        expected = str(ipaddress.ip_address(value))
+    except ValueError:
+        with pytest.raises(ValueError):
+            record_from_dict(row)
+    else:
+        assert record_from_dict(row).attrs.next_hop == expected

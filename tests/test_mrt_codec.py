@@ -13,6 +13,7 @@ import ipaddress
 import random
 import re
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,12 @@ from bgpchurn.mrt.bgp import (
     AS_SEQUENCE,
     AS_SET,
     ATTR_AS4_PATH,
+    ATTR_AS_PATH,
+    ATTR_COMMUNITIES,
+    ATTR_MED,
+    ATTR_MP_REACH_NLRI,
+    ATTR_MP_UNREACH_NLRI,
+    ATTR_NEXT_HOP,
     PathSegment,
     WireAttribute,
     address_str,
@@ -30,7 +37,6 @@ from bgpchurn.mrt.bgp import (
     attr_communities,
     community_str,
     community_value,
-    decode_as_path,
     decode_attribute_block,
     decode_path,
     decode_prefix_strs,
@@ -120,7 +126,7 @@ def test_parse_hand_built_update():
     assert msg.attributes.path == (65001, 65002)
     assert msg.attributes.communities == ((65001 << 16) | 100,)
     assert tuple(map(community_str, msg.attributes.communities)) == ("65001:100",)
-    assert str(msg.attributes.next_hop) == "10.0.0.1"
+    assert msg.attributes.next_hop == "10.0.0.1"
 
 
 def test_parse_extended_timestamp_record():
@@ -350,17 +356,16 @@ def test_bgp4mp_addresses_equal_ipaddress_text(fields):
 
 def test_as_path_codec_widths():
     segs = (PathSegment(AS_SEQUENCE, (65001, 65002)), PathSegment(AS_SET, (3, 1, 2)))
-    assert decode_as_path(encode_as_path(segs, 2), 2) == segs
+    assert decode_path(encode_as_path(segs, 2), 2) == (65001, 65002, (1, 2, 3))
     wide = (PathSegment(AS_SEQUENCE, (4_200_000_000, 65002)),)
-    assert decode_as_path(encode_as_path(wide, 4), 4) == wide
+    assert decode_path(encode_as_path(wide, 4), 4) == (4_200_000_000, 65002)
 
 
 def test_as_set_collapses_to_sorted_element():
     payload = encode_as_path(path_segments([65001, (65003, 65002), 65004]), 2)
     assert decode_path(payload, 2) == (65001, (65002, 65003), 65004)
-    # AS_SET members keep wire order in the segment, sorted order as an element
+    # AS_SET members in any wire order give one sorted element
     unsorted = (PathSegment(AS_SET, (65003, 65002)),)
-    assert decode_as_path(encode_as_path(unsorted, 4), 4) == unsorted
     assert decode_path(encode_as_path(unsorted, 4), 4) == ((65002, 65003),)
 
 
@@ -425,8 +430,8 @@ def test_extended_length_attribute_round_trip():
     blob = attr.encode()
     assert blob[0] & 0x10  # extended-length flag set on the wire
     (back,) = decode_attribute_block(blob)
-    assert back.payload == payload
-    assert encode_attribute_block([back]) == blob
+    assert back == (0xD0, 99, payload)
+    assert WireAttribute(*back).encode() == blob
 
 
 def test_community_rendering():
@@ -452,8 +457,9 @@ def test_attribute_block_round_trip_property(specs):
         for flags, code, payload in specs
     ]
     blob = encode_attribute_block(attrs)
-    decoded = decode_attribute_block(blob)
-    assert encode_attribute_block(decoded) == blob
+    decoded = list(decode_attribute_block(blob))
+    assert decoded == [(a.flags, a.type_code, a.payload) for a in attrs]
+    assert encode_attribute_block(WireAttribute(*a) for a in decoded) == blob
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,3 +475,147 @@ def test_record_stream_round_trip_property(stamps):
         update_entry(timestamp=ts, microsecond=us).encode() for ts, us in stamps
     )
     assert b"".join(e.encode() for e in read_mrt_stream(blob)) == blob
+
+
+# ---------------------------------------------------------------------------
+# UPDATE decoding against an independent oracle
+#
+# Messages are assembled here with struct from the RFC 4271, 4760 and 6793
+# layouts.  The expected view is what the generator chose for the first
+# occurrence of each modeled attribute; later occurrences, valid or not,
+# and attributes the codec does not model must leave no trace in it.
+
+_MODELED = (
+    ATTR_AS_PATH,
+    ATTR_NEXT_HOP,
+    ATTR_MED,
+    ATTR_COMMUNITIES,
+    ATTR_MP_REACH_NLRI,
+    ATTR_MP_UNREACH_NLRI,
+    ATTR_AS4_PATH,
+)
+
+
+def _draw_prefixes(draw, afi):
+    """A prefix field with random host bits, and its canonical texts."""
+    addr_len = MAX_BITS[afi] // 8
+    blob, texts = b"", []
+    for bits in draw(st.lists(st.integers(0, MAX_BITS[afi]), max_size=3)):
+        chunk = draw(st.binary(min_size=(bits + 7) // 8, max_size=(bits + 7) // 8))
+        blob += bytes([bits]) + chunk
+        addr = ipaddress.ip_address(chunk.ljust(addr_len, b"\x00"))
+        texts.append(str(ipaddress.ip_network((addr, bits), strict=False)))
+    return blob, texts
+
+
+def _draw_path(draw, width):
+    """An AS path payload and its elements, an AS_SET as a sorted tuple."""
+    asn = st.integers(0, 2 ** (8 * width) - 1)
+    kinds = st.sampled_from((AS_SET, AS_SEQUENCE))
+    segments = draw(st.lists(st.tuples(kinds, st.lists(asn, max_size=4)), max_size=4))
+    blob, elements = b"", []
+    for kind, asns in segments:
+        blob += bytes([kind, len(asns)])
+        blob += b"".join(a.to_bytes(width, "big") for a in asns)
+        if kind == AS_SEQUENCE:
+            elements.extend(asns)
+        else:
+            elements.append(tuple(sorted(asns)))
+    return blob, tuple(elements)
+
+
+def _draw_attribute(draw, code, width):
+    """(payload, decoded value) for a well-formed modeled attribute."""
+    if code in (ATTR_AS_PATH, ATTR_AS4_PATH):
+        return _draw_path(draw, width if code == ATTR_AS_PATH else 4)
+    if code == ATTR_NEXT_HOP:
+        packed = draw(st.binary(min_size=4, max_size=4))
+        return packed, str(ipaddress.ip_address(packed))
+    if code == ATTR_MED:
+        med = draw(st.integers(0, 2**32 - 1))
+        return struct.pack("!I", med), med
+    if code == ATTR_COMMUNITIES:
+        values = draw(st.lists(st.integers(0, 2**32 - 1), max_size=4))
+        return b"".join(struct.pack("!I", v) for v in values), tuple(values)
+    afi = draw(st.sampled_from((1, 2)))
+    prefixes, texts = _draw_prefixes(draw, afi)
+    if code == ATTR_MP_UNREACH_NLRI:
+        return struct.pack("!HB", afi, 1) + prefixes, texts
+    # MP_REACH: IPv4, IPv6 global, or IPv6 global + link-local next hop
+    nh_len = 4 if afi == 1 else draw(st.sampled_from((16, 32)))
+    nh = draw(st.binary(min_size=nh_len, max_size=nh_len))
+    reserved = draw(st.binary(min_size=1, max_size=1))
+    payload = struct.pack("!HBB", afi, 1, nh_len) + nh + reserved + prefixes
+    return payload, (texts, str(ipaddress.ip_address(nh[: 4 if afi == 1 else 16])))
+
+
+@st.composite
+def update_records(draw):
+    """(record bytes, expected decoded fields) for one BGP4MP UPDATE."""
+    as4 = draw(st.booleans())
+    width = 4 if as4 else 2
+    modeled = draw(st.lists(st.sampled_from(_MODELED), max_size=7))
+    opaque = draw(st.lists(st.integers(0, 255), max_size=3))
+    codes = draw(st.permutations(modeled + opaque))
+    first = {}
+    block = b""
+    for code in codes:
+        if code in _MODELED and code not in first:
+            payload, first[code] = _draw_attribute(draw, code, width)
+        elif code in _MODELED and draw(st.booleans()):
+            payload, _ = _draw_attribute(draw, code, width)
+        else:
+            payload = draw(st.binary(max_size=300))
+        flags = draw(st.integers(0, 255)) & ~0x10
+        if len(payload) > 255 or draw(st.booleans()):
+            block += struct.pack("!BBH", flags | 0x10, code, len(payload)) + payload
+        else:
+            block += struct.pack("!BBB", flags, code, len(payload)) + payload
+    withdrawn, withdrawn_texts = _draw_prefixes(draw, 1)
+    nlri, nlri_texts = _draw_prefixes(draw, 1)
+    body = (
+        struct.pack("!H", len(withdrawn)) + withdrawn
+        + struct.pack("!H", len(block)) + block + nlri
+    )
+    message = b"\xff" * 16 + struct.pack("!HB", 19 + len(body), 2) + body
+    record = (
+        struct.pack("!II" if as4 else "!HH", 65001, 64512)
+        + struct.pack("!HH", 0, 1)
+        + bytes([10, 0, 0, 1, 10, 0, 0, 2])
+        + message
+    )
+    blob = struct.pack("!IHHI", REFERENCE_TS, 16, 4 if as4 else 1, len(record)) + record
+
+    path = first.get(ATTR_AS_PATH, ())
+    as4_path = first.get(ATTR_AS4_PATH)
+    if not as4 and as4_path is not None and len(as4_path) <= len(path):
+        path = path[: len(path) - len(as4_path)] + as4_path
+    mp_announced, mp_next_hop = first.get(ATTR_MP_REACH_NLRI, ([], None))
+    expected = dict(
+        withdrawn=tuple(withdrawn_texts + first.get(ATTR_MP_UNREACH_NLRI, [])),
+        announced=tuple(nlri_texts + mp_announced),
+        path=path,
+        communities=first.get(ATTR_COMMUNITIES, ()),
+        med=first.get(ATTR_MED),
+        next_hop=first.get(ATTR_NEXT_HOP, mp_next_hop),
+    )
+    return blob, expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(update_records())
+def test_update_decode_matches_oracle(case):
+    blob, expected = case
+    built = AssertionError("reading built a WireAttribute")
+    with mock.patch.object(WireAttribute, "__init__", side_effect=built):
+        (entry,) = read_mrt_stream(blob)
+    assert entry.kind == "update", entry.note
+    assert entry.encode() == blob
+    msg = entry.message
+    assert msg.withdrawn_prefixes == expected["withdrawn"]
+    assert msg.announced_prefixes == expected["announced"]
+    attrs = msg.attributes
+    assert attrs.path == expected["path"]
+    assert attrs.communities == expected["communities"]
+    assert attrs.med == expected["med"]
+    assert attrs.next_hop == expected["next_hop"]
