@@ -33,8 +33,8 @@ from .classify import (
     write_tally_csv,
 )
 from .errors import BgpChurnError, NoBeaconRecords
-from .fetch import ArchiveTarget, RetryPolicy, fetch_target, layout_collector
-from .model import record_to_dict
+from .fetch import ArchiveTarget, RetryPolicy, collector_id, fetch_target
+from .model import UpdateRecord, record_to_dict
 from .normalize import Normalizer
 from .pipeline import Message, atomic_output, label_messages, read_messages
 from .reduce import corpus_reduction, write_reports_csv, write_summary_json
@@ -58,16 +58,11 @@ def _utc(stamp: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _collector_id(path: Path) -> str:
-    """The collector by fetch's archive layout, else the file name's head."""
-    return layout_collector(path) or path.stem.split(".")[0] or path.stem
-
-
 def _input_messages(ns) -> Iterator[Message]:
     """MRT files and .jsonl record files both feed the pipeline."""
     for name in ns.inputs:
         path = Path(name)
-        yield from read_messages(path, ns.collector or _collector_id(path))
+        yield from read_messages(path, ns.collector or collector_id(path))
 
 
 def _outdir(ns) -> Path:
@@ -182,21 +177,25 @@ def cmd_beacon(ns) -> int:
         if ns.beacon_list
         else frozenset(DEFAULT_BEACONS)
     )
-    records = [
-        r
-        for _, expanded in _input_messages(ns)
-        for r in expanded
-        if r.prefix in beacons
-    ]
-    if not records:
+    matched = 0
+
+    def beacon_records() -> Iterator[UpdateRecord]:
+        nonlocal matched
+        for _, expanded in _input_messages(ns):
+            for r in expanded:
+                if r.prefix in beacons:
+                    matched += 1
+                    yield r
+
+    by_value, by_multiset = partition_communities(beacon_records(), DEFAULT_SCHEDULE)
+    if not matched:
         raise NoBeaconRecords(f"no records matched {len(beacons)} beacon prefixes")
-    by_value, by_multiset = partition_communities(records, DEFAULT_SCHEDULE)
     write_partition_csv(by_value, out / "partition_values.csv")
     write_partition_summary_csv(by_value, out / "partition_values_summary.csv")
     write_partition_csv(by_multiset, out / "partition_multisets.csv", "multiset")
     write_partition_summary_csv(by_multiset, out / "partition_multisets_summary.csv")
     print(
-        f"{len(records)} beacon records; value partition {by_value.sizes()}, "
+        f"{matched} beacon records; value partition {by_value.sizes()}, "
         f"attribute partition {by_multiset.sizes()}"
     )
     return 0
@@ -204,11 +203,9 @@ def cmd_beacon(ns) -> int:
 
 def cmd_reduce(ns) -> int:
     out = _outdir(ns)
-    pruned_dir = out / "pruned"
-    pruned_dir.mkdir(exist_ok=True)
     summary = corpus_reduction(
         [Path(p) for p in ns.inputs],
-        pruned_dir,
+        out / "pruned",
         warm=ns.state == "warm",
     )
     write_reports_csv(summary, out / "reduction.csv")

@@ -33,6 +33,10 @@ class LabelMismatch(BgpChurnError):
     """Classifier labels do not cover a message's announced prefixes."""
 
 
+class DuplicateOutputName(BgpChurnError):
+    """Two inputs would write their output to the same file."""
+
+
 class NoBeaconRecords(BgpChurnError):
     """No input records fall on a configured beacon prefix."""
 

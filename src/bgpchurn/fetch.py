@@ -132,6 +132,11 @@ def layout_collector(path: Path) -> Optional[str]:
     return None
 
 
+def collector_id(path: Path) -> str:
+    """The collector by the archive layout, else the file name's head."""
+    return layout_collector(path) or path.stem.split(".")[0] or path.stem
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     attempts: int = 3

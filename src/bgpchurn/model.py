@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import ipaddress
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -135,7 +137,7 @@ def _path_to_json(elements: tuple[PathElement, ...]) -> list:
 
 
 def _path_from_json(items: list) -> tuple[PathElement, ...]:
-    return tuple(i if isinstance(i, int) else tuple(sorted(i)) for i in items)
+    return tuple([i if isinstance(i, int) else tuple(sorted(i)) for i in items])
 
 
 def record_to_dict(rec: UpdateRecord) -> dict:
@@ -159,24 +161,57 @@ def record_to_dict(rec: UpdateRecord) -> dict:
     return out
 
 
+# JSONL is outside input, so every line is checked.  Next hops,
+# communities and sessions repeat from line to line, so their checks
+# are memoized in bounded memos that hold no exceptions.  Next hops and
+# communities are memoized for str values only; sessions key on their
+# fields' types too, so 1, 1.0 and True never share an entry.
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _address_memo(text: str) -> str:
+    return str(ipaddress.ip_address(text))
+
+
+_community_memo = lru_cache(maxsize=_MEMO_SIZE, typed=True)(community_value)
+_session_memo = lru_cache(maxsize=_MEMO_SIZE, typed=True)(SessionKey)
+
+
+def _next_hop_from_json(value) -> Optional[str]:
+    if not value:
+        return None
+    if type(value) is str:
+        return _address_memo(value)
+    return str(ipaddress.ip_address(value))
+
+
+def _community_from_json(value) -> int:
+    if type(value) is str:
+        return _community_memo(value)
+    return community_value(value)
+
+
+def _session_from_json(obj: dict) -> SessionKey:
+    fields = obj["collector"], obj["peer_asn"], obj["peer_address"]
+    try:
+        return _session_memo(*fields)
+    except TypeError:  # a JSON list or object cannot key the memo
+        return SessionKey(*fields)
+
+
 def record_from_dict(obj: dict) -> UpdateRecord:
     attrs = None
     if obj["kind"] == ANNOUNCEMENT:
         attrs = BgpAttributes(
             path=_path_from_json(obj.get("as_path", [])),
-            communities=tuple(
-                community_value(c) for c in obj.get("communities", [])
-            ),
-            next_hop=(
-                str(ipaddress.ip_address(obj["next_hop"]))
-                if obj.get("next_hop")
-                else None
-            ),
+            communities=tuple(map(_community_from_json, obj.get("communities", []))),
+            next_hop=_next_hop_from_json(obj.get("next_hop")),
             med=obj.get("med"),
         )
     return UpdateRecord(
         arrival_us=obj["arrival_us"],
-        session=SessionKey(obj["collector"], obj["peer_asn"], obj["peer_address"]),
+        session=_session_from_json(obj),
         prefix=obj["prefix"],
         kind=obj["kind"],
         attrs=attrs,
@@ -201,11 +236,13 @@ def write_records_jsonl(
 
 
 def read_records_jsonl(source: Union[str, Path, IO[str]]) -> Iterator[UpdateRecord]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            yield from read_records_jsonl(f)
-        return
-    for line in source:
-        line = line.strip()
-        if line:
-            yield record_from_dict(json.loads(line))
+    opened = (
+        open(source, "r", encoding="utf-8")
+        if isinstance(source, (str, Path))
+        else nullcontext(source)
+    )
+    with opened as f:
+        for line in f:
+            line = line.strip()
+            if line:
+                yield record_from_dict(json.loads(line))

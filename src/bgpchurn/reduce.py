@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import UNNECESSARY_TYPES, AnnouncementType, StreamClassifier
-from .errors import LabelMismatch
+from .errors import DuplicateOutputName, LabelMismatch
+from .fetch import collector_id
 from .mrt.bgp import RawBgpMessage
 from .mrt.codec import MrtEntry, detect_container, write_mrt_stream
 from .normalize import Normalizer
@@ -90,7 +91,8 @@ def reduce_file(
     sibling temp file is renamed over the target only after a complete
     pass, and output_path=None runs a dry pass with no output.  The
     output is compressed as the input is (gzip, bzip2 or plain, by
-    magic bytes).
+    magic bytes).  Session keys take the collector from the path, as
+    ``classify`` does, so warm state never joins two collectors' sessions.
 
     Byte counts are uncompressed record sizes including MRT headers.
     """
@@ -115,9 +117,8 @@ def reduce_file(
             yield entry
 
     # A fresh Normalizer per file: its same-second runs change no label.
-    entries = kept(
-        label_messages(mrt_messages(input_path, ""), Normalizer(), clf)
-    )
+    messages = mrt_messages(input_path, collector_id(input_path))
+    entries = kept(label_messages(messages, Normalizer(), clf))
     if output_path is None:
         for _ in entries:
             pass
@@ -177,14 +178,27 @@ def corpus_reduction(
 ) -> CorpusSummary:
     """Reduce many files; per-file failures are recorded, not fatal.
 
+    Each pruned file is written as ``output_dir/<input name>``, so two
+    inputs with the same name are refused before any file is reduced.
     With warm=True one classifier persists across files in input order;
     cold restarts per file.
     """
+    files = [Path(p) for p in files]
+    if output_dir is not None:
+        output_dir = Path(output_dir)
+        by_name: dict[str, Path] = {}
+        for path in files:
+            if path.name in by_name:
+                raise DuplicateOutputName(
+                    f"{by_name[path.name]} and {path} would both be pruned to "
+                    f"{output_dir / path.name}"
+                )
+            by_name[path.name] = path
+        output_dir.mkdir(parents=True, exist_ok=True)
     summary = CorpusSummary()
     clf = StreamClassifier() if warm else None
     for path in files:
-        path = Path(path)
-        out = Path(output_dir) / path.name if output_dir is not None else None
+        out = output_dir / path.name if output_dir is not None else None
         try:
             summary.reports.append(reduce_file(path, out, clf))
         except Exception as exc:  # noqa: BLE001 - per-file isolation

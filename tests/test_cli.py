@@ -13,9 +13,10 @@ import pytest
 from bgpchurn.cli import main
 from bgpchurn.mrt.bgp import attr_mp_reach
 from bgpchurn.mrt.build import build_update_record
+from bgpchurn.model import record_to_dict
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 
-from helpers import std_attrs, update_entry
+from helpers import make_announcement, std_attrs, update_entry
 
 C1 = (65001 << 16) | 100
 C2 = (65001 << 16) | 200
@@ -229,8 +230,9 @@ def test_reduce_cold_vs_warm_state(tmp_path):
     entries = classify_fixture()
     repeat = update_entry(1_600_000_010, announced=("10.1.0.0/24",),
                           path=(65001, 65002), communities=(C1,))
-    a = write_mrt(tmp_path / "a.mrt", entries[:3])
-    b = write_mrt(tmp_path / "b.mrt", [repeat])  # replays a's last update
+    # consecutive files of one collector: the names share their head
+    a = write_mrt(tmp_path / "updates.0000.mrt", entries[:3])
+    b = write_mrt(tmp_path / "updates.0005.mrt", [repeat])  # replays a's last update
 
     cold_out, warm_out = tmp_path / "cold", tmp_path / "warm"
     assert main(["reduce", str(a), str(b), "-o", str(cold_out),
@@ -255,6 +257,43 @@ def test_reduce_missing_file_exit_code(tmp_path):
                  "-o", str(out)]) == 1
     summary = json.loads((out / "reduction_summary.json").read_text())
     assert len(summary["failures"]) == 1
+
+
+def test_reduce_refuses_inputs_with_one_name(tmp_path, capsys):
+    names = ["rrc00/2023.05/updates.20230501.0000", "rrc01/2023.05/updates.20230501.0000"]
+    for name in names:
+        (tmp_path / name).parent.mkdir(parents=True)
+        write_mrt(tmp_path / name, [update_entry(1_682_899_200)])
+    out = tmp_path / "out"
+    inputs = [str(tmp_path / name) for name in names]
+    assert main(["reduce", *inputs, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert inputs[0] in err and inputs[1] in err
+    assert not (out / "pruned").exists()
+    assert not (out / "reduction.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["rrc00/2023.05/updates.20230501.0000", "rrc01/2023.05/updates.20230501.0005"],
+        ["rrc00.updates.20230501.0000", "rrc01.updates.20230501.0000"],
+    ],
+)
+def test_reduce_warm_keeps_collectors_apart(tmp_path, names):
+    # the same peer, prefix and path at two collectors: two sessions
+    for name in names:
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        write_mrt(tmp_path / name, [update_entry(1_682_899_200)])
+    out = tmp_path / "out"
+    inputs = [str(tmp_path / name) for name in names]
+    assert main(["reduce", "--state", "warm", *inputs, "-o", str(out)]) == 0
+    summary = json.loads((out / "reduction_summary.json").read_text())
+    assert [r["discarded_messages"] for r in summary["reports"]] == [0, 0]
+    for name in names:
+        pruned = out / "pruned" / name.rsplit("/", 1)[-1]
+        assert pruned.read_bytes() == (tmp_path / name).read_bytes()
 
 
 # --- simulate ---
@@ -400,6 +439,44 @@ def test_beacon_no_records_exit_code(tmp_path, capsys):
     )
     assert main(["beacon", str(src), "-o", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+def beacon_rows():
+    announce_t = (DAY0 + 60) * 1_000_000
+    return [
+        record_to_dict(make_announcement(
+            announce_t + i, prefix=prefix, communities=(C1,)
+        ))
+        for i, prefix in enumerate(("84.205.64.0/24", "10.0.0.0/24") * 3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "field,value", [("next_hop", "10.0.0.256"), ("communities", ["65536:0"])]
+)
+def test_beacon_validates_non_beacon_lines(tmp_path, field, value):
+    rows = beacon_rows()
+    assert rows[3]["prefix"] == "10.0.0.0/24"
+    rows[3][field] = value
+    src = write_jsonl(tmp_path / "records.jsonl", rows)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        main(["beacon", str(src), "-o", str(out)])
+    assert not list(out.glob("partition_*.csv"))
+
+
+def test_beacon_jsonl_without_beacon_prefix_exit_code(tmp_path, capsys):
+    rows = [row for row in beacon_rows() if row["prefix"] == "10.0.0.0/24"]
+    src = write_jsonl(tmp_path / "records.jsonl", rows)
+    out = tmp_path / "out"
+    assert main(["beacon", str(src), "-o", str(out)]) == 2
+    assert "no records matched 16 beacon prefixes" in capsys.readouterr().err
+    assert not list(out.glob("partition_*.csv"))
 
 
 # --- fetch ---

@@ -27,6 +27,7 @@ from bgpchurn.mrt.bgp import (
     ATTR_MP_REACH_NLRI,
     FLAG_OPTIONAL,
     WireAttribute,
+    community_value,
     attr_as_path,
     attr_communities,
     attr_med,
@@ -266,3 +267,76 @@ def test_jsonl_next_hop_read_as_ipaddress_text(value):
             record_from_dict(row)
     else:
         assert record_from_dict(row).attrs.next_hop == expected
+
+
+# record_from_dict memoizes the next-hop, community and session checks;
+# the reference below makes them directly, as the reader once did.
+_ADDRESSES = st.sampled_from(
+    ["192.0.2.1", "2001:0DB8::1", "::ffff:192.0.2.1", "192.0.2.01", "10.0.0.256",
+     "192.0.2.1/32", " 192.0.2.1", "2001:db8::g", ""]
+)
+_COMMUNITY_TEXT = st.sampled_from(
+    ["65001:100", "0:0", "65535:65535", "65536:0", "1:2:3", "x", ":5", "\u0661:1"]
+)
+_NUMBERS = st.one_of(
+    st.integers(-1, 2**32 + 1), st.floats(allow_nan=False), st.booleans()
+)
+_FIELD_VALUES = {
+    "next_hop": st.one_of(_ADDRESSES, _NUMBERS, st.none()),
+    "communities": st.lists(st.one_of(_COMMUNITY_TEXT, _NUMBERS), max_size=3),
+    "peer_asn": st.one_of(
+        _NUMBERS, st.sampled_from(["65001", "x"]), st.lists(st.integers(), max_size=1)
+    ),
+    "collector": st.one_of(st.sampled_from(["rrc00", "rrc01", ""]), _NUMBERS),
+}
+
+
+def _typed(value):
+    """Compares 1, 1.0 and True as different values."""
+    if isinstance(value, (tuple, list)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
+def _reference_fields(row):
+    """(communities, next hop, session) checked directly, in the reader's order."""
+    communities = tuple(community_value(c) for c in row["communities"])
+    next_hop = str(ipaddress.ip_address(row["next_hop"])) if row["next_hop"] else None
+    session = (row["collector"], row["peer_asn"], row["peer_address"])
+    return communities, next_hop, session
+
+
+@st.composite
+def repeated_rows(draw):
+    """Rows over a small pool of field values, each read twice, so memos hit."""
+    pools = {
+        name: draw(st.lists(values, min_size=1, max_size=3))
+        for name, values in _FIELD_VALUES.items()
+    }
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = record_to_dict(make_announcement(1))
+        for name, pool in pools.items():
+            row[name] = draw(st.sampled_from(pool))
+        rows.append(row)
+    return rows + rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_rows())
+def test_memoized_record_from_dict_matches_direct_checks(rows):
+    for row in rows:
+        try:
+            expected = _reference_fields(row)
+        except Exception as exc:  # noqa: BLE001 - the reference's outcome
+            with pytest.raises(Exception) as info:
+                record_from_dict(row)
+            assert type(info.value) is type(exc)
+            continue
+        rec = record_from_dict(row)
+        got = (
+            rec.attrs.communities,
+            rec.attrs.next_hop,
+            (rec.session.collector_id, rec.session.peer_asn, rec.session.peer_address),
+        )
+        assert _typed(got) == _typed(expected)

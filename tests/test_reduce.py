@@ -302,7 +302,8 @@ def test_reduce_drops_exactly_what_classify_labels_unnecessary(messages):
 
 
 def test_reduce_warm_start_across_files(tmp_path):
-    part1, part2 = tmp_path / "a.mrt", tmp_path / "b.mrt"
+    # consecutive files of one collector: the names share their head
+    part1, part2 = tmp_path / "updates.0000.mrt", tmp_path / "updates.0005.mrt"
     repeat = lambda t: update_entry(t, announced=("10.1.0.0/24",), path=(65001, 65002))
     write_fixture(part1, [repeat(1_600_000_000)])
     write_fixture(part2, [repeat(1_600_000_100)])
@@ -318,7 +319,7 @@ def test_reduce_warm_start_across_files(tmp_path):
 
 def test_corpus_reduction_warm_equals_concatenation(tmp_path):
     entries = fixture_entries()
-    part1, part2 = tmp_path / "p1.mrt", tmp_path / "p2.mrt"
+    part1, part2 = tmp_path / "updates.0000.mrt", tmp_path / "updates.0005.mrt"
     whole = tmp_path / "whole.mrt"
     write_fixture(part1, entries[:5])
     write_fixture(part2, entries[5:])
@@ -329,7 +330,7 @@ def test_corpus_reduction_warm_equals_concatenation(tmp_path):
     split_discards = sum(r.discarded_messages for r in summary.reports)
     whole_report = reduce_file(whole, None)
     assert split_discards == whole_report.discarded_messages == 3
-    assert (out / "p1.mrt").read_bytes() + (out / "p2.mrt").read_bytes()
+    assert (out / part1.name).read_bytes() + (out / part2.name).read_bytes()
 
 
 def test_corpus_records_failures(tmp_path):
