@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 from .mrt.bgp import community_str
 from .model import UpdateRecord
+from .output import atomic_output
 
 PHASE_ANNOUNCE = "announce_phase"
 PHASE_WITHDRAW = "withdraw_phase"
@@ -92,9 +93,6 @@ class RevealPartition:
             return {k: 0.0 for k in sizes}
         return {k: v / total for k, v in sizes.items()}
 
-    def total(self) -> int:
-        return sum(self.sizes().values())
-
 
 def partition_communities(
     records: Iterable[UpdateRecord],
@@ -132,35 +130,27 @@ PARTITION_SUMMARY_HEADER = ["category", "count", "share"]
 
 
 def write_partition_csv(
-    part: RevealPartition, sink: Union[str, Path, IO[str]], granularity: str = "value"
+    part: RevealPartition, path: Union[str, Path], granularity: str = "value"
 ) -> None:
     """Per-item category rows; values rendered high16:low16."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="", encoding="utf-8") as f:
-            write_partition_csv(part, f, granularity)
-        return
 
     def render(item):
         if isinstance(item, tuple):
             return " ".join(community_str(v) for v in item)
         return community_str(item)
 
-    w = csv.writer(sink)
-    w.writerow(PARTITION_VALUE_HEADER)
-    for category in ("withdrawal_only", "announce_only", "outside_only", "ambiguous"):
-        for item in sorted(getattr(part, category)):
-            w.writerow([render(item), category])
+    with atomic_output(path) as f:
+        w = csv.writer(f)
+        w.writerow(PARTITION_VALUE_HEADER)
+        for category in part.sizes():
+            for item in sorted(getattr(part, category)):
+                w.writerow([render(item), category])
 
 
-def write_partition_summary_csv(
-    part: RevealPartition, sink: Union[str, Path, IO[str]]
-) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="", encoding="utf-8") as f:
-            write_partition_summary_csv(part, f)
-        return
-    w = csv.writer(sink)
-    w.writerow(PARTITION_SUMMARY_HEADER)
-    shares = part.shares()
-    for category, count in part.sizes().items():
-        w.writerow([category, count, f"{shares[category]:.6f}"])
+def write_partition_summary_csv(part: RevealPartition, path: Union[str, Path]) -> None:
+    with atomic_output(path) as f:
+        w = csv.writer(f)
+        w.writerow(PARTITION_SUMMARY_HEADER)
+        shares = part.shares()
+        for category, count in part.sizes().items():
+            w.writerow([category, count, f"{shares[category]:.6f}"])

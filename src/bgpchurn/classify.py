@@ -14,10 +14,11 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .mrt.bgp import PathElement
 from .model import ANNOUNCEMENT, WITHDRAWAL, SessionKey, UpdateRecord
+from .output import atomic_output
 
 FLAG_OUT_OF_ORDER = "out_of_order"
 FLAG_MED_CHANGED = "med_changed"
@@ -128,16 +129,6 @@ class TypeTally:
         if FLAG_REORDER_MULTISET in labeled.record.flags:
             self.reorder_multiset_cases += 1
 
-    def merge(self, other: "TypeTally") -> "TypeTally":
-        self.counts.update(other.counts)
-        for peer, (nc, nn) in other.per_peer.items():
-            slot = self.per_peer.setdefault(peer, [0, 0])
-            slot[0] += nc
-            slot[1] += nn
-        self.withdrawals += other.withdrawals
-        self.reorder_multiset_cases += other.reorder_multiset_cases
-        return self
-
     @property
     def announcements(self) -> int:
         return sum(self.counts.values())
@@ -212,17 +203,6 @@ class StreamClassifier:
                 yield labeled
 
 
-def classify_stream(records: Iterable[UpdateRecord]) -> Iterator[LabeledRecord]:
-    yield from StreamClassifier().process(records)
-
-
-def tally(records: Iterable[UpdateRecord]) -> TypeTally:
-    clf = StreamClassifier()
-    for _ in clf.process(records):
-        pass
-    return clf.tally
-
-
 # ---------------------------------------------------------------------------
 # report output
 
@@ -230,26 +210,22 @@ TALLY_HEADER = ["type", "count", "share"]
 PEER_HEADER = ["peer_asn", "nc_count", "nn_count"]
 
 
-def write_tally_csv(t: TypeTally, sink: Union[str, Path, IO[str]]) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="", encoding="utf-8") as f:
-            write_tally_csv(t, f)
-        return
-    w = csv.writer(sink)
-    w.writerow(TALLY_HEADER)
-    shares = t.shares()
-    for kind in LABELED_TYPES:
-        w.writerow([kind.value, t.counts[kind], f"{shares[kind]:.6f}"])
-    w.writerow([AnnouncementType.INITIAL.value, t.counts[AnnouncementType.INITIAL], ""])
+def write_tally_csv(t: TypeTally, path: Union[str, Path]) -> None:
+    with atomic_output(path) as f:
+        w = csv.writer(f)
+        w.writerow(TALLY_HEADER)
+        shares = t.shares()
+        for kind in LABELED_TYPES:
+            w.writerow([kind.value, t.counts[kind], f"{shares[kind]:.6f}"])
+        w.writerow(
+            [AnnouncementType.INITIAL.value, t.counts[AnnouncementType.INITIAL], ""]
+        )
 
 
-def write_peer_csv(t: TypeTally, sink: Union[str, Path, IO[str]]) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="", encoding="utf-8") as f:
-            write_peer_csv(t, f)
-        return
-    w = csv.writer(sink)
-    w.writerow(PEER_HEADER)
-    for peer in sorted(t.per_peer):
-        nc, nn = t.per_peer[peer]
-        w.writerow([peer, nc, nn])
+def write_peer_csv(t: TypeTally, path: Union[str, Path]) -> None:
+    with atomic_output(path) as f:
+        w = csv.writer(f)
+        w.writerow(PEER_HEADER)
+        for peer in sorted(t.per_peer):
+            nc, nn = t.per_peer[peer]
+            w.writerow([peer, nc, nn])

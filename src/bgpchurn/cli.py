@@ -36,7 +36,8 @@ from .errors import BgpChurnError, NoBeaconRecords
 from .fetch import ArchiveTarget, RetryPolicy, collector_id, fetch_target
 from .model import UpdateRecord, record_to_dict
 from .normalize import Normalizer
-from .pipeline import Message, atomic_output, label_messages, read_messages
+from .output import atomic_output
+from .pipeline import Message, label_messages, read_messages
 from .reduce import corpus_reduction, write_reports_csv, write_summary_json
 from .sim.export import write_capture_mrt, write_log_jsonl
 from .sim.lab import EXPERIMENTS, PROFILES, run_experiment, run_experiment_matrix
@@ -90,7 +91,7 @@ def cmd_fetch(ns) -> int:
         offline=ns.offline,
     )
     out = _outdir(ns)
-    with open(out / "fetch_report.json", "w", encoding="utf-8") as f:
+    with atomic_output(out / "fetch_report.json") as f:
         json.dump(
             {
                 "planned": report.planned,
@@ -142,7 +143,7 @@ def cmd_classify(ns) -> int:
             "dropped_asn": alloc_stats.dropped_asn,
             "table_gaps": alloc_stats.table_gaps,
         }
-    with open(out / "classify_report.json", "w", encoding="utf-8") as f:
+    with atomic_output(out / "classify_report.json") as f:
         json.dump(meta, f, indent=2)
     counts = " ".join(
         f"{kind.value}={clf.tally.counts[kind]}"
@@ -239,7 +240,7 @@ def cmd_simulate(ns) -> int:
     out = _outdir(ns)
     if ns.matrix:
         rows = run_experiment_matrix()
-        with open(out / "matrix.csv", "w", encoding="utf-8") as f:
+        with atomic_output(out / "matrix.csv") as f:
             f.write("profile,exp1,exp2,exp3,exp4\n")
             for row in rows:
                 f.write(

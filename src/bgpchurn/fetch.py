@@ -2,16 +2,12 @@
 
 Plans deterministic URL lists from each archive's directory layout,
 downloads with bounded parallelism and retry, and commits files to the
-cache only after the payload's first MRT record header parses.
+cache only after the payload's first MRT record reads whole.
 """
 
 from __future__ import annotations
 
-import bz2
-import gzip
-import io
 import re
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,9 +15,9 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import UnknownCollector
-from .mrt.codec import BZ2_MAGIC, GZIP_MAGIC
-from .pipeline import atomic_output
+from .errors import MrtError, UnknownCollector
+from .mrt.codec import read_mrt_stream
+from .output import atomic_output
 
 PROJECT_ROUTEVIEWS = "routeviews"
 PROJECT_RIPE_RIS = "ripe_ris"
@@ -163,20 +159,16 @@ class FetchReport:
 
 
 def probe_mrt_payload(blob: bytes) -> bool:
-    """Does the payload's first MRT record header parse sensibly?"""
+    """Does the payload's first MRT record read whole, with a known type?
+
+    A gzip or bzip2 payload is read through its container; one cut
+    short anywhere in that record fails the probe.
+    """
     try:
-        if blob[:2] == GZIP_MAGIC:
-            head = gzip.open(io.BytesIO(blob)).read(12)
-        elif blob[:3] == BZ2_MAGIC:
-            head = bz2.open(io.BytesIO(blob)).read(12)
-        else:
-            head = blob[:12]
-    except OSError:
+        first = next(read_mrt_stream(blob), None)
+    except MrtError:
         return False
-    if len(head) < 12:
-        return False
-    _ts, rtype, _subtype, _length = struct.unpack("!IHHI", head)
-    return rtype in _KNOWN_MRT_TYPES
+    return first is not None and first.header.type in _KNOWN_MRT_TYPES
 
 
 def _default_transport(url: str) -> bytes:
@@ -206,6 +198,19 @@ def fetch(
     report = FetchReport(planned=len(plan))
     get = transport or _default_transport
 
+    def download(url: str, path: Path) -> Optional[str]:
+        """One attempt: None once ``path`` holds the payload, else the error."""
+        try:
+            blob = get(url)
+        except Exception as exc:  # noqa: BLE001 - transport-defined
+            return str(exc)
+        if not probe_mrt_payload(blob):
+            return "payload failed MRT header probe"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_output(path, "wb") as tmp:
+            tmp.write(blob)
+        return None
+
     def fetch_one(item: PlannedFile) -> tuple[PlannedFile, Optional[str], bool]:
         path = cache_dir / item.relative_path
         if path.exists():
@@ -213,21 +218,12 @@ def fetch(
         if offline:
             return item, "not cached and offline mode is on", False
         error = "no attempts made"
-        for delay in retry.delays():
-            try:
-                blob = get(item.url)
-            except Exception as exc:  # noqa: BLE001 - transport-defined
-                error = str(exc)
+        for attempt, delay in enumerate(retry.delays(), 1):
+            error = download(item.url, path)
+            if error is None:
+                return item, None, False
+            if attempt < retry.attempts:  # no wait after the last attempt
                 sleep(delay)
-                continue
-            if not probe_mrt_payload(blob):
-                error = "payload failed MRT header probe"
-                sleep(delay)
-                continue
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with atomic_output(path, "wb") as tmp:
-                tmp.write(blob)
-            return item, None, False
         return item, error, False
 
     workers = max(1, parallelism)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import ipaddress
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
+from .errors import BgpChurnError
 from .mrt.bgp import BgpAttributes, PathElement, community_str, community_value
 from .mrt.codec import MrtEntry
 
@@ -222,27 +222,17 @@ def record_from_dict(obj: dict) -> UpdateRecord:
     )
 
 
-def write_records_jsonl(
-    records: Iterable[UpdateRecord], sink: Union[str, Path, IO[str]]
-) -> int:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as f:
-            return write_records_jsonl(records, f)
-    n = 0
-    for rec in records:
-        sink.write(json.dumps(record_to_dict(rec), separators=(",", ":")) + "\n")
-        n += 1
-    return n
-
-
-def read_records_jsonl(source: Union[str, Path, IO[str]]) -> Iterator[UpdateRecord]:
-    opened = (
-        open(source, "r", encoding="utf-8")
-        if isinstance(source, (str, Path))
-        else nullcontext(source)
-    )
-    with opened as f:
-        for line in f:
+def read_records_jsonl(path: Union[str, Path]) -> Iterator[UpdateRecord]:
+    """Records of a .jsonl file; a bad line fails naming ``path:line``."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line:
-                yield record_from_dict(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = record_from_dict(json.loads(line))
+            except KeyError as exc:
+                raise BgpChurnError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise BgpChurnError(f"{path}:{lineno}: {exc}") from exc
+            yield rec

@@ -13,6 +13,7 @@ import gzip
 import io
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
@@ -64,6 +65,8 @@ _COMMON_HEADER = struct.Struct("!IHHI")
 
 GZIP_MAGIC = b"\x1f\x8b"
 BZ2_MAGIC = b"\x42\x5a\x68"
+# what a gzip or bzip2 reader raises on a cut or corrupt stream
+_CONTAINER_ERRORS = (OSError, EOFError, zlib.error)
 
 
 @dataclass(frozen=True)
@@ -103,34 +106,6 @@ class MrtEntry:
 
     def encode(self) -> bytes:
         return self.header.encode() + self.body
-
-
-@dataclass
-class StreamStats:
-    records: int = 0
-    updates: int = 0
-    keepalives: int = 0
-    opens: int = 0
-    notifications: int = 0
-    state_changes: int = 0
-    other: int = 0
-    addpath: int = 0
-    undecodable: int = 0
-
-    def count(self, entry: MrtEntry) -> None:
-        self.records += 1
-        bucket = {
-            "update": "updates",
-            "keepalive": "keepalives",
-            "open": "opens",
-            "notification": "notifications",
-            "state_change": "state_changes",
-        }.get(entry.kind, "other")
-        setattr(self, bucket, getattr(self, bucket) + 1)
-        if entry.note == "addpath":
-            self.addpath += 1
-        elif entry.note is not None:
-            self.undecodable += 1
 
 
 def _decode_bgp4mp_message(body: bytes, subtype: int, offset: int) -> RawBgpMessage:
@@ -262,7 +237,7 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
     while True:
         try:
             head = f.read(_COMMON_HEADER.size)
-        except (OSError, EOFError) as exc:
+        except _CONTAINER_ERRORS as exc:
             raise ContainerCorrupt(f"record {index}: {exc}") from exc
         if not head:
             return
@@ -273,7 +248,7 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
         header = MrtRecordHeader(*_COMMON_HEADER.unpack(head))
         try:
             body = f.read(header.length)
-        except (OSError, EOFError) as exc:
+        except _CONTAINER_ERRORS as exc:
             raise ContainerCorrupt(f"record {index}: {exc}") from exc
         if len(body) < header.length:
             raise TruncatedRecord(
@@ -283,28 +258,12 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
         index += 1
 
 
-class MrtReader:
-    """Iterate a file's records while tallying per-kind counts."""
-
-    def __init__(self, source: Union[str, Path, BinaryIO, bytes]):
-        self.source = source
-        self.stats = StreamStats()
-
-    def __iter__(self) -> Iterator[MrtEntry]:
-        for entry in read_mrt_stream(self.source):
-            self.stats.count(entry)
-            yield entry
-
-
 def write_mrt_stream(
     entries: Iterable[MrtEntry],
-    sink: Union[str, Path, BinaryIO],
+    sink: BinaryIO,
     container: str = "plain",
 ) -> int:
-    """Write records verbatim; returns the byte count written."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "wb") as f:
-            return write_mrt_stream(entries, f, container)
+    """Write records verbatim to a binary handle; returns the byte count."""
     if container == "gzip":
         # no file name and a zero mtime in the header: same records, same bytes
         with gzip.GzipFile(

@@ -93,13 +93,6 @@ class Normalizer:
         return bumped
 
 
-def disambiguate_timestamps(
-    records: Iterable[UpdateRecord],
-) -> Iterator[UpdateRecord]:
-    """Normalizer.disambiguate over a whole stream."""
-    return map(Normalizer().disambiguate, records)
-
-
 def normalize_stream(
     records: Iterable[UpdateRecord],
     allocation: Optional[AllocationTable] = None,

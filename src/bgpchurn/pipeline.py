@@ -4,17 +4,13 @@ Inputs are read as messages: an MRT entry paired with the per-prefix
 records it expands to.  ``label_messages`` cleans and labels those
 records and keeps each entry's labels together, so ``classify``, which
 writes the labels, and ``reduce``, which judges each message by its
-labels, label every record the same way.  Outputs appear through
-``atomic_output``, whole or not at all.
+labels, label every record the same way.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .classify import LabeledRecord, StreamClassifier
 from .model import UpdateRecord, expand_message, read_records_jsonl
@@ -58,26 +54,3 @@ def label_messages(
                 if out is not None:
                     labeled.append(out)
         yield entry, labeled
-
-
-@contextmanager
-def atomic_output(path: Union[str, Path], mode: str = "w") -> Iterator[IO]:
-    """Write through a sibling temp file renamed over ``path`` on success.
-
-    If the block raises, the temp file is removed and ``path`` is left
-    as it was.  Text is written as UTF-8.
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
-            yield f
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise

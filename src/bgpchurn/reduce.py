@@ -12,7 +12,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import UNNECESSARY_TYPES, AnnouncementType, StreamClassifier
 from .errors import DuplicateOutputName, LabelMismatch
@@ -20,7 +20,8 @@ from .fetch import collector_id
 from .mrt.bgp import RawBgpMessage
 from .mrt.codec import MrtEntry, detect_container, write_mrt_stream
 from .normalize import Normalizer
-from .pipeline import atomic_output, label_messages, mrt_messages
+from .output import atomic_output
+from .pipeline import label_messages, mrt_messages
 
 
 def message_is_unnecessary(
@@ -49,10 +50,6 @@ class ReductionReport:
     discarded_messages: int
     total_bytes_in: int
     total_bytes_out: int
-
-    @property
-    def kept_messages(self) -> int:
-        return self.total_messages - self.discarded_messages
 
     @property
     def reduction_ratio(self) -> float:
@@ -220,47 +217,37 @@ REPORT_HEADER = [
 ]
 
 
-def write_reports_csv(
-    summary: CorpusSummary, sink: Union[str, Path, IO[str]]
-) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", newline="", encoding="utf-8") as f:
-            write_reports_csv(summary, f)
-        return
-    w = csv.writer(sink)
-    w.writerow(REPORT_HEADER)
-    for r in summary.reports:
-        w.writerow(
-            [
-                r.file,
-                r.total_messages,
-                r.discarded_messages,
-                f"{r.reduction_ratio:.6f}",
-                r.total_bytes_in,
-                r.total_bytes_out,
-                f"{r.bytes_ratio:.6f}",
-            ]
+def write_reports_csv(summary: CorpusSummary, path: Union[str, Path]) -> None:
+    with atomic_output(path) as f:
+        w = csv.writer(f)
+        w.writerow(REPORT_HEADER)
+        for r in summary.reports:
+            w.writerow(
+                [
+                    r.file,
+                    r.total_messages,
+                    r.discarded_messages,
+                    f"{r.reduction_ratio:.6f}",
+                    r.total_bytes_in,
+                    r.total_bytes_out,
+                    f"{r.bytes_ratio:.6f}",
+                ]
+            )
+
+
+def write_summary_json(summary: CorpusSummary, path: Union[str, Path]) -> None:
+    with atomic_output(path) as f:
+        json.dump(
+            {
+                "files": len(summary.reports),
+                "failures": summary.failures,
+                "mean_reduction_ratio": summary.mean_ratio(),
+                "mean_bytes_ratio": summary.mean_bytes_ratio(),
+                "per_project_means": summary.per_project_means(),
+                "cdf": summary.cdf_points(),
+                "reports": [r.to_dict() for r in summary.reports],
+            },
+            f,
+            indent=2,
         )
-
-
-def write_summary_json(
-    summary: CorpusSummary, sink: Union[str, Path, IO[str]]
-) -> None:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as f:
-            write_summary_json(summary, f)
-        return
-    json.dump(
-        {
-            "files": len(summary.reports),
-            "failures": summary.failures,
-            "mean_reduction_ratio": summary.mean_ratio(),
-            "mean_bytes_ratio": summary.mean_bytes_ratio(),
-            "per_project_means": summary.per_project_means(),
-            "cdf": summary.cdf_points(),
-            "reports": [r.to_dict() for r in summary.reports],
-        },
-        sink,
-        indent=2,
-    )
-    sink.write("\n")
+        f.write("\n")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Union
+from typing import Union
 
 from ..mrt.bgp import (
     attr_as_path,
@@ -22,6 +22,7 @@ from ..mrt.bgp import (
 )
 from ..mrt.build import build_update_record
 from ..mrt.codec import MrtEntry, write_mrt_stream
+from ..output import atomic_output
 from .engine import CaptureLog, LogEntry, Simulation
 
 
@@ -45,15 +46,11 @@ def log_entry_to_dict(entry: LogEntry) -> dict:
     return out
 
 
-def write_log_jsonl(log: CaptureLog, sink: Union[str, Path, IO[str]]) -> int:
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as f:
-            return write_log_jsonl(log, f)
-    n = 0
-    for entry in log.entries:
-        sink.write(json.dumps(log_entry_to_dict(entry), separators=(",", ":")) + "\n")
-        n += 1
-    return n
+def write_log_jsonl(log: CaptureLog, path: Union[str, Path]) -> int:
+    with atomic_output(path) as f:
+        for entry in log.entries:
+            f.write(json.dumps(log_entry_to_dict(entry), separators=(",", ":")) + "\n")
+    return len(log.entries)
 
 
 def capture_to_mrt_entries(
@@ -112,9 +109,9 @@ def write_capture_mrt(
     log: CaptureLog,
     sender: str,
     receiver: str,
-    sink: Union[str, Path, IO[bytes]],
+    path: Union[str, Path],
     base_timestamp: int = 1_500_000_000,
 ) -> int:
-    return write_mrt_stream(
-        capture_to_mrt_entries(sim, log, sender, receiver, base_timestamp), sink
-    )
+    entries = capture_to_mrt_entries(sim, log, sender, receiver, base_timestamp)
+    with atomic_output(path, "wb") as f:
+        return write_mrt_stream(entries, f)

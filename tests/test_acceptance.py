@@ -21,7 +21,7 @@ from bgpchurn.beacon import (
     PHASE_WITHDRAW,
     partition_communities,
 )
-from bgpchurn.classify import AnnouncementType, classify_stream
+from bgpchurn.classify import AnnouncementType, StreamClassifier
 from bgpchurn.errors import MrtError
 from bgpchurn.model import expand_stream
 from bgpchurn.mrt.build import build_keepalive_record
@@ -55,7 +55,7 @@ def test_criterion_2_classifier_matches_oracle_on_100_streams():
     sizes = [10_000] * 3 + [1_000] * 97  # all within the 10^4 bound
     for seed, n_records in enumerate(sizes):
         stream = random_stream(random.Random(seed), n_records)
-        streaming = [lr.label for lr in classify_stream(stream.records)]
+        streaming = [lr.label for lr in StreamClassifier().process(stream.records)]
         assert streaming == oracle_labels(stream.records), f"seed {seed}"
         assert streaming == stream.true_labels, f"seed {seed}"
     elapsed = time.perf_counter() - started
@@ -68,7 +68,7 @@ def _collector_labels(experiment: str) -> list[AnnouncementType]:
     buf = io.BytesIO()
     write_mrt_stream(capture_to_mrt_entries(sim, log, "X1", "C1"), buf)
     entries = read_mrt_stream(buf.getvalue())
-    return [lr.label for lr in classify_stream(expand_stream(entries, "lab"))]
+    return [lr.label for lr in StreamClassifier().process(expand_stream(entries, "lab"))]
 
 
 def test_criterion_3_community_exploration_end_to_end():
@@ -85,7 +85,7 @@ def test_criterion_4_duplicate_end_to_end():
     buf = io.BytesIO()
     write_mrt_stream(capture_to_mrt_entries(sim, log, "X1", "C1"), buf)
     records = list(expand_stream(read_mrt_stream(buf.getvalue()), "lab"))
-    labeled = list(classify_stream(records))
+    labeled = list(StreamClassifier().process(records))
     nn = [lr for lr in labeled if lr.label is AnnouncementType.NN]
     assert len(nn) >= 1
     assert all(lr.record.communities() == () for lr in nn)
@@ -286,5 +286,5 @@ def test_criterion_8_full_data_spot_check(tmp_path):
     ]
     # announcements cluster inside the 15-minute withdrawal window
     assert len(in_window) >= len(records) // 2
-    labels = [lr.label.value for lr in classify_stream(records)]
+    labels = [lr.label.value for lr in StreamClassifier().process(records)]
     assert {"nc", "nn"} & set(labels)

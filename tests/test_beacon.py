@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import random
 
 import pytest
@@ -115,7 +114,7 @@ def test_partition_known_composition():
     assert shares["announce_only"] == pytest.approx(0.20)
     assert shares["outside_only"] == pytest.approx(0.05)
     assert shares["ambiguous"] == pytest.approx(0.25)
-    assert per_value.total() == 100
+    assert sum(per_value.sizes().values()) == 100
 
 
 def test_partition_permutation_invariant():
@@ -172,8 +171,8 @@ def test_partition_ignores_withdrawals_and_empty():
         make_announcement(at(2.05)),  # no communities
     ]
     per_value, per_multiset = partition_communities(records)
-    assert per_value.total() == 0
-    assert per_multiset.total() == 0
+    assert set(per_value.sizes().values()) == {0}
+    assert set(per_multiset.sizes().values()) == {0}
 
 
 def test_default_beacon_prefixes():
@@ -186,31 +185,29 @@ def test_default_beacon_prefixes():
 # --- CSV output ---
 
 
-def test_partition_csvs():
+def test_partition_csvs(tmp_path):
     part = RevealPartition(
         withdrawal_only={_comm(2), _comm(1)},
         announce_only={_comm(3)},
         ambiguous={_comm(4)},
     )
-    buf = io.StringIO()
-    write_partition_csv(part, buf)
-    lines = buf.getvalue().strip().splitlines()
+    write_partition_csv(part, tmp_path / "values.csv")
+    lines = (tmp_path / "values.csv").read_text().strip().splitlines()
     assert lines[0] == "community_value,category"
     assert lines[1] == "65000:1,withdrawal_only"
     assert lines[2] == "65000:2,withdrawal_only"
     assert "65000:3,announce_only" in lines
     assert "65000:4,ambiguous" in lines
 
-    buf = io.StringIO()
-    write_partition_summary_csv(part, buf)
-    lines = buf.getvalue().strip().splitlines()
+    write_partition_summary_csv(part, tmp_path / "summary.csv")
+    lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
     assert lines[0] == "category,count,share"
     assert lines[1] == "withdrawal_only,2,0.500000"
     assert lines[-1] == "ambiguous,1,0.250000"
 
 
-def test_partition_csv_multiset_rendering():
+def test_partition_csv_multiset_rendering(tmp_path):
     part = RevealPartition(withdrawal_only={(_comm(1), _comm(2))})
-    buf = io.StringIO()
-    write_partition_csv(part, buf, granularity="multiset")
-    assert "65000:1 65000:2,withdrawal_only" in buf.getvalue()
+    write_partition_csv(part, tmp_path / "multisets.csv", granularity="multiset")
+    text = (tmp_path / "multisets.csv").read_text()
+    assert "65000:1 65000:2,withdrawal_only" in text

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import random
 from collections import Counter
 
@@ -16,11 +15,9 @@ from bgpchurn.classify import (
     LABELED_TYPES,
     AnnouncementType,
     StreamClassifier,
-    classify_stream,
     collapse_path,
     community_verdict,
     path_verdict,
-    tally,
     write_peer_csv,
     write_tally_csv,
 )
@@ -41,7 +38,14 @@ C2 = (65001 << 16) | 200
 
 
 def labels_of(records):
-    return [lr.label for lr in classify_stream(records)]
+    return [lr.label for lr in StreamClassifier().process(records)]
+
+
+def tally(records):
+    clf = StreamClassifier()
+    for _ in clf.process(records):
+        pass
+    return clf.tally
 
 
 # --- path verdicts ---
@@ -133,7 +137,7 @@ def test_withdrawal_does_not_reset_comparison():
         make_withdrawal(2),
         make_announcement(3, path=(1, 2)),
     ]
-    out = list(classify_stream(seq))
+    out = list(StreamClassifier().process(seq))
     assert [lr.label for lr in out] == [AnnouncementType.INITIAL, AnnouncementType.NN]
     assert out[1].after_withdrawal is True
     assert out[0].after_withdrawal is False
@@ -173,20 +177,20 @@ def test_med_change_flag_on_nn():
         make_announcement(1, path=(1, 2), med=10),
         make_announcement(2, path=(1, 2), med=20),
     ]
-    out = list(classify_stream(seq))
+    out = list(StreamClassifier().process(seq))
     assert out[1].label == AnnouncementType.NN
     assert FLAG_MED_CHANGED in out[1].record.flags
 
 
 def test_out_of_order_flag():
     seq = [make_announcement(100, path=(1, 2)), make_announcement(50, path=(1, 2))]
-    out = list(classify_stream(seq))
+    out = list(StreamClassifier().process(seq))
     assert FLAG_OUT_OF_ORDER in out[1].record.flags
 
 
 def test_reorder_multiset_flag():
     seq = [make_announcement(1, path=(1, 2, 3)), make_announcement(2, path=(1, 3, 2))]
-    out = list(classify_stream(seq))
+    out = list(StreamClassifier().process(seq))
     assert out[1].label == AnnouncementType.PC or out[1].label == AnnouncementType.PN
     assert FLAG_REORDER_MULTISET in out[1].record.flags
     clf = StreamClassifier()
@@ -227,7 +231,7 @@ def test_stream_isolation_under_interleaving(seed):
     for rec in stream.records:
         by_key.setdefault((rec.session, rec.prefix), []).append(rec)
     interleaved = {}
-    for lr in classify_stream(stream.records):
+    for lr in StreamClassifier().process(stream.records):
         key = (lr.record.session, lr.record.prefix)
         interleaved.setdefault(key, []).append(lr.label)
     for key, records in by_key.items():
@@ -298,20 +302,10 @@ def test_tally_per_peer_unnecessary_breakdown():
     assert t.per_peer == {65001: [0, 1], 65002: [1, 0]}
 
 
-def test_tally_merge():
-    a = tally([make_announcement(1), make_announcement(2)])
-    b = tally([make_announcement(1), make_withdrawal(2)])
-    merged = a.merge(b)
-    assert merged.counts[AnnouncementType.INITIAL] == 2
-    assert merged.counts[AnnouncementType.NN] == 1
-    assert merged.withdrawals == 1
-
-
-def test_tally_csv_layout():
+def test_tally_csv_layout(tmp_path):
     t = tally([make_announcement(1), make_announcement(2)])
-    buf = io.StringIO()
-    write_tally_csv(t, buf)
-    lines = buf.getvalue().strip().splitlines()
+    write_tally_csv(t, tmp_path / "tally.csv")
+    lines = (tmp_path / "tally.csv").read_text().strip().splitlines()
     assert lines[0] == "type,count,share"
     assert len(lines) == 8  # header + six labeled types + initial
     assert [ln.split(",")[0] for ln in lines[1:]] == [
@@ -321,16 +315,15 @@ def test_tally_csv_layout():
     assert lines[7] == "initial,1,"
 
 
-def test_peer_csv_layout():
+def test_peer_csv_layout(tmp_path):
     seq = [
         make_announcement(1, session=make_session(65002)),
         make_announcement(2, session=make_session(65002)),
         make_announcement(3, session=make_session(65001)),
         make_announcement(4, session=make_session(65001)),
     ]
-    buf = io.StringIO()
-    write_peer_csv(tally(seq), buf)
-    lines = buf.getvalue().strip().splitlines()
+    write_peer_csv(tally(seq), tmp_path / "peer.csv")
+    lines = (tmp_path / "peer.csv").read_text().strip().splitlines()
     assert lines == ["peer_asn,nc_count,nn_count", "65001,0,1", "65002,0,1"]
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import gzip
 import ipaddress
 import json
+import os
 import shutil
+import stat
 import subprocess
 
 import pytest
@@ -456,18 +458,61 @@ def beacon_rows():
     ]
 
 
-@pytest.mark.parametrize(
-    "field,value", [("next_hop", "10.0.0.256"), ("communities", ["65536:0"])]
-)
-def test_beacon_validates_non_beacon_lines(tmp_path, field, value):
+BAD_LINES = [
+    ("next_hop", "10.0.0.256"),
+    ("communities", ["65536:0"]),
+    ("communities", [65536]),
+    ("arrival_us", None),  # None: the key is left out
+    ("line", "not json"),  # "line": the whole line is replaced
+]
+
+
+def write_bad_jsonl(path, field, value):
+    """beacon_rows() with line 4, a non-beacon prefix, made bad."""
     rows = beacon_rows()
     assert rows[3]["prefix"] == "10.0.0.0/24"
-    rows[3][field] = value
-    src = write_jsonl(tmp_path / "records.jsonl", rows)
+    if value is None:
+        del rows[3][field]
+    else:
+        rows[3][field] = value
+    lines = [json.dumps(row) for row in rows]
+    if field == "line":
+        lines[3] = value
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("field,value", BAD_LINES)
+def test_beacon_validates_non_beacon_lines(tmp_path, capsys, field, value):
+    src = write_bad_jsonl(tmp_path / "records.jsonl", field, value)
     out = tmp_path / "out"
-    with pytest.raises(ValueError):
-        main(["beacon", str(src), "-o", str(out)])
-    assert not list(out.glob("partition_*.csv"))
+    assert main(["beacon", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}:4: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("field,value", BAD_LINES)
+def test_classify_rejects_bad_jsonl_line(tmp_path, capsys, field, value):
+    src = write_bad_jsonl(tmp_path / "records.jsonl", field, value)
+    out = tmp_path / "out"
+    assert main(["classify", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}:4: ")
+    assert list(out.iterdir()) == []  # no labels.jsonl, report or temp file
+
+
+def test_artifacts_get_umask_permissions(tmp_path):
+    src = write_mrt(tmp_path / "updates.mrt", classify_fixture())
+    old = os.umask(0o027)
+    try:
+        assert main(["classify", str(src), "-o", str(tmp_path / "c")]) == 0
+        assert main(["reduce", str(src), "-o", str(tmp_path / "r")]) == 0
+    finally:
+        os.umask(old)
+    written = [p for p in tmp_path.glob("[cr]/**/*") if p.is_file()]
+    names = {p.relative_to(tmp_path).as_posix() for p in written}
+    assert {"c/labels.jsonl", "c/tally.csv", "r/pruned/updates.mrt"} <= names
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640, path
 
 
 def test_beacon_jsonl_without_beacon_prefix_exit_code(tmp_path, capsys):

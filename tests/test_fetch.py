@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bz2
 import gzip
 import io
 from datetime import datetime, timezone
@@ -148,6 +149,11 @@ def test_probe_rejects_garbage():
     assert not probe_mrt_payload(b"<html>404 not found</html>")
     assert not probe_mrt_payload(b"")
     assert not probe_mrt_payload(b"\x1f\x8b broken gzip stream")
+    raw = mrt_blob()
+    assert not probe_mrt_payload(raw[:-1])  # first record cut short
+    assert not probe_mrt_payload(mrt_blob(compress="gzip")[:10])  # header only
+    assert not probe_mrt_payload(mrt_blob(compress="gzip")[:10] + b"\xff" * 20)
+    assert not probe_mrt_payload(bz2.compress(raw)[:20])
     # plausible length but absurd record type
     assert not probe_mrt_payload(b"\x00" * 4 + b"\xff\xff" + b"\x00" * 6)
 
@@ -243,6 +249,20 @@ def test_fetch_rejects_corrupt_payload(tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_fetch_truncated_payload_fails_only_its_file(tmp_path):
+    plan = two_file_plan()
+    a, b = plan
+    good = mrt_blob(compress="gzip")
+    transport = FakeTransport({a.url: good[:10], b.url: good})
+    report = fetch(plan, tmp_path, transport=transport,
+                   retry=RetryPolicy(attempts=2, backoff_s=0.1), sleep=no_sleep)
+    assert (tmp_path / b.relative_path).read_bytes() == good
+    assert report.downloaded == 1
+    assert list(report.failures) == [a.url]
+    assert not (tmp_path / a.relative_path).exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_fetch_offline_mode(tmp_path):
     plan = two_file_plan()
     blob = mrt_blob(compress="gzip")
@@ -261,9 +281,11 @@ def test_fetch_exhausted_retries_reports_error(tmp_path):
     plan = two_file_plan()[:1]
     url = plan[0].url
     transport = FakeTransport({url: ConnectionError("refused")})
+    sleeps = []
     report = fetch(plan, tmp_path, transport=transport,
-                   retry=RetryPolicy(attempts=3, backoff_s=1.0), sleep=no_sleep)
+                   retry=RetryPolicy(attempts=3, backoff_s=1.0), sleep=sleeps.append)
     assert len(transport.calls) == 3
+    assert sleeps == [1.0, 2.0]  # no wait after the last attempt
     assert "refused" in report.failures[url]
     assert not report.complete
 

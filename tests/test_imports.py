@@ -1,0 +1,64 @@
+"""Every name the benchmark imports from bgpchurn exists, and every
+bgpchurn module imports on its own.
+
+``perfbench/run.py --trace 0`` never imports ``perfbench/pipelines.py``,
+so a library change that breaks a traced pass would not show in the
+gated benchmark; this test reads the imports instead of running it.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bgpchurn
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(bgpchurn.__file__).resolve().parents[1]
+
+
+def bgpchurn_imports(path: Path):
+    """(module, name) for each ``from bgpchurn... import name`` in a file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.module == "bgpchurn" or node.module.startswith("bgpchurn.")
+        ):
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+@pytest.mark.parametrize("bench_file", ["perfbench/pipelines.py", "perfbench/run.py"])
+def test_benchmark_imports_resolve(bench_file):
+    found = list(bgpchurn_imports(ROOT / bench_file))
+    assert found
+    for module, name in found:
+        resolved = hasattr(importlib.import_module(module), name) or (
+            importlib.util.find_spec(f"{module}.{name}") is not None
+        )
+        assert resolved, f"{bench_file}: from {module} import {name}"
+
+
+MODULES = sorted(
+    info.name for info in pkgutil.walk_packages(bgpchurn.__path__, "bgpchurn.")
+)
+
+
+@pytest.mark.parametrize("module", ["bgpchurn"] + MODULES)
+def test_module_imports_alone(module):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

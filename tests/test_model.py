@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import ipaddress
 import json
 import struct
@@ -21,7 +20,6 @@ from bgpchurn.model import (
     read_records_jsonl,
     record_from_dict,
     record_to_dict,
-    write_records_jsonl,
 )
 from bgpchurn.mrt.bgp import (
     ATTR_MP_REACH_NLRI,
@@ -98,7 +96,13 @@ def test_withdrawal_with_attrs_rejected():
         )
 
 
-def test_jsonl_round_trip():
+def write_jsonl(path, records):
+    rows = (json.dumps(record_to_dict(r), separators=(",", ":")) for r in records)
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+def test_jsonl_round_trip(tmp_path):
     records = [
         make_announcement(
             1_600_000_000_000_001,
@@ -108,10 +112,7 @@ def test_jsonl_round_trip():
         make_withdrawal(1_600_000_000_000_002),
         make_announcement(1_600_000_000_000_003).with_flag("table_gap"),
     ]
-    buf = io.StringIO()
-    assert write_records_jsonl(records, buf) == 3
-    buf.seek(0)
-    back = list(read_records_jsonl(buf))
+    back = list(read_records_jsonl(write_jsonl(tmp_path / "r.jsonl", records)))
     assert len(back) == 3
     for orig, rt in zip(records, back):
         assert rt.arrival_us == orig.arrival_us
@@ -124,21 +125,21 @@ def test_jsonl_round_trip():
 
 
 def test_jsonl_files(tmp_path):
-    path = tmp_path / "records.jsonl"
     records = [make_announcement(10), make_withdrawal(20)]
-    write_records_jsonl(records, path)
-    back = list(read_records_jsonl(path))
+    back = list(read_records_jsonl(write_jsonl(tmp_path / "r.jsonl", records)))
     assert [r.kind for r in back] == [ANNOUNCEMENT, WITHDRAWAL]
 
 
-def test_jsonl_as_set_reads_back_sorted():
+def test_jsonl_as_set_reads_back_sorted(tmp_path):
     line = (
         '{"arrival_us":1,"collector":"c","peer_asn":65001,'
         '"peer_address":"10.0.0.1","prefix":"10.0.0.0/24",'
         '"kind":"announcement","as_path":[65001,[65030,65010,65020],65040],'
         '"communities":["65001:100"],"next_hop":null,"med":null}\n'
     )
-    (rec,) = read_records_jsonl(io.StringIO(line))
+    path = tmp_path / "records.jsonl"
+    path.write_text(line)
+    (rec,) = read_records_jsonl(path)
     assert rec.path_elements() == (65001, (65010, 65020, 65030), 65040)
     as_path = record_to_dict(rec)["as_path"]
     assert as_path == [65001, [65010, 65020, 65030], 65040]

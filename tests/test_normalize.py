@@ -12,7 +12,7 @@ from bgpchurn.normalize import (
     FLAG_ANOMALOUS_EMPTY_PATH,
     FLAG_OVERFLOW_SECOND,
     FLAG_REPAIRED_PATH,
-    disambiguate_timestamps,
+    Normalizer,
     normalize_stream,
     repair_route_server_path,
 )
@@ -84,7 +84,7 @@ def test_repair_keeps_other_attributes():
 def test_disambiguate_spreads_same_second_run():
     base = 1_600_000_000_000_000
     records = [make_withdrawal(base, prefix=f"10.{i}.0.0/16") for i in range(4)]
-    out = list(disambiguate_timestamps(records))
+    out = list(map(Normalizer().disambiguate, records))
     assert [r.arrival_us for r in out] == [base, base + 1, base + 2, base + 3]
 
 
@@ -96,7 +96,7 @@ def test_disambiguate_new_second_resets_run():
         make_withdrawal(s1),
         make_withdrawal(s1),
     ]
-    out = [r.arrival_us for r in disambiguate_timestamps(records)]
+    out = [r.arrival_us for r in map(Normalizer().disambiguate, records)]
     assert out == [s0, s0 + 1, s1, s1 + 1]
 
 
@@ -106,7 +106,7 @@ def test_disambiguate_skips_native_stamps():
     base = 1_600_000_000_000_000
     native = dataclasses.replace(make_withdrawal(base + 250), native_usec=True)
     records = [make_withdrawal(base), native, make_withdrawal(base)]
-    out = list(disambiguate_timestamps(records))
+    out = list(map(Normalizer().disambiguate, records))
     # native record untouched and it breaks the run: the third starts fresh
     assert [r.arrival_us for r in out] == [base, base + 250, base]
     assert not any(r.native_usec for r in (out[0], out[2]))
@@ -118,7 +118,7 @@ def test_disambiguate_overflow_flagged():
     records = (make_withdrawal(base) for _ in range(n))
     out_flags = []
     last_us = None
-    for rec in disambiguate_timestamps(records):
+    for rec in map(Normalizer().disambiguate, records):
         out_flags.append(FLAG_OVERFLOW_SECOND in rec.flags)
         last_us = rec.arrival_us
     assert out_flags[:1_000_000] == [False] * 1_000_000
@@ -144,8 +144,8 @@ def test_disambiguate_idempotent_and_order_preserving(items):
         )
         for i, (off, nat) in enumerate(items)
     ]
-    once = list(disambiguate_timestamps(records))
-    twice = list(disambiguate_timestamps(once))
+    once = list(map(Normalizer().disambiguate, records))
+    twice = list(map(Normalizer().disambiguate, once))
     assert [r.arrival_us for r in twice] == [r.arrival_us for r in once]
     assert [r.prefix for r in once] == [r.prefix for r in records]
     # bumps never cross into a different second for short runs

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from bgpchurn.classify import AnnouncementType, classify_stream
+from bgpchurn.classify import AnnouncementType, StreamClassifier
 from bgpchurn.errors import NonConvergence, ScenarioError
 from bgpchurn.model import expand_stream
 from bgpchurn.mrt.codec import read_mrt_stream
@@ -315,20 +315,20 @@ def test_exported_capture_classifies_like_the_lab():
     sim, log = run_experiment("exp2", DEFAULT)
     entries = capture_to_mrt_entries(sim, log, "X1", "C1")
     labels = [
-        lr.label for lr in classify_stream(expand_stream(entries, "lab"))
+        lr.label for lr in StreamClassifier().process(expand_stream(entries, "lab"))
     ]
     assert labels == [AnnouncementType.INITIAL, AnnouncementType.NC]
 
     sim4, log4 = run_experiment("exp4", DEFAULT)
     entries4 = capture_to_mrt_entries(sim4, log4, "X1", "C1")
     labels4 = [
-        lr.label for lr in classify_stream(expand_stream(entries4, "lab"))
+        lr.label for lr in StreamClassifier().process(expand_stream(entries4, "lab"))
     ]
     assert labels4 == [AnnouncementType.INITIAL]
 
     sim3, log3 = run_experiment("exp3", DEFAULT)
     entries3 = capture_to_mrt_entries(sim3, log3, "X1", "C1")
     labels3 = [
-        lr.label for lr in classify_stream(expand_stream(entries3, "lab"))
+        lr.label for lr in StreamClassifier().process(expand_stream(entries3, "lab"))
     ]
     assert labels3 == [AnnouncementType.INITIAL, AnnouncementType.NN]
