@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .model import UpdateRecord
-from .mrt.bgp import address_str
+from .mrt.bgp import BgpAttributes, address_str
 
 # delegated-extended status values that mean "usable on the internet"
 ALLOCATED_STATUSES = frozenset({"allocated", "assigned"})
@@ -210,7 +210,9 @@ class AllocationFilter:
 
     Calling it returns the record (flagged table_gap when it predates
     the table) or None when the record is dropped.  The date key is
-    worked out once per UTC day.
+    worked out once per UTC day, and the path ASNs are judged once per
+    attributes object and day: the records of one message share their
+    attributes, so a message's path is checked once.
     """
 
     def __init__(self, table: AllocationTable, stats: Optional[FilterStats] = None):
@@ -218,6 +220,9 @@ class AllocationFilter:
         self.stats = stats if stats is not None else FilterStats()
         self._day: Optional[int] = None
         self._date_key, self._covered = 0, False
+        # the verdict on _judged_attrs' path; no attributes, no path
+        self._judged_attrs: Optional[BgpAttributes] = None
+        self._path_allocated = True
 
     def __call__(self, rec: UpdateRecord) -> Optional[UpdateRecord]:
         table, stats = self.table, self.stats
@@ -226,6 +231,7 @@ class AllocationFilter:
             self._day = rec_day
             self._date_key = _record_date_key(rec.arrival_us)
             self._covered = table.covers_date(self._date_key)
+            self._judged_attrs, self._path_allocated = None, True
         if not self._covered:
             stats.table_gaps += 1
             stats.kept += 1
@@ -234,11 +240,15 @@ class AllocationFilter:
         if not table.prefix_allocated(rec.prefix, date_key):
             stats.dropped_prefix += 1
             return None
-        if rec.is_announcement and any(
-            not table.asn_allocated(asn, date_key) for asn in _path_asns(rec)
-        ):
-            stats.dropped_asn += 1
-            return None
+        if rec.is_announcement:
+            if rec.attrs is not self._judged_attrs:
+                self._judged_attrs = rec.attrs
+                self._path_allocated = all(
+                    table.asn_allocated(asn, date_key) for asn in _path_asns(rec)
+                )
+            if not self._path_allocated:
+                stats.dropped_asn += 1
+                return None
         stats.kept += 1
         return rec
 

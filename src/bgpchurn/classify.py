@@ -14,7 +14,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .mrt.bgp import PathElement
 from .model import ANNOUNCEMENT, WITHDRAWAL, SessionKey, UpdateRecord
@@ -74,10 +74,14 @@ def path_verdict(prev: tuple[PathElement, ...], cur: tuple[PathElement, ...]) ->
 
 
 def community_verdict(prev: Iterable[int], cur: Iterable[int]) -> str:
-    """c / n verdict: order-insensitive multiset equality."""
-    if prev == cur:  # equal sequences: skip building the multisets
+    """c / n verdict: order-insensitive multiset equality.
+
+    Communities are ints, so sorting both sides compares them as
+    multisets.
+    """
+    if prev == cur:  # equal sequences: skip sorting
         return "n"
-    return "n" if Counter(prev) == Counter(cur) else "c"
+    return "n" if sorted(prev) == sorted(cur) else "c"
 
 
 _VERDICT_TO_TYPE = {
@@ -101,8 +105,7 @@ class StreamState:
     last_arrival_us: int
 
 
-@dataclass(frozen=True)
-class LabeledRecord:
+class LabeledRecord(NamedTuple):
     record: UpdateRecord
     label: AnnouncementType
     after_withdrawal: bool = False
@@ -177,17 +180,20 @@ class StreamClassifier:
             return labeled
         if record.arrival_us < state.last_arrival_us:
             record = record.with_flag(FLAG_OUT_OF_ORDER)
-        pv = path_verdict(state.last_path, path)
+        last_path = state.last_path
+        pv = path_verdict(last_path, path)
         cv = community_verdict(state.last_communities, communities)
-        if pv == "p" and Counter(state.last_path) == Counter(path):
+        if (
+            pv == "p"
+            and len(last_path) == len(path)
+            and Counter(last_path) == Counter(path)
+        ):
             # reordering with equal multiset: p by rule, counted apart
             record = record.with_flag(FLAG_REORDER_MULTISET)
         label = _VERDICT_TO_TYPE[(pv, cv)]
         if label is AnnouncementType.NN and med != state.last_med:
             record = record.with_flag(FLAG_MED_CHANGED)
-        labeled = LabeledRecord(
-            record, label, after_withdrawal=state.last_kind == WITHDRAWAL
-        )
+        labeled = LabeledRecord(record, label, state.last_kind == WITHDRAWAL)
         state.last_path = path
         state.last_communities = communities
         state.last_med = med

@@ -2,7 +2,7 @@
 
 Plans deterministic URL lists from each archive's directory layout,
 downloads with bounded parallelism and retry, and commits files to the
-cache only after the payload's first MRT record reads whole.
+cache only after the whole payload reads as MRT.
 """
 
 from __future__ import annotations
@@ -159,16 +159,22 @@ class FetchReport:
 
 
 def probe_mrt_payload(blob: bytes) -> bool:
-    """Does the payload's first MRT record read whole, with a known type?
+    """Does the payload read whole, with a known type on its first record?
 
-    A gzip or bzip2 payload is read through its container; one cut
-    short anywhere in that record fails the probe.
+    Every record is read to the end of the container, so a gzip or
+    bzip2 payload cut short anywhere, even between records or in the
+    container's trailer, fails the probe, and so does an empty one.
     """
     try:
-        first = next(read_mrt_stream(blob), None)
+        entries = read_mrt_stream(blob)
+        first = next(entries, None)
+        if first is None or first.header.type not in _KNOWN_MRT_TYPES:
+            return False
+        for _ in entries:
+            pass
     except MrtError:
         return False
-    return first is not None and first.header.type in _KNOWN_MRT_TYPES
+    return True
 
 
 def _default_transport(url: str) -> bytes:

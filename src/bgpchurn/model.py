@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import ipaddress
 import json
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import BgpChurnError
 from .mrt.bgp import BgpAttributes, PathElement, community_str, community_value
@@ -22,8 +21,7 @@ ANNOUNCEMENT = "announcement"
 WITHDRAWAL = "withdrawal"
 
 
-@dataclass(frozen=True)
-class SessionKey:
+class SessionKey(NamedTuple):
     """Identifies one collector BGP session: the (peer AS, peer IP) pair."""
 
     collector_id: str
@@ -34,16 +32,7 @@ class SessionKey:
         return f"{self.collector_id}/{self.peer_asn}@{self.peer_address}"
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
-    """One announcement or withdrawal for one prefix.
-
-    ``arrival_us`` is epoch microseconds.  ``attrs`` is None exactly
-    for withdrawals.  ``flags`` accumulates normalization annotations
-    (table_gap, overflow_second, out_of_order, repaired_path,
-    anomalous_empty_path, end_of_rib ...).
-    """
-
+class _UpdateFields(NamedTuple):
     arrival_us: int
     session: SessionKey
     prefix: str
@@ -54,9 +43,54 @@ class UpdateRecord:
     native_usec: bool = False
     flags: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.kind == WITHDRAWAL and self.attrs is not None:
+
+class UpdateRecord(_UpdateFields):
+    """One announcement or withdrawal for one prefix.
+
+    ``arrival_us`` is epoch microseconds.  ``attrs`` is None exactly
+    for withdrawals: every way of building a record (the constructor,
+    ``_make`` and ``_replace``) refuses a withdrawal with attributes.
+    ``flags`` accumulates normalization annotations (table_gap,
+    overflow_second, out_of_order, repaired_path, anomalous_empty_path,
+    end_of_rib ...).  Records are immutable; ``_replace`` is the
+    copy-with-change.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        arrival_us: int,
+        session: SessionKey,
+        prefix: str,
+        kind: str,
+        attrs: Optional[BgpAttributes] = None,
+        source_message_index: int = 0,
+        source_file: str = "",
+        native_usec: bool = False,
+        flags: tuple[str, ...] = (),
+    ) -> "UpdateRecord":
+        if attrs is not None and kind == WITHDRAWAL:
             raise ValueError("withdrawal records carry no attributes")
+        return tuple.__new__(
+            cls,
+            (
+                arrival_us,
+                session,
+                prefix,
+                kind,
+                attrs,
+                source_message_index,
+                source_file,
+                native_usec,
+                flags,
+            ),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "UpdateRecord":
+        # the inherited _make builds the tuple directly, past __new__
+        return cls(*iterable)
 
     @property
     def is_announcement(self) -> bool:
@@ -71,7 +105,7 @@ class UpdateRecord:
     def with_flag(self, flag: str) -> "UpdateRecord":
         if flag in self.flags:
             return self
-        return replace(self, flags=self.flags + (flag,))
+        return self._replace(flags=self.flags + (flag,))
 
 
 def expand_message(
@@ -90,22 +124,22 @@ def expand_message(
     if msg is None or msg.message_kind != "update":
         return []
     session = SessionKey(collector_id, msg.peer_asn, msg.peer_address)
-    common = dict(
-        arrival_us=entry.arrival_us,
-        session=session,
-        source_message_index=0 if index is None else index,
-        source_file=source_file,
-        native_usec=entry.has_native_usec,
-    )
-    out = [
-        UpdateRecord(prefix=p, kind=WITHDRAWAL, **common)
+    arrival_us = entry.arrival_us
+    native_usec = entry.has_native_usec
+    if index is None:
+        index = 0
+    attrs = msg.attributes
+    return [
+        UpdateRecord(
+            arrival_us, session, p, WITHDRAWAL, None, index, source_file, native_usec
+        )
         for p in msg.withdrawn_prefixes
-    ]
-    out.extend(
-        UpdateRecord(prefix=p, kind=ANNOUNCEMENT, attrs=msg.attributes, **common)
+    ] + [
+        UpdateRecord(
+            arrival_us, session, p, ANNOUNCEMENT, attrs, index, source_file, native_usec
+        )
         for p in msg.announced_prefixes
-    )
-    return out
+    ]
 
 
 def expand_stream(
@@ -136,8 +170,27 @@ def _path_to_json(elements: tuple[PathElement, ...]) -> list:
     return [list(el) if isinstance(el, tuple) else el for el in elements]
 
 
+_TYPE_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list"}
+
+
+def _require(value, kind: type, name: str):
+    """``value`` when its type is exactly ``kind`` (so True is no int)."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"{name} must be {_TYPE_NAMES[kind]}, not {type(value).__name__}"
+        )
+    return value
+
+
+def _as_set_from_json(item) -> tuple[int, ...]:
+    if type(item) is not list or not all(type(asn) is int for asn in item):
+        raise ValueError(f"as_path element must be an int or a list of ints: {item!r}")
+    return tuple(sorted(item))
+
+
 def _path_from_json(items: list) -> tuple[PathElement, ...]:
-    return tuple([i if isinstance(i, int) else tuple(sorted(i)) for i in items])
+    _require(items, list, "as_path")
+    return tuple([i if type(i) is int else _as_set_from_json(i) for i in items])
 
 
 def record_to_dict(rec: UpdateRecord) -> dict:
@@ -161,11 +214,12 @@ def record_to_dict(rec: UpdateRecord) -> dict:
     return out
 
 
-# JSONL is outside input, so every line is checked.  Next hops,
-# communities and sessions repeat from line to line, so their checks
-# are memoized in bounded memos that hold no exceptions.  Next hops and
-# communities are memoized for str values only; sessions key on their
-# fields' types too, so 1, 1.0 and True never share an entry.
+# JSONL is outside input, so every line is checked: each field must
+# have its JSON type exactly.  Next hops, communities and sessions
+# repeat from line to line, so their checks are memoized in bounded
+# memos that hold no exceptions.  Next hops and communities are
+# memoized for str values only, and sessions once their fields' types
+# are checked.
 _MEMO_SIZE = 4096
 
 
@@ -175,7 +229,7 @@ def _address_memo(text: str) -> str:
 
 
 _community_memo = lru_cache(maxsize=_MEMO_SIZE, typed=True)(community_value)
-_session_memo = lru_cache(maxsize=_MEMO_SIZE, typed=True)(SessionKey)
+_session_memo = lru_cache(maxsize=_MEMO_SIZE)(SessionKey)
 
 
 def _next_hop_from_json(value) -> Optional[str]:
@@ -187,38 +241,46 @@ def _next_hop_from_json(value) -> Optional[str]:
 
 
 def _community_from_json(value) -> int:
-    if type(value) is str:
-        return _community_memo(value)
-    return community_value(value)
+    return _community_memo(_require(value, str, "community"))
 
 
 def _session_from_json(obj: dict) -> SessionKey:
-    fields = obj["collector"], obj["peer_asn"], obj["peer_address"]
-    try:
-        return _session_memo(*fields)
-    except TypeError:  # a JSON list or object cannot key the memo
-        return SessionKey(*fields)
+    return _session_memo(
+        _require(obj["collector"], str, "collector"),
+        _require(obj["peer_asn"], int, "peer_asn"),
+        _require(obj["peer_address"], str, "peer_address"),
+    )
 
 
 def record_from_dict(obj: dict) -> UpdateRecord:
+    kind = obj["kind"]
     attrs = None
-    if obj["kind"] == ANNOUNCEMENT:
+    if kind == ANNOUNCEMENT:
+        med = obj.get("med")
+        if med is not None:
+            _require(med, int, "med")
+        communities = _require(obj.get("communities", []), list, "communities")
         attrs = BgpAttributes(
-            path=_path_from_json(obj.get("as_path", [])),
-            communities=tuple(map(_community_from_json, obj.get("communities", []))),
-            next_hop=_next_hop_from_json(obj.get("next_hop")),
-            med=obj.get("med"),
+            _path_from_json(obj.get("as_path", [])),
+            tuple(map(_community_from_json, communities)),
+            _next_hop_from_json(obj.get("next_hop")),
+            med,
         )
+    elif kind != WITHDRAWAL:
+        raise ValueError(f"kind must be {ANNOUNCEMENT!r} or {WITHDRAWAL!r}: {kind!r}")
+    flags = _require(obj.get("flags", []), list, "flags")
+    for flag in flags:
+        _require(flag, str, "flag")
     return UpdateRecord(
-        arrival_us=obj["arrival_us"],
-        session=_session_from_json(obj),
-        prefix=obj["prefix"],
-        kind=obj["kind"],
-        attrs=attrs,
-        source_message_index=obj.get("source_message_index", 0),
-        source_file=obj.get("source_file", ""),
-        native_usec=obj.get("native_usec", False),
-        flags=tuple(obj.get("flags", ())),
+        _require(obj["arrival_us"], int, "arrival_us"),
+        _session_from_json(obj),
+        _require(obj["prefix"], str, "prefix"),
+        kind,
+        attrs,
+        _require(obj.get("source_message_index", 0), int, "source_message_index"),
+        _require(obj.get("source_file", ""), str, "source_file"),
+        _require(obj.get("native_usec", False), bool, "native_usec"),
+        tuple(flags),
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from ..errors import BgpParseError
 
@@ -60,11 +60,12 @@ def community_str(value: int) -> str:
 
 
 def community_value(text: str) -> int:
+    """The 32-bit value of "high:low"; each half must lie in 0-65535."""
     high, _, low = text.partition(":")
-    value = (int(high) << 16) | int(low)
-    if not 0 <= value <= 0xFFFFFFFF:
+    high_value, low_value = int(high), int(low)
+    if not (0 <= high_value <= 0xFFFF and 0 <= low_value <= 0xFFFF):
         raise ValueError(f"community out of range: {text}")
-    return value
+    return high_value << 16 | low_value
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,7 @@ class WireAttribute:
         return head + self.payload
 
 
-@dataclass(frozen=True)
-class BgpAttributes:
+class BgpAttributes(NamedTuple):
     """The attributes of an UPDATE that the pipeline reads.
 
     Only these fields are decoded; every other attribute is skipped, and
@@ -112,8 +112,7 @@ class BgpAttributes:
     med: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class RawBgpMessage:
+class RawBgpMessage(NamedTuple):
     """A BGP message lifted out of one MRT record.
 
     Addresses and prefixes are canonical strings, exactly what ``str()``
@@ -384,12 +383,9 @@ def decode_update_body(
 
     if as4_path is not None and not as4:
         path = merge_as4_path(path, as4_path)
-    attributes = BgpAttributes(
-        path=path,
-        communities=communities,
-        next_hop=next_hop if next_hop is not None else mp_next_hop,
-        med=med,
-    )
+    if next_hop is None:
+        next_hop = mp_next_hop
+    attributes = BgpAttributes(path, communities, next_hop, med)
     return tuple(withdrawn), tuple(announced), attributes
 
 

@@ -14,9 +14,8 @@ import io
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
 from ..errors import BgpParseError, ContainerCorrupt, SinkFailure, TruncatedRecord
 from .bgp import RawBgpMessage, address_str, decode_update_body, split_bgp_message
@@ -69,19 +68,21 @@ BZ2_MAGIC = b"\x42\x5a\x68"
 _CONTAINER_ERRORS = (OSError, EOFError, zlib.error)
 
 
-@dataclass(frozen=True)
-class MrtRecordHeader:
+# BGP4MP address family -> address length
+_ADDRESS_LENGTHS = {1: 4, 2: 16}
+
+
+class MrtRecordHeader(NamedTuple):
     timestamp: int
     type: int
     subtype: int
     length: int
 
     def encode(self) -> bytes:
-        return _COMMON_HEADER.pack(self.timestamp, self.type, self.subtype, self.length)
+        return _COMMON_HEADER.pack(*self)
 
 
-@dataclass(frozen=True)
-class MrtEntry:
+class MrtEntry(NamedTuple):
     """One MRT record: verbatim bytes plus a best-effort decoded view.
 
     ``body`` is everything after the 12-byte common header, including
@@ -124,7 +125,7 @@ def _decode_bgp4mp_message(body: bytes, subtype: int, offset: int) -> RawBgpMess
     i += 2 * as_width
     _ifindex, afi = struct.unpack_from("!HH", body, i)
     i += 4
-    addr_len = {1: 4, 2: 16}.get(afi)
+    addr_len = _ADDRESS_LENGTHS.get(afi)
     if addr_len is None:
         raise BgpParseError(f"BGP4MP unknown address family {afi}")
     if len(body) < i + 2 * addr_len:
@@ -139,14 +140,14 @@ def _decode_bgp4mp_message(body: bytes, subtype: int, offset: int) -> RawBgpMess
     if kind == "update":
         withdrawn, announced, attributes = decode_update_body(payload, as4)
     return RawBgpMessage(
-        peer_asn=peer_asn,
-        peer_address=peer_address,
-        local_asn=local_asn,
-        local_address=local_address,
-        message_kind=kind,
-        withdrawn_prefixes=withdrawn,
-        announced_prefixes=announced,
-        attributes=attributes,
+        peer_asn,
+        peer_address,
+        local_asn,
+        local_address,
+        kind,
+        withdrawn,
+        announced,
+        attributes,
     )
 
 
@@ -160,17 +161,17 @@ def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
         (microsecond,) = struct.unpack_from("!I", body)
         offset = 4
     if header.type not in (TYPE_BGP4MP, TYPE_BGP4MP_ET):
-        return MrtEntry(header, body, "other", microsecond=microsecond)
+        return MrtEntry(header, body, "other", None, microsecond)
     if header.subtype in (BGP4MP_STATE_CHANGE, BGP4MP_STATE_CHANGE_AS4):
-        return MrtEntry(header, body, "state_change", microsecond=microsecond)
+        return MrtEntry(header, body, "state_change", None, microsecond)
     if header.subtype in _ADDPATH_SUBTYPES:
-        return MrtEntry(header, body, "other", microsecond=microsecond, note="addpath")
+        return MrtEntry(header, body, "other", None, microsecond, "addpath")
     if header.subtype not in _MESSAGE_SUBTYPES:
-        return MrtEntry(header, body, "other", microsecond=microsecond)
+        return MrtEntry(header, body, "other", None, microsecond)
     try:
         message = _decode_bgp4mp_message(body, header.subtype, offset)
     except BgpParseError as exc:
-        return MrtEntry(header, body, "other", microsecond=microsecond, note=str(exc))
+        return MrtEntry(header, body, "other", None, microsecond, str(exc))
     return MrtEntry(header, body, message.message_kind, message, microsecond)
 
 
@@ -245,7 +246,7 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
             raise TruncatedRecord(
                 f"record {index}: header cut short at {len(head)} bytes"
             )
-        header = MrtRecordHeader(*_COMMON_HEADER.unpack(head))
+        header = MrtRecordHeader._make(_COMMON_HEADER.unpack(head))
         try:
             body = f.read(header.length)
         except _CONTAINER_ERRORS as exc:

@@ -8,7 +8,6 @@ disambiguation are order-preserving and idempotent.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Iterator, Optional
 
 from .allocation import AllocationFilter, AllocationTable, FilterStats
@@ -33,11 +32,11 @@ def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
     path = record.attrs.path
     if path and path[0] == peer:
         return record
-    attrs = replace(record.attrs, path=(peer,) + path)
+    attrs = record.attrs._replace(path=(peer,) + path)
     flagged = record.with_flag(FLAG_REPAIRED_PATH)
     if not path:
         flagged = flagged.with_flag(FLAG_ANOMALOUS_EMPTY_PATH)
-    return replace(flagged, attrs=attrs)
+    return flagged._replace(attrs=attrs)
 
 
 class Normalizer:
@@ -87,7 +86,7 @@ class Normalizer:
             return rec
         index = self._run_index
         self._run_index += 1
-        bumped = replace(rec, arrival_us=second * 1_000_000 + index)
+        bumped = rec._replace(arrival_us=second * 1_000_000 + index)
         if index >= 1_000_000:
             bumped = bumped.with_flag(FLAG_OVERFLOW_SECOND)
         return bumped

@@ -20,7 +20,9 @@ from bgpchurn.allocation import (
     load_delegated,
 )
 
-from helpers import make_announcement, make_withdrawal
+from bgpchurn.model import expand_message
+
+from helpers import make_announcement, make_withdrawal, update_entry
 
 DELEGATED_SAMPLE = """\
 2|ripencc|20200101|4|19840101|20200101|+00:00
@@ -90,6 +92,33 @@ def test_filter_drops_unallocated_prefix_and_asn():
     assert stats.dropped_prefix == 2
     assert stats.dropped_asn == 1
     assert stats.table_gaps == 0
+
+
+@pytest.mark.parametrize("path", [(64496, 64497), (64496, 65000)])
+def test_filter_judges_a_message_path_once(path):
+    table = sample_table()
+    checked = []
+    allocated = table.asn_allocated
+    table.asn_allocated = lambda asn, day: checked.append(asn) or allocated(asn, day)
+    entry = update_entry(
+        IN_RANGE_US // 1_000_000,
+        peer_asn=64496,
+        announced=("10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24"),
+        path=path,
+    )
+    records = expand_message(entry, "c")
+    stats = FilterStats()
+    kept = list(filter_allocated(records, table, stats))
+    assert checked == list(path)  # three records share one attributes object
+
+    # equal attributes in separate objects are judged one record at a time
+    checked.clear()
+    apart = [rec._replace(attrs=rec.attrs._replace()) for rec in records]
+    apart_stats = FilterStats()
+    assert list(filter_allocated(apart, table, apart_stats)) == kept
+    assert len(checked) == 3 * len(path)
+    assert apart_stats == stats
+    assert stats.dropped_asn == (0 if 65000 not in path else 3)
 
 
 def test_filter_checks_as_set_members():

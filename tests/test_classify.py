@@ -263,6 +263,36 @@ def test_community_verdict_order_insensitive(values, rng):
     assert community_verdict(values, shuffled) == "n"
 
 
+# Small pools, so equal multisets come up often.
+_COMMUNITY_TUPLES = st.lists(st.sampled_from([0, 1, C1, C2, 2**32 - 1]), max_size=5)
+_PATH_ELEMENTS = st.one_of(
+    st.integers(1, 4),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+        lambda members: tuple(sorted(members))
+    ),
+)
+_PATHS = st.lists(_PATH_ELEMENTS, max_size=5).map(tuple)
+
+
+@settings(max_examples=300)
+@given(_COMMUNITY_TUPLES, _COMMUNITY_TUPLES)
+def test_community_verdict_is_counter_equality(prev, cur):
+    expected = "n" if Counter(prev) == Counter(cur) else "c"
+    assert community_verdict(tuple(prev), tuple(cur)) == expected
+
+
+@settings(max_examples=300)
+@given(_PATHS, _PATHS)
+def test_reorder_flag_is_counter_equality_of_changed_paths(prev, cur):
+    out = list(
+        StreamClassifier().process(
+            [make_announcement(1, path=prev), make_announcement(2, path=cur)]
+        )
+    )
+    expected = path_verdict(prev, cur) == "p" and Counter(prev) == Counter(cur)
+    assert (FLAG_REORDER_MULTISET in out[1].record.flags) == expected
+
+
 # --- tally and reports ---
 
 

@@ -462,6 +462,12 @@ BAD_LINES = [
     ("next_hop", "10.0.0.256"),
     ("communities", ["65536:0"]),
     ("communities", [65536]),
+    ("communities", ["1:65536"]),  # each half is 16 bits
+    ("arrival_us", "1600000000000001"),
+    ("as_path", ["abc"]),
+    ("peer_asn", True),
+    ("native_usec", 1),
+    ("kind", "announce"),
     ("arrival_us", None),  # None: the key is left out
     ("line", "not json"),  # "line": the whole line is replaced
 ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import io
+import zlib
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -143,6 +144,15 @@ def test_bad_target_fields():
 def test_probe_accepts_real_payloads():
     assert probe_mrt_payload(mrt_blob())
     assert probe_mrt_payload(mrt_blob(compress="gzip"))
+    assert probe_mrt_payload(bz2.compress(mrt_blob()))
+    two = mrt_blob() + mrt_blob()
+    assert probe_mrt_payload(two) and probe_mrt_payload(gzip.compress(two))
+
+
+def gzip_cut_after_first_record() -> bytes:
+    """A gzip stream cut short right after its first whole record."""
+    z = zlib.compressobj(wbits=31)  # gzip framing
+    return z.compress(mrt_blob()) + z.flush(zlib.Z_FULL_FLUSH)
 
 
 def test_probe_rejects_garbage():
@@ -154,6 +164,8 @@ def test_probe_rejects_garbage():
     assert not probe_mrt_payload(mrt_blob(compress="gzip")[:10])  # header only
     assert not probe_mrt_payload(mrt_blob(compress="gzip")[:10] + b"\xff" * 20)
     assert not probe_mrt_payload(bz2.compress(raw)[:20])
+    assert not probe_mrt_payload(bz2.compress(raw)[:-8])  # trailer cut off
+    assert not probe_mrt_payload(gzip_cut_after_first_record())
     # plausible length but absurd record type
     assert not probe_mrt_payload(b"\x00" * 4 + b"\xff\xff" + b"\x00" * 6)
 

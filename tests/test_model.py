@@ -96,6 +96,17 @@ def test_withdrawal_with_attrs_rejected():
         )
 
 
+def test_copies_of_a_record_keep_the_withdrawal_check():
+    announcement = make_announcement(1)
+    with pytest.raises(ValueError):
+        announcement._replace(kind=WITHDRAWAL)
+    with pytest.raises(ValueError):  # a withdrawal with the announcement's attrs
+        UpdateRecord._make([*announcement[:3], WITHDRAWAL, *announcement[4:]])
+    withdrawal = make_withdrawal(1)
+    assert UpdateRecord._make(withdrawal) == withdrawal
+    assert type(withdrawal._replace(arrival_us=2)) is UpdateRecord
+
+
 def write_jsonl(path, records):
     rows = (json.dumps(record_to_dict(r), separators=(",", ":")) for r in records)
     path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
@@ -299,11 +310,21 @@ def _typed(value):
     return type(value), value
 
 
+def _exact(value, kind):
+    if type(value) is not kind:
+        raise ValueError(f"not {kind.__name__}: {value!r}")
+    return value
+
+
 def _reference_fields(row):
     """(communities, next hop, session) checked directly, in the reader's order."""
-    communities = tuple(community_value(c) for c in row["communities"])
+    communities = tuple(community_value(_exact(c, str)) for c in row["communities"])
     next_hop = str(ipaddress.ip_address(row["next_hop"])) if row["next_hop"] else None
-    session = (row["collector"], row["peer_asn"], row["peer_address"])
+    session = (
+        _exact(row["collector"], str),
+        _exact(row["peer_asn"], int),
+        _exact(row["peer_address"], str),
+    )
     return communities, next_hop, session
 
 

@@ -434,6 +434,13 @@ def test_community_rendering():
     value = (3356 << 16) | 2010
     assert community_str(value) == "3356:2010"
     assert community_value("3356:2010") == value
+    assert community_value("65535:65535") == 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("text", ["1:65536", "65536:0", "-1:5", "5:-1", "1", "a:b"])
+def test_community_value_rejects_out_of_range_halves(text):
+    with pytest.raises(ValueError):
+        community_value(text)
 
 
 @settings(max_examples=200, deadline=None)

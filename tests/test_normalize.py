@@ -101,10 +101,8 @@ def test_disambiguate_new_second_resets_run():
 
 
 def test_disambiguate_skips_native_stamps():
-    import dataclasses
-
     base = 1_600_000_000_000_000
-    native = dataclasses.replace(make_withdrawal(base + 250), native_usec=True)
+    native = make_withdrawal(base + 250)._replace(native_usec=True)
     records = [make_withdrawal(base), native, make_withdrawal(base)]
     out = list(map(Normalizer().disambiguate, records))
     # native record untouched and it breaks the run: the third starts fresh
@@ -134,14 +132,11 @@ def test_disambiguate_overflow_flagged():
     )
 )
 def test_disambiguate_idempotent_and_order_preserving(items):
-    import dataclasses
-
     base_s = 1_600_000_000
     records = [
-        dataclasses.replace(
-            make_withdrawal((base_s + off) * 1_000_000, prefix=f"10.{i}.0.0/16"),
-            native_usec=nat,
-        )
+        make_withdrawal(
+            (base_s + off) * 1_000_000, prefix=f"10.{i}.0.0/16"
+        )._replace(native_usec=nat)
         for i, (off, nat) in enumerate(items)
     ]
     once = list(map(Normalizer().disambiguate, records))
