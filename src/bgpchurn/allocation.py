@@ -198,7 +198,7 @@ class FilterStats:
 
 
 def _path_asns(record: UpdateRecord) -> Iterator[int]:
-    for el in record.path_elements():
+    for el in record.attrs.path:
         if isinstance(el, tuple):
             yield from el
         else:

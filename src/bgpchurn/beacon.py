@@ -110,7 +110,7 @@ def partition_communities(
         if not rec.is_announcement:
             continue
         phase = schedule.phase_of(rec.arrival_us)
-        communities = rec.communities()
+        communities = rec.attrs.communities
         for value in communities:
             value_phases.setdefault(value, set()).add(phase)
         if communities:

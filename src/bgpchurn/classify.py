@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .mrt.bgp import PathElement
-from .model import ANNOUNCEMENT, WITHDRAWAL, SessionKey, UpdateRecord
+from .model import WITHDRAWAL, SessionKey, UpdateRecord
 from .output import atomic_output
 
 FLAG_OUT_OF_ORDER = "out_of_order"
@@ -84,14 +84,8 @@ def community_verdict(prev: Iterable[int], cur: Iterable[int]) -> str:
     return "n" if sorted(prev) == sorted(cur) else "c"
 
 
-_VERDICT_TO_TYPE = {
-    ("p", "c"): AnnouncementType.PC,
-    ("p", "n"): AnnouncementType.PN,
-    ("n", "c"): AnnouncementType.NC,
-    ("n", "n"): AnnouncementType.NN,
-    ("x", "c"): AnnouncementType.XC,
-    ("x", "n"): AnnouncementType.XN,
-}
+# a label's value is its verdict pair, path verdict first
+_LABEL_OF_VERDICTS = {t.value: t for t in LABELED_TYPES}
 
 
 @dataclass(slots=True)
@@ -101,7 +95,7 @@ class StreamState:
     last_path: tuple[PathElement, ...]
     last_communities: tuple[int, ...]
     last_med: Optional[int]
-    last_kind: str
+    withdrawn: bool
     last_arrival_us: int
 
 
@@ -110,27 +104,25 @@ class LabeledRecord(NamedTuple):
     label: AnnouncementType
     after_withdrawal: bool = False
 
-    @property
-    def flags(self) -> tuple[str, ...]:
-        return self.record.flags
+
+# the flags observe sets, in the order classify_report.json lists them
+CLASSIFIER_FLAGS = (FLAG_OUT_OF_ORDER, FLAG_REORDER_MULTISET, FLAG_MED_CHANGED)
 
 
 @dataclass
 class TypeTally:
-    """Counts per label plus the per-peer nc/nn breakdown."""
+    """Counts per label and per flag observe sets, and per-peer nc/nn."""
 
     counts: Counter = field(default_factory=Counter)
     per_peer: dict[int, list[int]] = field(default_factory=dict)
     withdrawals: int = 0
-    reorder_multiset_cases: int = 0
+    flags: Counter = field(default_factory=Counter)
 
     def add(self, labeled: LabeledRecord) -> None:
         self.counts[labeled.label] += 1
         if labeled.label in UNNECESSARY_TYPES:
             slot = self.per_peer.setdefault(labeled.record.session.peer_asn, [0, 0])
             slot[0 if labeled.label is AnnouncementType.NC else 1] += 1
-        if FLAG_REORDER_MULTISET in labeled.record.flags:
-            self.reorder_multiset_cases += 1
 
     @property
     def announcements(self) -> int:
@@ -154,8 +146,10 @@ class StreamClassifier:
     def __init__(self):
         self.state: dict[tuple[SessionKey, str], StreamState] = {}
         self.tally = TypeTally()
-        # one key object per session, however many records carry an equal one
-        self._sessions: dict[SessionKey, SessionKey] = {}
+
+    def _flagged(self, record: UpdateRecord, flag: str) -> UpdateRecord:
+        self.tally.flags[flag] += 1
+        return record.with_flag(flag)
 
     def observe(self, record: UpdateRecord) -> Optional[LabeledRecord]:
         """Label one record; withdrawals return None and update state."""
@@ -164,22 +158,20 @@ class StreamClassifier:
         if record.kind == WITHDRAWAL:
             self.tally.withdrawals += 1
             if state is not None:
-                state.last_kind = WITHDRAWAL
+                state.withdrawn = True
                 state.last_arrival_us = record.arrival_us
             return None
-        path = record.path_elements()
-        communities = record.communities()
-        med = record.attrs.med if record.attrs else None
+        attrs = record.attrs
+        path, communities, med = attrs.path, attrs.communities, attrs.med
         if state is None:
-            session = self._sessions.setdefault(record.session, record.session)
-            self.state[(session, record.prefix)] = StreamState(
-                path, communities, med, ANNOUNCEMENT, record.arrival_us
+            self.state[key] = StreamState(
+                path, communities, med, False, record.arrival_us
             )
             labeled = LabeledRecord(record, AnnouncementType.INITIAL)
             self.tally.add(labeled)
             return labeled
         if record.arrival_us < state.last_arrival_us:
-            record = record.with_flag(FLAG_OUT_OF_ORDER)
+            record = self._flagged(record, FLAG_OUT_OF_ORDER)
         last_path = state.last_path
         pv = path_verdict(last_path, path)
         cv = community_verdict(state.last_communities, communities)
@@ -189,15 +181,15 @@ class StreamClassifier:
             and Counter(last_path) == Counter(path)
         ):
             # reordering with equal multiset: p by rule, counted apart
-            record = record.with_flag(FLAG_REORDER_MULTISET)
-        label = _VERDICT_TO_TYPE[(pv, cv)]
+            record = self._flagged(record, FLAG_REORDER_MULTISET)
+        label = _LABEL_OF_VERDICTS[pv + cv]
         if label is AnnouncementType.NN and med != state.last_med:
-            record = record.with_flag(FLAG_MED_CHANGED)
-        labeled = LabeledRecord(record, label, state.last_kind == WITHDRAWAL)
+            record = self._flagged(record, FLAG_MED_CHANGED)
+        labeled = LabeledRecord(record, label, state.withdrawn)
         state.last_path = path
         state.last_communities = communities
         state.last_med = med
-        state.last_kind = ANNOUNCEMENT
+        state.withdrawn = False
         state.last_arrival_us = record.arrival_us
         self.tally.add(labeled)
         return labeled

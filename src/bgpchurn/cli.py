@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from . import __version__
-from .allocation import FilterStats, load_delegated
+from .allocation import AllocationFilter, load_delegated
 from .beacon import (
     DEFAULT_BEACONS,
     DEFAULT_SCHEDULE,
@@ -26,6 +26,7 @@ from .beacon import (
     write_partition_summary_csv,
 )
 from .classify import (
+    CLASSIFIER_FLAGS,
     LABELED_TYPES,
     AnnouncementType,
     StreamClassifier,
@@ -59,11 +60,14 @@ def _utc(stamp: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _input_messages(ns) -> Iterator[Message]:
-    """MRT files and .jsonl record files both feed the pipeline."""
-    for name in ns.inputs:
+def _input_messages(inputs: list[str], collector: Optional[str]) -> Iterator[Message]:
+    """MRT files and .jsonl record files both feed the pipeline.
+
+    Sessions take ``collector``, or else the collector of each file's path.
+    """
+    for name in inputs:
         path = Path(name)
-        yield from read_messages(path, ns.collector or collector_id(path))
+        yield from read_messages(path, collector or collector_id(path))
 
 
 def _outdir(ns) -> Path:
@@ -112,14 +116,12 @@ def cmd_fetch(ns) -> int:
 
 def cmd_classify(ns) -> int:
     out = _outdir(ns)
-    alloc_stats = None
-    table = None
-    if ns.allocation:
-        table = load_delegated(ns.allocation)
-        alloc_stats = FilterStats()
+    allocated = (
+        AllocationFilter(load_delegated(ns.allocation)) if ns.allocation else None
+    )
     clf = StreamClassifier()
     labeled_messages = label_messages(
-        _input_messages(ns), Normalizer(table, alloc_stats), clf
+        _input_messages(ns.inputs, ns.collector), Normalizer(allocated), clf
     )
     with atomic_output(out / "labels.jsonl") as f:
         for _, labeled_records in labeled_messages:
@@ -132,16 +134,18 @@ def cmd_classify(ns) -> int:
     write_peer_csv(clf.tally, out / "peer_nc_nn.csv")
     meta = {
         "version": __version__,
-        "allocation_filter": bool(table),
+        "allocation_filter": allocated is not None,
         "announcements": clf.tally.announcements,
         "withdrawals": clf.tally.withdrawals,
+        "flags": {flag: clf.tally.flags[flag] for flag in CLASSIFIER_FLAGS},
     }
-    if alloc_stats is not None:
+    if allocated is not None:
+        stats = allocated.stats
         meta["allocation"] = {
-            "kept": alloc_stats.kept,
-            "dropped_prefix": alloc_stats.dropped_prefix,
-            "dropped_asn": alloc_stats.dropped_asn,
-            "table_gaps": alloc_stats.table_gaps,
+            "kept": stats.kept,
+            "dropped_prefix": stats.dropped_prefix,
+            "dropped_asn": stats.dropped_asn,
+            "table_gaps": stats.table_gaps,
         }
     with atomic_output(out / "classify_report.json") as f:
         json.dump(meta, f, indent=2)
@@ -182,7 +186,7 @@ def cmd_beacon(ns) -> int:
 
     def beacon_records() -> Iterator[UpdateRecord]:
         nonlocal matched
-        for _, expanded in _input_messages(ns):
+        for _, expanded in _input_messages(ns.inputs, None):
             for r in expanded:
                 if r.prefix in beacons:
                     matched += 1
@@ -292,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beacon", help="beacon phase partition reports")
     common(p)
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--collector")
     p.add_argument("--beacon-list", help="file with one beacon prefix per line")
     p.set_defaults(func=cmd_beacon)
 

@@ -32,6 +32,12 @@ class SessionKey(NamedTuple):
         return f"{self.collector_id}/{self.peer_asn}@{self.peer_address}"
 
 
+# Decode and the JSONL reader both build sessions through one bounded
+# memo, so the records of one session share one key object.
+_MEMO_SIZE = 4096
+_session_memo = lru_cache(maxsize=_MEMO_SIZE)(SessionKey)
+
+
 class _UpdateFields(NamedTuple):
     arrival_us: int
     session: SessionKey
@@ -96,12 +102,6 @@ class UpdateRecord(_UpdateFields):
     def is_announcement(self) -> bool:
         return self.kind == ANNOUNCEMENT
 
-    def path_elements(self) -> tuple[PathElement, ...]:
-        return self.attrs.path if self.attrs else ()
-
-    def communities(self) -> tuple[int, ...]:
-        return self.attrs.communities if self.attrs else ()
-
     def with_flag(self, flag: str) -> "UpdateRecord":
         if flag in self.flags:
             return self
@@ -112,22 +112,20 @@ def expand_message(
     entry: MrtEntry,
     collector_id: str,
     source_file: str = "",
-    index: Optional[int] = None,
+    index: int = 0,
 ) -> list[UpdateRecord]:
     """Fan one parsed update record out to per-prefix UpdateRecords.
 
     Withdrawals come first, then announcements, each in wire order; all
-    share the originating record's index.  Non-update entries and
-    end-of-RIB markers produce an empty list.
+    share the originating record's index and one interned SessionKey.
+    Non-update entries and end-of-RIB markers produce an empty list.
     """
     msg = entry.message
     if msg is None or msg.message_kind != "update":
         return []
-    session = SessionKey(collector_id, msg.peer_asn, msg.peer_address)
+    session = _session_memo(collector_id, msg.peer_asn, msg.peer_address)
     arrival_us = entry.arrival_us
     native_usec = entry.has_native_usec
-    if index is None:
-        index = 0
     attrs = msg.attributes
     return [
         UpdateRecord(
@@ -162,8 +160,6 @@ def expand_stream(
 #   next_hop: canonical address text ("192.0.2.1", "2001:db8::1", the
 #     global address of a 32-byte IPv6 next hop) or null; med: int or null
 #   source_message_index, source_file, native_usec, flags
-
-SCHEMA_VERSION = 1
 
 
 def _path_to_json(elements: tuple[PathElement, ...]) -> list:
@@ -217,27 +213,22 @@ def record_to_dict(rec: UpdateRecord) -> dict:
 # JSONL is outside input, so every line is checked: each field must
 # have its JSON type exactly.  Next hops, communities and sessions
 # repeat from line to line, so their checks are memoized in bounded
-# memos that hold no exceptions.  Next hops and communities are
-# memoized for str values only, and sessions once their fields' types
-# are checked.
-_MEMO_SIZE = 4096
+# memos that hold no exceptions, each reached only once the field's
+# JSON types are checked.
 
 
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _address_memo(text: str) -> str:
     return str(ipaddress.ip_address(text))
 
 
-_community_memo = lru_cache(maxsize=_MEMO_SIZE, typed=True)(community_value)
-_session_memo = lru_cache(maxsize=_MEMO_SIZE)(SessionKey)
+_community_memo = lru_cache(maxsize=_MEMO_SIZE)(community_value)
 
 
 def _next_hop_from_json(value) -> Optional[str]:
-    if not value:
+    if value is None:
         return None
-    if type(value) is str:
-        return _address_memo(value)
-    return str(ipaddress.ip_address(value))
+    return _address_memo(_require(value, str, "next_hop"))
 
 
 def _community_from_json(value) -> int:

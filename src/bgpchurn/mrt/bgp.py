@@ -60,10 +60,12 @@ def community_str(value: int) -> str:
 
 
 def community_value(text: str) -> int:
-    """The 32-bit value of "high:low"; each half must lie in 0-65535."""
+    """The 32-bit value of "high:low"; each half is ASCII digits, 0-65535."""
     high, _, low = text.partition(":")
+    if not (text.isascii() and high.isdigit() and low.isdigit()):
+        raise ValueError(f"community must be digits:digits: {text!r}")
     high_value, low_value = int(high), int(low)
-    if not (0 <= high_value <= 0xFFFF and 0 <= low_value <= 0xFFFF):
+    if high_value > 0xFFFF or low_value > 0xFFFF:
         raise ValueError(f"community out of range: {text}")
     return high_value << 16 | low_value
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .allocation import AllocationFilter, AllocationTable, FilterStats
+from .allocation import AllocationFilter
 from .model import UpdateRecord
 
 FLAG_REPAIRED_PATH = "repaired_path"
@@ -26,7 +26,7 @@ def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
     anomalous.  Multi-hop gaps beyond the one missing ASN cannot be
     detected here and are left alone.
     """
-    if not record.is_announcement or record.attrs is None:
+    if record.attrs is None:  # a withdrawal
         return record
     peer = record.session.peer_asn
     path = record.attrs.path
@@ -42,23 +42,14 @@ def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
 class Normalizer:
     """The full cleaning pipeline, one record per call, in publication order.
 
-    Allocation filter (when a table is given), route-server repair,
-    then timestamp disambiguation.  A call returns the cleaned record,
-    or None when the filter drops it.  The current same-second run is
-    kept between calls, so one Normalizer cleans one stream in arrival
-    order.
+    Allocation filter (when one is given), route-server repair, then
+    timestamp disambiguation.  A call returns the cleaned record, or
+    None when the filter drops it.  The current same-second run is kept
+    between calls, so one Normalizer cleans one stream in arrival order.
     """
 
-    def __init__(
-        self,
-        allocation: Optional[AllocationTable] = None,
-        allocation_stats: Optional[FilterStats] = None,
-    ):
-        self._allocated = (
-            AllocationFilter(allocation, allocation_stats)
-            if allocation is not None
-            else None
-        )
+    def __init__(self, allocated: Optional[AllocationFilter] = None):
+        self._allocated = allocated
         self._run_second: Optional[int] = None
         self._run_index = 0
 
@@ -92,11 +83,6 @@ class Normalizer:
         return bumped
 
 
-def normalize_stream(
-    records: Iterable[UpdateRecord],
-    allocation: Optional[AllocationTable] = None,
-    allocation_stats: Optional[FilterStats] = None,
-) -> Iterator[UpdateRecord]:
-    """One Normalizer over a whole stream; dropped records are left out."""
-    step = Normalizer(allocation, allocation_stats)
-    return (rec for rec in map(step, records) if rec is not None)
+def normalize_stream(records: Iterable[UpdateRecord]) -> Iterator[UpdateRecord]:
+    """Route-server repair and timestamp disambiguation over a whole stream."""
+    return map(Normalizer(), records)

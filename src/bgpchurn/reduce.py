@@ -43,6 +43,19 @@ def message_is_unnecessary(
     return all(label in UNNECESSARY_TYPES for label in labels)
 
 
+# the columns of reduction.csv and the keys of each report in
+# reduction_summary.json, in order
+REPORT_HEADER = [
+    "file",
+    "total_messages",
+    "discarded_messages",
+    "reduction_ratio",
+    "total_bytes_in",
+    "total_bytes_out",
+    "bytes_ratio",
+]
+
+
 @dataclass(frozen=True)
 class ReductionReport:
     file: str
@@ -64,20 +77,12 @@ class ReductionReport:
         return 1.0 - self.total_bytes_out / self.total_bytes_in
 
     def to_dict(self) -> dict:
-        return {
-            "file": self.file,
-            "total_messages": self.total_messages,
-            "discarded_messages": self.discarded_messages,
-            "reduction_ratio": self.reduction_ratio,
-            "total_bytes_in": self.total_bytes_in,
-            "total_bytes_out": self.total_bytes_out,
-            "bytes_ratio": self.bytes_ratio,
-        }
+        return {name: getattr(self, name) for name in REPORT_HEADER}
 
 
 def reduce_file(
     input_path: Union[str, Path],
-    output_path: Union[str, Path, None],
+    output_path: Union[str, Path],
     classifier: Optional[StreamClassifier] = None,
 ) -> ReductionReport:
     """Prune one MRT file; returns the per-file report.
@@ -86,8 +91,7 @@ def reduce_file(
     by default the state is cold (first announcements label initial and
     their messages are kept).  The output file appears atomically: a
     sibling temp file is renamed over the target only after a complete
-    pass, and output_path=None runs a dry pass with no output.  The
-    output is compressed as the input is (gzip, bzip2 or plain, by
+    pass.  The output is compressed as the input is (gzip, bzip2 or plain, by
     magic bytes).  Session keys take the collector from the path, as
     ``classify`` does, so warm state never joins two collectors' sessions.
 
@@ -116,12 +120,8 @@ def reduce_file(
     # A fresh Normalizer per file: its same-second runs change no label.
     messages = mrt_messages(input_path, collector_id(input_path))
     entries = kept(label_messages(messages, Normalizer(), clf))
-    if output_path is None:
-        for _ in entries:
-            pass
-    else:
-        with atomic_output(output_path, "wb") as tmp:
-            write_mrt_stream(entries, tmp, detect_container(input_path))
+    with atomic_output(output_path, "wb") as tmp:
+        write_mrt_stream(entries, tmp, detect_container(input_path))
     return ReductionReport(str(input_path), total, discarded, bytes_in, bytes_out)
 
 
@@ -170,7 +170,7 @@ class CorpusSummary:
 
 def corpus_reduction(
     files: Iterable[Union[str, Path]],
-    output_dir: Optional[Union[str, Path]] = None,
+    output_dir: Union[str, Path],
     warm: bool = True,
 ) -> CorpusSummary:
     """Reduce many files; per-file failures are recorded, not fatal.
@@ -181,23 +181,21 @@ def corpus_reduction(
     cold restarts per file.
     """
     files = [Path(p) for p in files]
-    if output_dir is not None:
-        output_dir = Path(output_dir)
-        by_name: dict[str, Path] = {}
-        for path in files:
-            if path.name in by_name:
-                raise DuplicateOutputName(
-                    f"{by_name[path.name]} and {path} would both be pruned to "
-                    f"{output_dir / path.name}"
-                )
-            by_name[path.name] = path
-        output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir = Path(output_dir)
+    by_name: dict[str, Path] = {}
+    for path in files:
+        if path.name in by_name:
+            raise DuplicateOutputName(
+                f"{by_name[path.name]} and {path} would both be pruned to "
+                f"{output_dir / path.name}"
+            )
+        by_name[path.name] = path
+    output_dir.mkdir(parents=True, exist_ok=True)
     summary = CorpusSummary()
     clf = StreamClassifier() if warm else None
     for path in files:
-        out = output_dir / path.name if output_dir is not None else None
         try:
-            summary.reports.append(reduce_file(path, out, clf))
+            summary.reports.append(reduce_file(path, output_dir / path.name, clf))
         except Exception as exc:  # noqa: BLE001 - per-file isolation
             summary.failures[str(path)] = str(exc)
     return summary
@@ -206,32 +204,16 @@ def corpus_reduction(
 # ---------------------------------------------------------------------------
 # report output
 
-REPORT_HEADER = [
-    "file",
-    "total_messages",
-    "discarded_messages",
-    "reduction_ratio",
-    "total_bytes_in",
-    "total_bytes_out",
-    "bytes_ratio",
-]
-
 
 def write_reports_csv(summary: CorpusSummary, path: Union[str, Path]) -> None:
+    """One row per report; the ratios, the only floats, as ``.6f``."""
     with atomic_output(path) as f:
         w = csv.writer(f)
         w.writerow(REPORT_HEADER)
         for r in summary.reports:
             w.writerow(
-                [
-                    r.file,
-                    r.total_messages,
-                    r.discarded_messages,
-                    f"{r.reduction_ratio:.6f}",
-                    r.total_bytes_in,
-                    r.total_bytes_out,
-                    f"{r.bytes_ratio:.6f}",
-                ]
+                f"{v:.6f}" if isinstance(v, float) else v
+                for v in r.to_dict().values()
             )
 
 

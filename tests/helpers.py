@@ -90,7 +90,7 @@ def oracle_labels(records: Iterable[UpdateRecord]) -> list[AnnouncementType]:
             labels.append(AnnouncementType.INITIAL)
             continue
         prev = previous[-1]
-        prev_path, cur_path = prev.path_elements(), rec.path_elements()
+        prev_path, cur_path = prev.attrs.path, rec.attrs.path
         if prev_path == cur_path:
             first = "n"
         elif collapse_path(prev_path) == collapse_path(cur_path):
@@ -98,7 +98,9 @@ def oracle_labels(records: Iterable[UpdateRecord]) -> list[AnnouncementType]:
         else:
             first = "p"
         second = (
-            "n" if Counter(prev.communities()) == Counter(rec.communities()) else "c"
+            "n"
+            if Counter(prev.attrs.communities) == Counter(rec.attrs.communities)
+            else "c"
         )
         labels.append(AnnouncementType(first + second))
     return labels
@@ -159,7 +161,7 @@ def random_stream(
         if prev is None:
             out.true_labels.append(AnnouncementType.INITIAL)
         else:
-            prev_path, cur_path = prev.path_elements(), rec.path_elements()
+            prev_path, cur_path = prev.attrs.path, rec.attrs.path
             if prev_path == cur_path:
                 first = "n"
             elif collapse_path(prev_path) == collapse_path(cur_path):
@@ -168,7 +170,7 @@ def random_stream(
                 first = "p"
             second = (
                 "n"
-                if Counter(prev.communities()) == Counter(rec.communities())
+                if Counter(prev.attrs.communities) == Counter(rec.attrs.communities)
                 else "c"
             )
             out.true_labels.append(AnnouncementType(first + second))

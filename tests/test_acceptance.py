@@ -88,7 +88,7 @@ def test_criterion_4_duplicate_end_to_end():
     labeled = list(StreamClassifier().process(records))
     nn = [lr for lr in labeled if lr.label is AnnouncementType.NN]
     assert len(nn) >= 1
-    assert all(lr.record.communities() == () for lr in nn)
+    assert all(lr.record.attrs.communities == () for lr in nn)
 
 
 # --- criterion 5: reduction against generator-known necessity ---

@@ -196,7 +196,7 @@ def test_reorder_multiset_flag():
     clf = StreamClassifier()
     for r in seq:
         clf.observe(r)
-    assert clf.tally.reorder_multiset_cases == 1
+    assert clf.tally.flags[FLAG_REORDER_MULTISET] == 1
 
 
 # --- oracle equivalence ---

@@ -6,13 +6,16 @@ import gzip
 import ipaddress
 import json
 import os
+import re
+import shlex
 import shutil
 import stat
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from bgpchurn.cli import main
+from bgpchurn.cli import build_parser, main
 from bgpchurn.mrt.bgp import attr_mp_reach
 from bgpchurn.mrt.build import build_update_record
 from bgpchurn.model import record_to_dict
@@ -110,8 +113,37 @@ def test_classify_mrt_file(tmp_path, capsys):
     assert report["announcements"] == 5
     assert report["withdrawals"] == 1
     assert report["allocation_filter"] is False
+    assert report["flags"] == {
+        "out_of_order": 0, "reorder_equal_multiset": 0, "med_changed": 0,
+    }
     assert (out / "peer_nc_nn.csv").read_text().strip().splitlines()[1] == "65001,1,2"
     assert "labeled 4 announcements" in capsys.readouterr().out
+
+
+def test_classify_report_counts_each_flag(tmp_path):
+    # one second apart, so no same-second renumbering reorders them
+    base = 1_600_000_000_000_000
+
+    def row(seconds, path, med):
+        arrival = base + seconds * 1_000_000
+        return record_to_dict(make_announcement(arrival, path=path, med=med))
+
+    src = write_jsonl(tmp_path / "records.jsonl", [
+        row(10, (65001, 65002, 65003), 10),
+        row(11, (65001, 65002, 65003), 20),  # nn with a new MED
+        row(12, (65001, 65003, 65002), 20),  # the same ASNs, reordered
+        row(5, (65001, 65004), 20),  # older than its predecessor
+    ])
+    out = tmp_path / "out"
+    assert main(["classify", str(src), "-o", str(out)]) == 0
+    report = json.loads((out / "classify_report.json").read_text())
+    assert report["flags"] == {
+        "out_of_order": 1, "reorder_equal_multiset": 1, "med_changed": 1,
+    }
+    rows = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()]
+    assert [r["flags"] for r in rows] == [
+        [], ["med_changed"], ["reorder_equal_multiset"], ["out_of_order"],
+    ]
 
 
 def test_classify_jsonl_round_trip(tmp_path):
@@ -470,6 +502,14 @@ BAD_LINES = [
     ("kind", "announce"),
     ("arrival_us", None),  # None: the key is left out
     ("line", "not json"),  # "line": the whole line is replaced
+    ("next_hop", True),  # a next hop is a string or null
+    ("next_hop", 167772161),
+    ("next_hop", 0),
+    ("next_hop", ""),
+    ("communities", ["1_0:5"]),  # each half is ASCII digits
+    ("communities", [" 1:2 "]),
+    ("communities", ["+1:2"]),
+    ("communities", ["\u0661:1"]),
 ]
 
 
@@ -588,6 +628,29 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
     assert exc_info.value.code == 0
+
+
+def readme_commands():
+    """The arguments of each ``bgpchurn`` line in README.md's sh blocks."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["bgpchurn"]:
+                yield words[1:]
+
+
+README_COMMANDS = list(readme_commands())
+
+
+def test_readme_has_commands():
+    assert len(README_COMMANDS) == 9
+
+
+@pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+def test_readme_command_parses(args):
+    build_parser().parse_args(args)
 
 
 def test_console_script_installed():

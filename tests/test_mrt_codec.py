@@ -437,7 +437,11 @@ def test_community_rendering():
     assert community_value("65535:65535") == 0xFFFFFFFF
 
 
-@pytest.mark.parametrize("text", ["1:65536", "65536:0", "-1:5", "5:-1", "1", "a:b"])
+@pytest.mark.parametrize(
+    "text",
+    ["1:65536", "65536:0", "-1:5", "5:-1", "1", "a:b",
+     "1_0:5", " 1:2 ", "+1:2", "\u0661:1"],
+)
 def test_community_value_rejects_out_of_range_halves(text):
     with pytest.raises(ValueError):
         community_value(text)

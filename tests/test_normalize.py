@@ -7,7 +7,7 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgpchurn.allocation import FilterStats, load_delegated
+from bgpchurn.allocation import FilterStats, filter_allocated, load_delegated
 from bgpchurn.normalize import (
     FLAG_ANOMALOUS_EMPTY_PATH,
     FLAG_OVERFLOW_SECOND,
@@ -30,7 +30,7 @@ def _ann(peer_asn, path, arrival=1_600_000_000_000_000):
 def test_repair_prepends_missing_peer():
     rec = _ann(6695, (3356, 174))
     fixed = repair_route_server_path(rec)
-    assert fixed.path_elements() == (6695, 3356, 174)
+    assert fixed.attrs.path == (6695, 3356, 174)
     assert FLAG_REPAIRED_PATH in fixed.flags
     assert FLAG_ANOMALOUS_EMPTY_PATH not in fixed.flags
 
@@ -42,13 +42,13 @@ def test_repair_leaves_complete_path_alone():
 
 def test_repair_prepends_before_leading_as_set():
     rec = _ann(6695, ((6695, 3356), 174))
-    assert repair_route_server_path(rec).path_elements() == (6695, (3356, 6695), 174)
+    assert repair_route_server_path(rec).attrs.path == (6695, (3356, 6695), 174)
 
 
 def test_repair_empty_path_flagged_anomalous():
     rec = _ann(6695, ())
     fixed = repair_route_server_path(rec)
-    assert fixed.path_elements() == (6695,)
+    assert fixed.attrs.path == (6695,)
     assert FLAG_REPAIRED_PATH in fixed.flags
     assert FLAG_ANOMALOUS_EMPTY_PATH in fixed.flags
 
@@ -61,7 +61,7 @@ def test_repair_skips_withdrawals():
 def test_repair_idempotent():
     rec = _ann(6695, (3356, 174))
     once = repair_route_server_path(rec)
-    assert repair_route_server_path(once).path_elements() == once.path_elements()
+    assert repair_route_server_path(once).attrs.path == once.attrs.path
 
 
 def test_repair_keeps_other_attributes():
@@ -165,15 +165,15 @@ def test_normalize_stream_composes_stages():
         _ann(6695, (9999,), arrival=base),  # unallocated ASN: dropped
     ]
     stats = FilterStats()
-    out = list(normalize_stream(records, table, stats))
+    out = list(normalize_stream(filter_allocated(records, table, stats)))
     assert len(out) == 2
     assert stats.dropped_asn == 1
-    assert all(r.path_elements() == (6695, 3356) for r in out)
+    assert all(r.attrs.path == (6695, 3356) for r in out)
     assert [r.arrival_us for r in out] == [base, base + 1]
 
 
 def test_normalize_stream_without_allocation():
     records = [_ann(20205, (20205, 3356))]
     out = list(normalize_stream(records))
-    assert out[0].path_elements() == (20205, 3356)
+    assert out[0].attrs.path == (20205, 3356)
     assert out[0].session == make_session(20205)

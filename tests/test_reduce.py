@@ -175,14 +175,6 @@ def test_reduce_passes_non_update_records(tmp_path):
     assert len(list(read_mrt_stream(dst))) == 3
 
 
-def test_reduce_dry_run(tmp_path):
-    src = tmp_path / "in.mrt"
-    write_fixture(src, fixture_entries())
-    report = reduce_file(src, None)
-    assert report.discarded_messages == 3
-    assert list(tmp_path.iterdir()) == [src]  # nothing written
-
-
 def test_reduce_atomic_on_failure(tmp_path):
     src, dst = tmp_path / "in.mrt", tmp_path / "out.mrt"
     blob = io.BytesIO()
@@ -234,7 +226,7 @@ def test_reduce_repairs_route_server_paths(tmp_path):
         update_entry(1_600_000_001, announced=("10.1.0.0/24",),
                      path=(65001, 65002, 65010)),
     ])
-    assert reduce_file(src, None).discarded_messages == 1
+    assert reduce_file(src, tmp_path / "out.mrt").discarded_messages == 1
 
 
 ROUTE_SERVER = 65100
@@ -307,12 +299,13 @@ def test_reduce_warm_start_across_files(tmp_path):
     write_fixture(part1, [repeat(1_600_000_000)])
     write_fixture(part2, [repeat(1_600_000_100)])
 
-    cold = reduce_file(part2, None)
+    out = tmp_path / "out.mrt"
+    cold = reduce_file(part2, out)
     assert cold.discarded_messages == 0  # initial when classified alone
 
     clf = StreamClassifier()
-    reduce_file(part1, None, clf)
-    warm = reduce_file(part2, None, clf)
+    reduce_file(part1, out, clf)
+    warm = reduce_file(part2, out, clf)
     assert warm.discarded_messages == 1  # nn given part1's history
 
 
@@ -327,7 +320,7 @@ def test_corpus_reduction_warm_equals_concatenation(tmp_path):
     out.mkdir()
     summary = corpus_reduction([part1, part2], out, warm=True)
     split_discards = sum(r.discarded_messages for r in summary.reports)
-    whole_report = reduce_file(whole, None)
+    whole_report = reduce_file(whole, tmp_path / "whole.out")
     assert split_discards == whole_report.discarded_messages == 3
     assert (out / part1.name).read_bytes() + (out / part2.name).read_bytes()
 
@@ -336,7 +329,7 @@ def test_corpus_records_failures(tmp_path):
     ok = tmp_path / "ok.mrt"
     write_fixture(ok, fixture_entries())
     missing = tmp_path / "missing.mrt"
-    summary = corpus_reduction([ok, missing], None)
+    summary = corpus_reduction([ok, missing], tmp_path / "out")
     assert len(summary.reports) == 1
     assert str(missing) in summary.failures
 
