@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .model import UpdateRecord
-from .mrt.bgp import BgpAttributes, address_str
+from .mrt.bgp import BgpAttributes, PathElement, address_str
 
 # delegated-extended status values that mean "usable on the internet"
 ALLOCATED_STATUSES = frozenset({"allocated", "assigned"})
@@ -197,14 +197,6 @@ class FilterStats:
         return self.dropped_prefix + self.dropped_asn
 
 
-def _path_asns(record: UpdateRecord) -> Iterator[int]:
-    for el in record.attrs.path:
-        if isinstance(el, tuple):
-            yield from el
-        else:
-            yield el
-
-
 class AllocationFilter:
     """The allocation filter for one record at a time; see filter_allocated.
 
@@ -212,7 +204,9 @@ class AllocationFilter:
     the table) or None when the record is dropped.  The date key is
     worked out once per UTC day, and the path ASNs are judged once per
     attributes object and day: the records of one message share their
-    attributes, so a message's path is checked once.
+    attributes, so a message's path is checked once.  Each ASN is looked
+    up in the table once per day, and a path's check stops at its first
+    unallocated ASN.
     """
 
     def __init__(self, table: AllocationTable, stats: Optional[FilterStats] = None):
@@ -223,6 +217,8 @@ class AllocationFilter:
         # the verdict on _judged_attrs' path; no attributes, no path
         self._judged_attrs: Optional[BgpAttributes] = None
         self._path_allocated = True
+        # asn -> allocated on _date_key
+        self._asn_allocated: dict[int, bool] = {}
 
     def __call__(self, rec: UpdateRecord) -> Optional[UpdateRecord]:
         table, stats = self.table, self.stats
@@ -232,6 +228,7 @@ class AllocationFilter:
             self._date_key = _record_date_key(rec.arrival_us)
             self._covered = table.covers_date(self._date_key)
             self._judged_attrs, self._path_allocated = None, True
+            self._asn_allocated = {}
         if not self._covered:
             stats.table_gaps += 1
             stats.kept += 1
@@ -243,14 +240,25 @@ class AllocationFilter:
         if rec.is_announcement:
             if rec.attrs is not self._judged_attrs:
                 self._judged_attrs = rec.attrs
-                self._path_allocated = all(
-                    table.asn_allocated(asn, date_key) for asn in _path_asns(rec)
-                )
+                self._path_allocated = self._path_ok(rec.attrs.path)
             if not self._path_allocated:
                 stats.dropped_asn += 1
                 return None
         stats.kept += 1
         return rec
+
+    def _path_ok(self, path: tuple[PathElement, ...]) -> bool:
+        verdicts = self._asn_allocated
+        for el in path:
+            for asn in el if isinstance(el, tuple) else (el,):
+                allocated = verdicts.get(asn)
+                if allocated is None:
+                    allocated = verdicts[asn] = self.table.asn_allocated(
+                        asn, self._date_key
+                    )
+                if not allocated:
+                    return False
+        return True
 
 
 def filter_allocated(

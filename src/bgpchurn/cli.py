@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -35,8 +36,8 @@ from .classify import (
 )
 from .errors import BgpChurnError, NoBeaconRecords
 from .fetch import ArchiveTarget, RetryPolicy, collector_id, fetch_target
-from .model import UpdateRecord, record_to_dict
-from .normalize import Normalizer
+from .model import UpdateRecord, labeled_lines
+from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output
 from .pipeline import Message, label_messages, read_messages
 from .reduce import corpus_reduction, write_reports_csv, write_summary_json
@@ -111,6 +112,12 @@ def cmd_fetch(ns) -> int:
         f"planned {report.planned}, cached {report.cached}, "
         f"downloaded {report.downloaded}, failed {len(report.failures)}"
     )
+    if not report.counts_consistent():
+        raise BgpChurnError(
+            f"fetch counts do not add up: {report.planned} planned, but "
+            f"{report.cached} cached + {report.downloaded} downloaded + "
+            f"{len(report.failures)} failed"
+        )
     return 0 if report.complete else 1
 
 
@@ -119,17 +126,14 @@ def cmd_classify(ns) -> int:
     allocated = (
         AllocationFilter(load_delegated(ns.allocation)) if ns.allocation else None
     )
-    clf = StreamClassifier()
+    normalizer, clf = Normalizer(allocated), StreamClassifier()
     labeled_messages = label_messages(
-        _input_messages(ns.inputs, ns.collector), Normalizer(allocated), clf
+        _input_messages(ns.inputs, ns.collector), normalizer, clf
     )
     with atomic_output(out / "labels.jsonl") as f:
-        for _, labeled_records in labeled_messages:
-            for labeled in labeled_records:
-                row = record_to_dict(labeled.record)
-                row["label"] = labeled.label.value
-                row["after_withdrawal"] = labeled.after_withdrawal
-                f.write(json.dumps(row, separators=(",", ":")) + "\n")
+        f.writelines(
+            labeled_lines(chain.from_iterable(labeled for _, labeled in labeled_messages))
+        )
     write_tally_csv(clf.tally, out / "tally.csv")
     write_peer_csv(clf.tally, out / "peer_nc_nn.csv")
     meta = {
@@ -137,7 +141,10 @@ def cmd_classify(ns) -> int:
         "allocation_filter": allocated is not None,
         "announcements": clf.tally.announcements,
         "withdrawals": clf.tally.withdrawals,
-        "flags": {flag: clf.tally.flags[flag] for flag in CLASSIFIER_FLAGS},
+        "flags": {
+            **{flag: clf.tally.flags[flag] for flag in CLASSIFIER_FLAGS},
+            **{flag: normalizer.flags[flag] for flag in NORMALIZER_FLAGS},
+        },
     }
     if allocated is not None:
         stats = allocated.stats

@@ -10,6 +10,7 @@ from __future__ import annotations
 import ipaddress
 import json
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -208,6 +209,67 @@ def record_to_dict(rec: UpdateRecord) -> dict:
         out["next_hop"] = rec.attrs.next_hop
         out["med"] = rec.attrs.med
     return out
+
+
+# labeled_lines writes JSON text directly: ints and bools as json.dumps
+# formats them, strings through the escaper json.dumps uses by default
+# (ensure_ascii), so each line has the bytes json.dumps gives it.
+
+
+def _session_json(session: SessionKey) -> str:
+    collector, peer_asn, peer_address = session
+    return (
+        f'"collector":{_json_str(collector)},"peer_asn":{peer_asn},'
+        f'"peer_address":{_json_str(peer_address)}'
+    )
+
+
+def _attrs_json(attrs: Optional[BgpAttributes]) -> str:
+    """The as_path..med keys of record_to_dict, each after a comma."""
+    if attrs is None:
+        return ""
+    path = ",".join(
+        f"[{','.join(map(str, el))}]" if isinstance(el, tuple) else str(el)
+        for el in attrs.path
+    )
+    communities = ",".join(_json_str(community_str(c)) for c in attrs.communities)
+    next_hop = "null" if attrs.next_hop is None else _json_str(attrs.next_hop)
+    med = "null" if attrs.med is None else attrs.med
+    return (
+        f',"as_path":[{path}],"communities":[{communities}],'
+        f'"next_hop":{next_hop},"med":{med}'
+    )
+
+
+def labeled_lines(labeled: Iterable[tuple[UpdateRecord, str, bool]]) -> Iterator[str]:
+    """One labels.jsonl line per (record, label, after_withdrawal).
+
+    Each line is ``json.dumps({**record_to_dict(record), "label": label,
+    "after_withdrawal": after_withdrawal}, separators=(",", ":"))`` and a
+    newline.  The records of one message share their session and one
+    attributes object, so each session's keys are rendered once, and the
+    attribute keys once per run of equal attributes (route-server repair
+    gives each record an equal copy).
+    """
+    sessions: dict[SessionKey, str] = {}
+    last_attrs, attrs_json = None, ""
+    for rec, label, after_withdrawal in labeled:
+        (arrival_us, session, prefix, kind, attrs, index, source_file, native_usec,
+         flags) = rec
+        session_json = sessions.get(session)
+        if session_json is None:
+            session_json = sessions[session] = _session_json(session)
+        if attrs != last_attrs:
+            last_attrs, attrs_json = attrs, _attrs_json(attrs)
+        yield (
+            f'{{"arrival_us":{arrival_us},{session_json},"prefix":{_json_str(prefix)},'
+            f'"kind":{_json_str(kind)},"source_message_index":{index},'
+            f'"source_file":{_json_str(source_file)},'
+            f'"native_usec":{"true" if native_usec else "false"},'
+            f'"flags":[{",".join(map(_json_str, flags))}]{attrs_json},'
+            f'"label":{_json_str(label)},'
+            f'"after_withdrawal":{"true" if after_withdrawal else "false"}}}\n'
+        )
 
 
 # JSONL is outside input, so every line is checked: each field must

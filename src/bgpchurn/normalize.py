@@ -8,6 +8,7 @@ disambiguation are order-preserving and idempotent.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Optional
 
 from .allocation import AllocationFilter
@@ -16,6 +17,9 @@ from .model import UpdateRecord
 FLAG_REPAIRED_PATH = "repaired_path"
 FLAG_ANOMALOUS_EMPTY_PATH = "anomalous_empty_path"
 FLAG_OVERFLOW_SECOND = "overflow_second"
+
+# the flags a Normalizer sets, in the order classify_report.json lists them
+NORMALIZER_FLAGS = (FLAG_REPAIRED_PATH, FLAG_ANOMALOUS_EMPTY_PATH, FLAG_OVERFLOW_SECOND)
 
 
 def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
@@ -46,19 +50,26 @@ class Normalizer:
     timestamp disambiguation.  A call returns the cleaned record, or
     None when the filter drops it.  The current same-second run is kept
     between calls, so one Normalizer cleans one stream in arrival order.
+    ``flags`` counts the records it flags, per flag.
     """
 
     def __init__(self, allocated: Optional[AllocationFilter] = None):
         self._allocated = allocated
         self._run_second: Optional[int] = None
         self._run_index = 0
+        self.flags: Counter = Counter()
 
     def __call__(self, rec: UpdateRecord) -> Optional[UpdateRecord]:
         if self._allocated is not None:
             rec = self._allocated(rec)
             if rec is None:
                 return None
-        return self.disambiguate(repair_route_server_path(rec))
+        repaired = repair_route_server_path(rec)
+        if repaired is not rec:
+            self.flags[FLAG_REPAIRED_PATH] += 1
+            if not rec.attrs.path:
+                self.flags[FLAG_ANOMALOUS_EMPTY_PATH] += 1
+        return self.disambiguate(repaired)
 
     def disambiguate(self, rec: UpdateRecord) -> UpdateRecord:
         """Spread same-second runs of coarse timestamps by +1 us per record.
@@ -79,6 +90,7 @@ class Normalizer:
         self._run_index += 1
         bumped = rec._replace(arrival_us=second * 1_000_000 + index)
         if index >= 1_000_000:
+            self.flags[FLAG_OVERFLOW_SECOND] += 1
             bumped = bumped.with_flag(FLAG_OVERFLOW_SECOND)
         return bumped
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from ..errors import ScenarioError
 from ..mrt.bgp import community_value

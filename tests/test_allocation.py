@@ -111,14 +111,78 @@ def test_filter_judges_a_message_path_once(path):
     kept = list(filter_allocated(records, table, stats))
     assert checked == list(path)  # three records share one attributes object
 
-    # equal attributes in separate objects are judged one record at a time
+    # equal attributes in separate objects: each ASN is still looked up once
     checked.clear()
     apart = [rec._replace(attrs=rec.attrs._replace()) for rec in records]
     apart_stats = FilterStats()
     assert list(filter_allocated(apart, table, apart_stats)) == kept
-    assert len(checked) == 3 * len(path)
+    assert checked == list(path)
     assert apart_stats == stats
     assert stats.dropped_asn == (0 if 65000 not in path else 3)
+
+
+# 2015-06-01 and 2015-06-02 UTC, an hour before and after midnight
+DAY1_US = IN_RANGE_US + 23 * 3_600_000_000
+DAY2_US = IN_RANGE_US + 25 * 3_600_000_000
+
+
+def reference_filter(records, table):
+    """filter_allocated without memos: every ASN of every path, every record."""
+    stats, kept = FilterStats(), []
+    for rec in records:
+        day = int(datetime.fromtimestamp(
+            rec.arrival_us // 1_000_000, tz=timezone.utc
+        ).strftime("%Y%m%d"))
+        if not table.covers_date(day):
+            stats.table_gaps += 1
+            stats.kept += 1
+            kept.append(rec.with_flag(FLAG_TABLE_GAP))
+        elif not table.prefix_allocated(rec.prefix, day):
+            stats.dropped_prefix += 1
+        elif rec.is_announcement and not all(
+            table.asn_allocated(asn, day)
+            for el in rec.attrs.path
+            for asn in (el if isinstance(el, tuple) else (el,))
+        ):
+            stats.dropped_asn += 1
+        else:
+            stats.kept += 1
+            kept.append(rec)
+    return kept, stats
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([DAY1_US, DAY2_US]),
+            st.lists(
+                st.sampled_from([64496, 64500, 65000, 65001, (64496, 65001)]),
+                max_size=4,
+            ),
+            st.booleans(),
+        ),
+        max_size=12,
+    )
+)
+def test_asn_memo_matches_direct_lookups(rows):
+    # AS65001 becomes valid on the second day; AS65000 never does
+    table = load_delegated(io.StringIO(
+        DELEGATED_SAMPLE + "ripencc|NL|asn|65001|1|20150602|allocated|opaque6\n"
+    ))
+    assert not table.asn_allocated(65001, 20150601)
+    assert table.asn_allocated(65001, 20150602)
+    records, attrs = [], None
+    for arrival, path, shared in rows:
+        rec = make_announcement(arrival, path=path)
+        if shared and attrs is not None:  # one attributes object, as in a message
+            rec = rec._replace(attrs=attrs)
+        attrs = rec.attrs
+        records.append(rec)
+    for ordered in (records, records[::-1]):
+        stats = FilterStats()
+        kept = list(filter_allocated(ordered, table, stats))
+        assert (kept, stats) == reference_filter(ordered, table)
 
 
 def test_filter_checks_as_set_members():

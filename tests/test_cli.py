@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from bgpchurn.cli import build_parser, main
+from bgpchurn.fetch import FetchReport
 from bgpchurn.mrt.bgp import attr_mp_reach
 from bgpchurn.mrt.build import build_update_record
 from bgpchurn.model import record_to_dict
@@ -115,6 +116,7 @@ def test_classify_mrt_file(tmp_path, capsys):
     assert report["allocation_filter"] is False
     assert report["flags"] == {
         "out_of_order": 0, "reorder_equal_multiset": 0, "med_changed": 0,
+        "repaired_path": 0, "anomalous_empty_path": 0, "overflow_second": 0,
     }
     assert (out / "peer_nc_nn.csv").read_text().strip().splitlines()[1] == "65001,1,2"
     assert "labeled 4 announcements" in capsys.readouterr().out
@@ -139,10 +141,39 @@ def test_classify_report_counts_each_flag(tmp_path):
     report = json.loads((out / "classify_report.json").read_text())
     assert report["flags"] == {
         "out_of_order": 1, "reorder_equal_multiset": 1, "med_changed": 1,
+        "repaired_path": 0, "anomalous_empty_path": 0, "overflow_second": 0,
     }
     rows = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()]
     assert [r["flags"] for r in rows] == [
         [], ["med_changed"], ["reorder_equal_multiset"], ["out_of_order"],
+    ]
+
+
+def test_classify_report_counts_repaired_paths(tmp_path):
+    # the peer is AS65001: paths not starting with it are repaired
+    t = 1_600_000_000
+    src = write_mrt(tmp_path / "updates.mrt", [
+        update_entry(t, announced=("10.1.0.0/24",), path=(65001, 65002)),
+        update_entry(t + 1, announced=("10.2.0.0/24",), path=(65003,)),
+        update_entry(t + 2, announced=("10.3.0.0/24",), path=()),
+        update_entry(t + 3, announced=("10.4.0.0/24", "10.5.0.0/24", "10.6.0.0/24"),
+                     withdrawn=("10.1.0.0/24",), path=(65010, 65011)),
+        update_entry(t + 4, announced=("10.2.0.0/24",), path=(65003,)),
+    ])
+    out = tmp_path / "out"
+    assert main(["classify", str(src), "-o", str(out)]) == 0
+    report = json.loads((out / "classify_report.json").read_text())
+    rows = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()]
+    assert report["flags"] == {
+        "out_of_order": 0, "reorder_equal_multiset": 0, "med_changed": 0,
+        "repaired_path": 6, "anomalous_empty_path": 1, "overflow_second": 0,
+    }
+    for flag in ("repaired_path", "anomalous_empty_path"):
+        assert report["flags"][flag] == sum(flag in r["flags"] for r in rows)
+    assert [r["as_path"] for r in rows] == [
+        [65001, 65002], [65001, 65003], [65001],
+        [65001, 65010, 65011], [65001, 65010, 65011], [65001, 65010, 65011],
+        [65001, 65003],
     ]
 
 
@@ -609,6 +640,24 @@ def test_fetch_offline_cold_cache_fails(tmp_path, monkeypatch):
     assert code == 1
     report = json.loads((out / "fetch_report.json").read_text())
     assert len(report["failures"]) == 1
+
+
+def test_fetch_counts_that_do_not_add_up_exit_nonzero(tmp_path, monkeypatch, capsys):
+    # one planned file neither cached, downloaded nor failed
+    monkeypatch.setattr(
+        "bgpchurn.cli.fetch_target",
+        lambda *args, **kwargs: ([], FetchReport(planned=1)),
+    )
+    out = tmp_path / "out"
+    code = main([
+        "fetch", "--project", "ripe_ris", "--collector", "rrc00",
+        "--start", "2023-05-01T00:00", "--end", "2023-05-01T00:05",
+        "--offline", "-o", str(out),
+    ])
+    assert code == 2
+    assert "fetch counts do not add up" in capsys.readouterr().err
+    report = json.loads((out / "fetch_report.json").read_text())
+    assert report["planned"] == 1 and report["failures"] == {}
 
 
 def test_fetch_unknown_collector_exit_code(tmp_path, capsys):

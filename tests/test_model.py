@@ -17,12 +17,15 @@ from bgpchurn.model import (
     UpdateRecord,
     expand_message,
     expand_stream,
+    labeled_lines,
     read_records_jsonl,
     record_from_dict,
     record_to_dict,
 )
+from bgpchurn.classify import AnnouncementType
 from bgpchurn.mrt.bgp import (
     ATTR_MP_REACH_NLRI,
+    BgpAttributes,
     FLAG_OPTIONAL,
     WireAttribute,
     community_value,
@@ -37,7 +40,7 @@ from bgpchurn.mrt.bgp import (
 )
 from bgpchurn.mrt.build import build_update_record
 
-from helpers import make_announcement, make_withdrawal, std_attrs, update_entry
+from helpers import make_announcement, make_withdrawal, update_entry
 
 
 def test_expand_multi_prefix_announcement():
@@ -252,6 +255,75 @@ def test_jsonl_round_trip_is_identity(case):
         if rec.is_announcement:
             assert rec.attrs.next_hop == next_hop
         assert record_from_dict(json.loads(json.dumps(record_to_dict(rec)))) == rec
+
+
+# non-ASCII, quotes, backslashes and control characters escape as json.dumps does
+_TEXT = st.text(st.one_of(st.sampled_from('a/"\\\n\x00\u00e9\u2603\U0001f600'),
+                          st.characters()), max_size=6)
+_FLAGS = ["repaired_path", "anomalous_empty_path", "out_of_order", "med_changed"]
+
+
+@st.composite
+def _attributes(draw):
+    as_set = st.lists(_ASN, min_size=1, max_size=3).map(lambda s: tuple(sorted(s)))
+    edge_asn = st.sampled_from([0, 2**32 - 1])  # the largest 4-byte ASN
+    next_hop = st.one_of(
+        st.none(), st.ip_addresses().map(str), st.just("2001:db8::1")
+    )
+    return BgpAttributes(
+        tuple(draw(st.lists(st.one_of(_ASN, edge_asn, as_set), max_size=4))),
+        tuple(draw(st.lists(_ASN, max_size=3))),
+        draw(next_hop),
+        draw(st.one_of(st.none(), _ASN)),
+    )
+
+
+@st.composite
+def labeled_runs(draw):
+    """(record, label, after_withdrawal) triples whose consecutive records
+    share session and attributes objects, hold equal copies or differ."""
+    out, session, attrs = [], None, None
+    for _ in range(draw(st.integers(1, 8))):
+        reuse = st.sampled_from(["same", "equal", "new"])
+        session_reuse = draw(reuse) if session else "new"
+        if session_reuse == "new":
+            peer_asn = draw(st.one_of(st.sampled_from([65001, 2**32 - 1]), _ASN))
+            session = SessionKey(draw(_TEXT), peer_asn, draw(_TEXT))
+        elif session_reuse == "equal":
+            session = session._replace()
+        kind = draw(st.sampled_from([ANNOUNCEMENT, ANNOUNCEMENT, WITHDRAWAL]))
+        attrs_reuse = draw(reuse) if attrs else "new"
+        if attrs_reuse == "new":
+            attrs = draw(_attributes())
+        elif attrs_reuse == "equal":  # a route-server repaired copy
+            attrs = attrs._replace()
+        rec = UpdateRecord(
+            draw(st.integers(0, 2**63)),
+            session,
+            draw(_TEXT),
+            kind,
+            attrs if kind == ANNOUNCEMENT else None,
+            draw(st.integers(0, 2**32)),
+            draw(_TEXT),
+            draw(st.booleans()),
+            tuple(draw(st.lists(st.sampled_from(_FLAGS), max_size=2, unique=True))),
+        )
+        out.append((rec, draw(st.sampled_from(list(AnnouncementType))), draw(st.booleans())))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_runs())
+def test_labeled_lines_match_json_dumps(labeled):
+    expected = [
+        json.dumps(
+            {**record_to_dict(rec), "label": label.value, "after_withdrawal": after},
+            separators=(",", ":"),
+        )
+        + "\n"
+        for rec, label, after in labeled
+    ]
+    assert list(labeled_lines(labeled)) == expected
 
 
 @pytest.mark.parametrize(

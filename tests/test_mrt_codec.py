@@ -34,7 +34,6 @@ from bgpchurn.mrt.bgp import (
     WireAttribute,
     address_str,
     attr_as_path,
-    attr_communities,
     community_str,
     community_value,
     decode_attribute_block,

@@ -116,11 +116,13 @@ def test_disambiguate_overflow_flagged():
     records = (make_withdrawal(base) for _ in range(n))
     out_flags = []
     last_us = None
-    for rec in map(Normalizer().disambiguate, records):
+    normalizer = Normalizer()
+    for rec in map(normalizer.disambiguate, records):
         out_flags.append(FLAG_OVERFLOW_SECOND in rec.flags)
         last_us = rec.arrival_us
     assert out_flags[:1_000_000] == [False] * 1_000_000
     assert out_flags[1_000_000:] == [True, True]
+    assert normalizer.flags[FLAG_OVERFLOW_SECOND] == 2
     assert last_us == base + n - 1  # spilled into the next second
 
 

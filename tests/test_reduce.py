@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from bgpchurn.classify import AnnouncementType, StreamClassifier
 from bgpchurn.cli import main as cli_main
 from bgpchurn.errors import LabelMismatch, TruncatedRecord
-from bgpchurn.mrt.build import build_keepalive_record, build_update_record
+from bgpchurn.mrt.build import build_keepalive_record
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 from bgpchurn.reduce import (
     CorpusSummary,
