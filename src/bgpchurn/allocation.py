@@ -160,6 +160,7 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
         with open(source, "r", encoding="utf-8") as f:
             return load_delegated(f)
     table = AllocationTable()
+    dates: dict[str, int] = {}  # rows share few dates: one int object each
     for line in source:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -170,7 +171,7 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
         _reg, _cc, rtype, start, value, date, status = parts[:7]
         if status not in ALLOCATED_STATUSES:
             continue
-        valid_from = _date_key(date)
+        valid_from = dates.setdefault(date, _date_key(date))
         try:
             if rtype == "asn":
                 table.add_asn_range(int(start), int(value), valid_from)
