@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import bisect
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
+from .errors import BgpChurnError
 from .model import UpdateRecord
 from .mrt.bgp import BgpAttributes, PathElement, address_str
 
@@ -61,43 +63,24 @@ def _v4_span(prefix: str) -> Optional[tuple[int, int]]:
     return first, first | host
 
 
-@dataclass
 class _IntervalSet:
     """Static interval stabbing: sorted starts + running max end.
 
-    Query: did any interval containing x become valid on or before the
-    query date?  Intervals may overlap across registries; the running
-    maximum of ends keeps lookups O(log n) without normalization.
+    Built once from (first, last, valid_from) rows.  Query: did any
+    interval containing x become valid on or before the query date?
+    Intervals may overlap across registries; the running maximum of ends
+    keeps lookups O(log n) without normalization.
     """
 
-    starts: list = field(default_factory=list)
-    ends: list = field(default_factory=list)
-    valid_from: list = field(default_factory=list)
-    _max_ends: list = field(default_factory=list)
-    _frozen: bool = False
-
-    def add(self, start: int, end: int, valid_from: int) -> None:
-        self.starts.append(start)
-        self.ends.append(end)
-        self.valid_from.append(valid_from)
-        self._frozen = False
-
-    def freeze(self) -> None:
-        order = sorted(range(len(self.starts)), key=lambda i: self.starts[i])
-        self.starts = [self.starts[i] for i in order]
-        self.ends = [self.ends[i] for i in order]
-        self.valid_from = [self.valid_from[i] for i in order]
-        self._max_ends = []
-        top = -1
-        for e in self.ends:
-            top = max(top, e)
-            self._max_ends.append(top)
-        self._frozen = True
+    def __init__(self, rows: Iterable[tuple[int, int, int]]):
+        rows = sorted(rows)
+        self.starts = [first for first, _, _ in rows]
+        self.ends = [last for _, last, _ in rows]
+        self.valid_from = [valid_from for _, _, valid_from in rows]
+        self._max_ends = list(accumulate(self.ends, max))
 
     def covers(self, first: int, last: int, date_key: int) -> bool:
         """True iff one interval valid by date_key contains [first, last]."""
-        if not self._frozen:
-            self.freeze()
         hi = bisect.bisect_right(self.starts, first)
         # walk left only while some interval to the left can still reach last
         for i in range(hi - 1, -1, -1):
@@ -112,35 +95,27 @@ class _IntervalSet:
 class AllocationTable:
     """ASN and prefix allocation intervals with valid-from dates."""
 
-    asn_intervals: _IntervalSet = field(default_factory=_IntervalSet)
-    v4_intervals: _IntervalSet = field(default_factory=_IntervalSet)
-    v6_intervals: _IntervalSet = field(default_factory=_IntervalSet)
-    earliest_date: int = 0
-
-    def add_asn_range(self, first: int, count: int, valid_from: int = 0) -> None:
-        self.asn_intervals.add(first, first + count - 1, valid_from)
-        self._note_date(valid_from)
-
-    def add_prefix(self, network, valid_from: int = 0) -> None:
-        net = ipaddress.ip_network(network)
-        first = int(net.network_address)
-        last = int(net.broadcast_address)
-        target = self.v4_intervals if net.version == 4 else self.v6_intervals
-        target.add(first, last, valid_from)
-        self._note_date(valid_from)
-
-    def _note_date(self, valid_from: int) -> None:
-        if valid_from and (not self.earliest_date or valid_from < self.earliest_date):
-            self.earliest_date = valid_from
+    asn_intervals: _IntervalSet
+    v4_intervals: _IntervalSet
+    v6_intervals: _IntervalSet
+    earliest_date: int  # the smallest nonzero valid-from, 0 when no row has one
 
     def asn_allocated(self, asn: int, date_key: int) -> bool:
         return self.asn_intervals.covers(asn, asn, date_key)
 
     def prefix_allocated(self, prefix: str, date_key: int) -> bool:
+        """Whether one block valid by date_key covers ``prefix``.
+
+        Text that is no network address, such as "10.0.0.1/24", raises
+        BgpChurnError.
+        """
         span = _v4_span(prefix)
         if span is not None:
             return self.v4_intervals.covers(span[0], span[1], date_key)
-        net = ipaddress.ip_network(prefix)
+        try:
+            net = ipaddress.ip_network(prefix)
+        except ValueError as exc:
+            raise BgpChurnError(f"bad prefix {prefix!r}: {exc}") from exc
         table = self.v4_intervals if net.version == 4 else self.v6_intervals
         return table.covers(
             int(net.network_address), int(net.broadcast_address), date_key
@@ -159,7 +134,8 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as f:
             return load_delegated(f)
-    table = AllocationTable()
+    # (first, last, valid_from) per family, in AllocationTable's field order
+    rows: dict[str, list[tuple[int, int, int]]] = {"asn": [], "ipv4": [], "ipv6": []}
     dates: dict[str, int] = {}  # rows share few dates: one int object each
     for line in source:
         line = line.strip()
@@ -169,21 +145,21 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
         if len(parts) < 7:
             continue  # version / summary rows
         _reg, _cc, rtype, start, value, date, status = parts[:7]
-        if status not in ALLOCATED_STATUSES:
+        if status not in ALLOCATED_STATUSES or rtype not in rows:
+            continue
+        try:
+            if rtype == "ipv6":
+                net = ipaddress.IPv6Network(f"{start}/{value}")
+                first, last = int(net.network_address), int(net.broadcast_address)
+            else:  # a first ASN or IPv4 address and a count
+                first = int(start if rtype == "asn" else ipaddress.IPv4Address(start))
+                last = first + int(value) - 1
+        except ValueError:
             continue
         valid_from = dates.setdefault(date, _date_key(date))
-        try:
-            if rtype == "asn":
-                table.add_asn_range(int(start), int(value), valid_from)
-            elif rtype == "ipv4":
-                first = int(ipaddress.IPv4Address(start))
-                table.v4_intervals.add(first, first + int(value) - 1, valid_from)
-                table._note_date(valid_from)
-            elif rtype == "ipv6":
-                table.add_prefix(f"{start}/{value}", valid_from)
-        except (ValueError, ipaddress.AddressValueError):
-            continue
-    return table
+        rows[rtype].append((first, last, valid_from))
+    earliest = min((v for group in rows.values() for *_, v in group if v), default=0)
+    return AllocationTable(*map(_IntervalSet, rows.values()), earliest)
 
 
 @dataclass

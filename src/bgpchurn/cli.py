@@ -35,11 +35,11 @@ from .classify import (
     write_tally_csv,
 )
 from .errors import BgpChurnError, NoBeaconRecords
-from .fetch import ArchiveTarget, RetryPolicy, collector_id, fetch_target
+from .fetch import ArchiveTarget, RetryPolicy, fetch_target
 from .model import UpdateRecord, labeled_lines
 from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output
-from .pipeline import Message, label_messages, read_messages
+from .pipeline import label_messages, read_messages
 from .reduce import corpus_reduction, write_reports_csv, write_summary_json
 from .sim.export import write_capture_mrt, write_log_jsonl
 from .sim.lab import EXPERIMENTS, PROFILES, run_experiment, run_experiment_matrix
@@ -59,16 +59,6 @@ def _utc(stamp: str) -> datetime:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
-
-
-def _input_messages(inputs: list[str], collector: Optional[str]) -> Iterator[Message]:
-    """MRT files and .jsonl record files both feed the pipeline.
-
-    Sessions take ``collector``, or else the collector of each file's path.
-    """
-    for name in inputs:
-        path = Path(name)
-        yield from read_messages(path, collector or collector_id(path))
 
 
 def _outdir(ns) -> Path:
@@ -128,7 +118,7 @@ def cmd_classify(ns) -> int:
     )
     normalizer, clf = Normalizer(allocated), StreamClassifier()
     labeled_messages = label_messages(
-        _input_messages(ns.inputs, ns.collector), normalizer, clf
+        read_messages(ns.inputs, ns.collector), normalizer, clf
     )
     with atomic_output(out / "labels.jsonl") as f:
         f.writelines(
@@ -193,7 +183,7 @@ def cmd_beacon(ns) -> int:
 
     def beacon_records() -> Iterator[UpdateRecord]:
         nonlocal matched
-        for _, expanded in _input_messages(ns.inputs, None):
+        for _, expanded in read_messages(ns.inputs):
             for r in expanded:
                 if r.prefix in beacons:
                     matched += 1

@@ -29,9 +29,6 @@ class SessionKey(NamedTuple):
     peer_asn: int
     peer_address: str
 
-    def __str__(self) -> str:
-        return f"{self.collector_id}/{self.peer_asn}@{self.peer_address}"
-
 
 # Decode and the JSONL reader both build sessions through one bounded
 # memo, so the records of one session share one key object.
@@ -122,7 +119,7 @@ def expand_message(
     Non-update entries and end-of-RIB markers produce an empty list.
     """
     msg = entry.message
-    if msg is None or msg.message_kind != "update":
+    if msg is None:
         return []
     session = _session_memo(collector_id, msg.peer_asn, msg.peer_address)
     arrival_us = entry.arrival_us

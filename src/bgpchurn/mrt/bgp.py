@@ -115,7 +115,7 @@ class BgpAttributes(NamedTuple):
 
 
 class RawBgpMessage(NamedTuple):
-    """A BGP message lifted out of one MRT record.
+    """A BGP UPDATE lifted out of one MRT record: its peer, prefixes, attributes.
 
     Addresses and prefixes are canonical strings, exactly what ``str()``
     gives for the ``ipaddress`` objects: "192.0.2.1", "10.0.0.0/24",
@@ -124,12 +124,9 @@ class RawBgpMessage(NamedTuple):
 
     peer_asn: int
     peer_address: str
-    local_asn: int
-    local_address: str
-    message_kind: str  # update | keepalive | open | notification | other
-    withdrawn_prefixes: tuple[str, ...] = ()
-    announced_prefixes: tuple[str, ...] = ()
-    attributes: Optional[BgpAttributes] = None
+    withdrawn_prefixes: tuple[str, ...]
+    announced_prefixes: tuple[str, ...]
+    attributes: BgpAttributes
 
 
 # ---------------------------------------------------------------------------

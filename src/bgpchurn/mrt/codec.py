@@ -11,7 +11,6 @@ from __future__ import annotations
 import bz2
 import gzip
 import io
-import os
 import struct
 import zlib
 from pathlib import Path
@@ -87,7 +86,8 @@ class MrtEntry(NamedTuple):
 
     ``body`` is everything after the 12-byte common header, including
     the microsecond field of extended-timestamp records, so that
-    ``header.encode() + body`` always reproduces the input.
+    ``header.encode() + body`` always reproduces the input.  ``message``
+    is the decoded UPDATE, and None for every other kind.
     """
 
     header: MrtRecordHeader
@@ -109,46 +109,33 @@ class MrtEntry(NamedTuple):
         return self.header.encode() + self.body
 
 
-def _decode_bgp4mp_message(body: bytes, subtype: int, offset: int) -> RawBgpMessage:
+def _decode_bgp4mp_message(
+    body: bytes, subtype: int, offset: int
+) -> tuple[str, Optional[RawBgpMessage]]:
     """Decode a BGP4MP (ET offset already applied) message body.
 
-    Layout: peer AS, local AS (2 or 4 bytes each), interface index,
-    address family, peer address, local address, raw BGP message.
+    Returns the BGP message kind, and the decoded message when it is an
+    UPDATE.  Layout: peer AS, local AS (2 or 4 bytes each), interface
+    index, address family, peer address, local address, raw BGP message.
+    The local AS and address are bounds-checked, not decoded.
     """
     as4 = _MESSAGE_SUBTYPES[subtype]
-    as_width = 4 if as4 else 2
-    as_code = "!II" if as4 else "!HH"
-    i = offset
-    if len(body) < i + 2 * as_width + 4:
+    i = offset + (8 if as4 else 4) + 4  # past the two ASes, interface index and AFI
+    if len(body) < i:
         raise BgpParseError("BGP4MP message header truncated")
-    peer_asn, local_asn = struct.unpack_from(as_code, body, i)
-    i += 2 * as_width
-    _ifindex, afi = struct.unpack_from("!HH", body, i)
-    i += 4
+    (peer_asn,) = struct.unpack_from("!I" if as4 else "!H", body, offset)
+    (afi,) = struct.unpack_from("!H", body, i - 2)
     addr_len = _ADDRESS_LENGTHS.get(afi)
     if addr_len is None:
         raise BgpParseError(f"BGP4MP unknown address family {afi}")
     if len(body) < i + 2 * addr_len:
         raise BgpParseError("BGP4MP addresses truncated")
+    kind, payload = split_bgp_message(body[i + 2 * addr_len :])
+    if kind != "update":
+        return kind, None
     peer_address = address_str(body[i : i + addr_len])
-    local_address = address_str(body[i + addr_len : i + 2 * addr_len])
-    i += 2 * addr_len
-    kind, payload = split_bgp_message(body[i:])
-    withdrawn: tuple = ()
-    announced: tuple = ()
-    attributes = None
-    if kind == "update":
-        withdrawn, announced, attributes = decode_update_body(payload, as4)
-    return RawBgpMessage(
-        peer_asn,
-        peer_address,
-        local_asn,
-        local_address,
-        kind,
-        withdrawn,
-        announced,
-        attributes,
-    )
+    withdrawn, announced, attributes = decode_update_body(payload, as4)
+    return kind, RawBgpMessage(peer_asn, peer_address, withdrawn, announced, attributes)
 
 
 def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
@@ -169,10 +156,10 @@ def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
     if header.subtype not in _MESSAGE_SUBTYPES:
         return MrtEntry(header, body, "other", None, microsecond)
     try:
-        message = _decode_bgp4mp_message(body, header.subtype, offset)
+        kind, message = _decode_bgp4mp_message(body, header.subtype, offset)
     except BgpParseError as exc:
         return MrtEntry(header, body, "other", None, microsecond, str(exc))
-    return MrtEntry(header, body, message.message_kind, message, microsecond)
+    return MrtEntry(header, body, kind, message, microsecond)
 
 
 def _container_of(head: bytes) -> str:
@@ -190,18 +177,17 @@ def detect_container(path: Union[str, Path]) -> str:
         return _container_of(f.read(3))
 
 
-def _wrap_container(source: Union[str, Path, BinaryIO], container: str) -> BinaryIO:
-    """A reader over a path, which it then owns, or over a binary stream."""
+def open_archive(
+    source: Union[str, Path, BinaryIO], container: str = "auto"
+) -> BinaryIO:
+    """A reader over a path, which it then owns, or over a binary stream.
+
+    With ``auto`` a path's container comes from its magic bytes; a
+    stream must name its container.  Closing the reader closes the file.
+    """
     is_path = isinstance(source, (str, Path))
-    if container == "auto":
-        if is_path:
-            container = detect_container(source)
-        elif not source.seekable():
-            raise ContainerCorrupt("container auto-detection needs a seekable stream")
-        else:
-            peek = source.read(3)
-            source.seek(-len(peek), os.SEEK_CUR)
-            container = _container_of(peek)
+    if container == "auto" and is_path:
+        container = detect_container(source)
     if container == "gzip":
         return gzip.open(source, "rb")  # type: ignore[return-value]
     if container == "bzip2":
@@ -211,26 +197,23 @@ def _wrap_container(source: Union[str, Path, BinaryIO], container: str) -> Binar
     raise ValueError(f"unknown container {container!r}")
 
 
-def open_archive(path: Union[str, Path], container: str = "auto") -> BinaryIO:
-    """Open a possibly gzip- or bzip2-compressed file by magic bytes.
-
-    Closing the returned object closes the file.
-    """
-    return _wrap_container(path, container)
-
-
 def read_mrt_stream(
     source: Union[str, Path, BinaryIO, bytes], container: str = "auto"
 ) -> Iterator[MrtEntry]:
-    """Yield MrtEntry objects from a path, binary stream or bytes."""
-    if isinstance(source, bytes):
-        yield from _read_stream(_wrap_container(io.BytesIO(source), container))
-        return
+    """Yield MrtEntry objects from a path, bytes or a binary stream.
+
+    With ``auto`` the container of a path or of the bytes comes from
+    its magic bytes; a stream must name its container.
+    """
     if isinstance(source, (str, Path)):
         with open_archive(source, container) as f:
             yield from _read_stream(f)
         return
-    yield from _read_stream(_wrap_container(source, container))
+    if isinstance(source, bytes):
+        if container == "auto":
+            container = _container_of(source)
+        source = io.BytesIO(source)
+    yield from _read_stream(open_archive(source, container))
 
 
 def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:

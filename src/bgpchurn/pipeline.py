@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .classify import LabeledRecord, StreamClassifier
+from .fetch import collector_id
 from .model import UpdateRecord, expand_message, read_records_jsonl
 from .mrt.codec import MrtEntry, read_mrt_stream
 from .normalize import Normalizer
@@ -20,18 +21,26 @@ from .normalize import Normalizer
 Message = tuple[Optional[MrtEntry], list[UpdateRecord]]
 
 
-def mrt_messages(path: Path, collector_id: str) -> Iterator[Message]:
+def mrt_messages(path: Path, collector: str) -> Iterator[Message]:
     """Decode an MRT file and expand every entry, updates or not."""
     source = str(path)
     for index, entry in enumerate(read_mrt_stream(path)):
-        yield entry, expand_message(entry, collector_id, source, index)
+        yield entry, expand_message(entry, collector, source, index)
 
 
-def read_messages(path: Path, collector_id: str) -> Iterator[Message]:
-    """mrt_messages, or (None, [record]) per line of a .jsonl record file."""
-    if path.suffix == ".jsonl":
-        return ((None, [rec]) for rec in read_records_jsonl(path))
-    return mrt_messages(path, collector_id)
+def read_messages(
+    paths: Iterable[str], collector: Optional[str] = None
+) -> Iterator[Message]:
+    """The messages of MRT files and .jsonl record files, in input order.
+
+    A .jsonl file gives (None, [record]) per line.  MRT sessions take
+    ``collector``, or else the collector of each file's path.
+    """
+    for path in map(Path, paths):
+        if path.suffix == ".jsonl":
+            yield from ((None, [rec]) for rec in read_records_jsonl(path))
+        else:
+            yield from mrt_messages(path, collector or collector_id(path))
 
 
 def label_messages(

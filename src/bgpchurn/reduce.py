@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -19,7 +20,7 @@ from .errors import DuplicateOutputName, LabelMismatch
 from .fetch import collector_id
 from .mrt.bgp import RawBgpMessage
 from .mrt.codec import MrtEntry, detect_container, write_mrt_stream
-from .normalize import Normalizer
+from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output
 from .pipeline import label_messages, mrt_messages
 
@@ -63,6 +64,7 @@ class ReductionReport:
     discarded_messages: int
     total_bytes_in: int
     total_bytes_out: int
+    flags: Counter = field(default_factory=Counter)  # the Normalizer's, per flag
 
     @property
     def reduction_ratio(self) -> float:
@@ -107,22 +109,23 @@ def reduce_file(
         for entry, labeled in labeled_messages:
             blob_len = len(entry.body) + 12
             bytes_in += blob_len
-            if entry.kind == "update":
+            if entry.message is not None:
                 total += 1
-                if entry.message is not None and message_is_unnecessary(
-                    entry.message, [lr.label for lr in labeled]
-                ):
+                if message_is_unnecessary(entry.message, [lr.label for lr in labeled]):
                     discarded += 1
                     continue
             bytes_out += blob_len
             yield entry
 
     # A fresh Normalizer per file: its same-second runs change no label.
+    normalizer = Normalizer()
     messages = mrt_messages(input_path, collector_id(input_path))
-    entries = kept(label_messages(messages, Normalizer(), clf))
+    entries = kept(label_messages(messages, normalizer, clf))
     with atomic_output(output_path, "wb") as tmp:
         write_mrt_stream(entries, tmp, detect_container(input_path))
-    return ReductionReport(str(input_path), total, discarded, bytes_in, bytes_out)
+    return ReductionReport(
+        str(input_path), total, discarded, bytes_in, bytes_out, normalizer.flags
+    )
 
 
 def infer_project(path: Union[str, Path]) -> str:
@@ -227,6 +230,10 @@ def write_summary_json(summary: CorpusSummary, path: Union[str, Path]) -> None:
                 "mean_bytes_ratio": summary.mean_bytes_ratio(),
                 "per_project_means": summary.per_project_means(),
                 "cdf": summary.cdf_points(),
+                "flags": {
+                    flag: sum(r.flags[flag] for r in summary.reports)
+                    for flag in NORMALIZER_FLAGS
+                },
                 "reports": [r.to_dict() for r in summary.reports],
             },
             f,

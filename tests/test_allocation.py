@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import ipaddress
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -19,6 +20,7 @@ from bgpchurn.allocation import (
     filter_allocated,
     load_delegated,
 )
+from bgpchurn.errors import BgpChurnError
 
 from bgpchurn.model import expand_message
 
@@ -43,6 +45,14 @@ def sample_table() -> AllocationTable:
     return load_delegated(io.StringIO(DELEGATED_SAMPLE))
 
 
+def delegated(rows) -> AllocationTable:
+    """The table of allocated (type, start, value, date) rows."""
+    return load_delegated(
+        f"ripencc|ZZ|{rtype}|{start}|{value}|{date}|allocated"
+        for rtype, start, value, date in rows
+    )
+
+
 def test_load_delegated_parses_rows():
     table = sample_table()
     day = 20150601
@@ -64,15 +74,26 @@ def test_valid_from_dates_respected():
     assert table.earliest_date == 20040101
 
 
+def test_earliest_date_skips_undated_and_dropped_rows():
+    table = delegated([
+        ("asn", 64496, 1, ""),  # no date: valid from the start, no coverage date
+        ("ipv4", "10.0.0.256", 256, 19990101),  # a bad row is dropped
+        ("ipv6", "2001:db8::1", 32, 19990101),  # host bits set: dropped too
+        ("ipv4", "10.0.0.0", 256, 20040101),
+    ])
+    assert table.earliest_date == 20040101
+    assert table.asn_allocated(64496, 19840101)
+    assert not table.prefix_allocated("2001:db8::/32", 20150601)
+
+
 def test_prefix_needs_single_covering_block():
-    table = AllocationTable()
-    table.add_prefix("10.0.0.0/25", 20000101)
-    table.add_prefix("10.0.0.128/25", 20000101)
+    halves = [("ipv4", "10.0.0.0", 128, 20000101), ("ipv4", "10.0.0.128", 128, 20000101)]
+    table = delegated(halves)
     day = 20150601
     # both halves allocated but no single block covers the /24
     assert not table.prefix_allocated("10.0.0.0/24", day)
     assert table.prefix_allocated("10.0.0.0/25", day)
-    table.add_prefix("10.0.0.0/24", 20000101)
+    table = delegated(halves + [("ipv4", "10.0.0.0", 256, 20000101)])
     assert table.prefix_allocated("10.0.0.0/24", day)
 
 
@@ -242,9 +263,7 @@ def test_known_composition_drop_rate():
     query=st.tuples(st.integers(0, 2**20 + 5000), st.integers(0, 64)),
 )
 def test_interval_cover_matches_linear_scan(blocks, query):
-    table = AllocationTable()
-    for start, count in blocks:
-        table.asn_intervals.add(start, start + count - 1, 20000101)
+    table = delegated(("asn", start, count, 20000101) for start, count in blocks)
     first, width = query
     last = first + width
     linear = any(s <= first and last <= s + c - 1 for s, c in blocks)
@@ -262,11 +281,12 @@ def reference_prefix_allocated(table, prefix, date_key):
     )
 
 
-def outcome(check, prefix, date_key):
+def outcome(check, prefix, date_key, rejection):
+    """The answer, or "rejected" when ``check`` raises ``rejection``."""
     try:
         return check(prefix, date_key)
-    except ValueError:
-        return ValueError
+    except rejection:
+        return "rejected"
 
 
 @settings(max_examples=300)
@@ -281,13 +301,13 @@ def outcome(check, prefix, date_key):
     data=st.data(),
 )
 def test_prefix_allocated_matches_ipaddress_at_block_edges(blocks, data):
-    table = AllocationTable()
-    edges, dates = [], []
+    rows, edges, dates = [], [], []
     for start, bits, year in blocks:
         net = ipaddress.ip_network((start, bits), strict=False)
-        table.add_prefix(net, year * 10000 + 101)
+        rows.append(("ipv4", net.network_address, net.num_addresses, year * 10000 + 101))
         edges += [int(net.network_address), int(net.broadcast_address)]
         dates += [year * 10000 + 101, (year - 1) * 10000 + 1231]
+    table = delegated(rows)
     address = (data.draw(st.sampled_from(edges)) + data.draw(st.integers(-1, 1))) % 2**32
     prefix = str(ipaddress.ip_network((address, data.draw(st.integers(0, 32))), strict=False))
     date_key = data.draw(st.sampled_from(dates))
@@ -307,15 +327,15 @@ def test_prefix_allocated_matches_ipaddress_at_block_edges(blocks, data):
 )
 def test_prefix_allocated_text_forms_match_ipaddress(prefix):
     table = sample_table()
-    assert outcome(table.prefix_allocated, prefix, 20150601) == outcome(
-        lambda p, d: reference_prefix_allocated(table, p, d), prefix, 20150601
+    assert outcome(table.prefix_allocated, prefix, 20150601, BgpChurnError) == outcome(
+        lambda p, d: reference_prefix_allocated(table, p, d), prefix, 20150601, ValueError
     )
 
 
 def test_prefix_allocated_rejects_malformed_text():
     table = sample_table()
-    for prefix in ("10.0.0.1/24", "10.0.0.0/33", "garbage"):
-        with pytest.raises(ValueError):
+    for prefix in ("10.0.0.1/24", "10.0.0.0/33", "garbage", "2001:db8::1/48"):
+        with pytest.raises(BgpChurnError, match=re.escape(repr(prefix))):
             table.prefix_allocated(prefix, 20150601)
 
 

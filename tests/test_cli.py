@@ -577,6 +577,21 @@ def test_classify_rejects_bad_jsonl_line(tmp_path, capsys, field, value):
     assert list(out.iterdir()) == []  # no labels.jsonl, report or temp file
 
 
+@pytest.mark.parametrize("prefix", ["10.0.0.1/24", "banana"])
+def test_classify_allocation_rejects_bad_jsonl_prefix(tmp_path, capsys, prefix):
+    rows = beacon_rows()
+    rows[3]["prefix"] = prefix
+    src = write_jsonl(tmp_path / "records.jsonl", rows)
+    delegated = tmp_path / "delegated.txt"
+    delegated.write_text("ripencc|ZZ|ipv4|10.0.0.0|16777216|20000101|allocated|y\n")
+    out = tmp_path / "out"
+    argv = ["classify", str(src), "-o", str(out), "--allocation", str(delegated)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(prefix) in err
+    assert list(out.iterdir()) == []
+
+
 def test_artifacts_get_umask_permissions(tmp_path):
     src = write_mrt(tmp_path / "updates.mrt", classify_fixture())
     old = os.umask(0o027)

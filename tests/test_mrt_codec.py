@@ -118,7 +118,6 @@ def test_parse_hand_built_update():
     msg = entry.message
     assert msg.peer_asn == 65001
     assert str(msg.peer_address) == "10.0.0.1"
-    assert msg.local_asn == 64512
     assert [str(p) for p in msg.announced_prefixes] == ["10.0.0.0/24"]
     assert msg.withdrawn_prefixes == ()
     assert msg.attributes.path == (65001, 65002)
@@ -179,6 +178,17 @@ def test_container_detection_by_magic(tmp_path, compress, suffix):
     assert b"".join(e.encode() for e in entries) == raw
 
 
+def test_bytes_carry_their_container_and_a_stream_names_its_own():
+    raw = REFERENCE_RECORD + REFERENCE_RECORD_ET
+    for compress, container in ((gzip.compress, "gzip"), (bz2.compress, "bzip2")):
+        blob = compress(raw)
+        from_bytes = b"".join(e.encode() for e in read_mrt_stream(blob))
+        from_stream = read_mrt_stream(io.BytesIO(blob), container)
+        assert from_bytes == b"".join(e.encode() for e in from_stream) == raw
+    with pytest.raises(ValueError, match="unknown container 'auto'"):
+        list(read_mrt_stream(io.BytesIO(raw)))
+
+
 def test_truncated_header_raises():
     with pytest.raises(TruncatedRecord):
         list(read_mrt_stream(REFERENCE_RECORD[:8]))
@@ -193,6 +203,7 @@ def test_keepalive_and_unknown_kinds():
     keep = build_keepalive_record(1, 65001, "10.0.0.1", 64512, "10.0.0.2")
     other = decode_entry(MrtRecordHeader(1, 42, 7, 3), b"\x00\x01\x02")
     assert keep.kind == "keepalive"
+    assert keep.message is None  # only an UPDATE is decoded
     assert other.kind == "other"
     blob = keep.encode() + other.encode()
     assert b"".join(e.encode() for e in read_mrt_stream(blob)) == blob
@@ -326,7 +337,7 @@ def test_prefix_strs_reject_bad_encodings(afi, blob, message):
             decode(blob, afi)
 
 
-_KEEPALIVE = b"\xff" * 16 + (19).to_bytes(2, "big") + b"\x04"
+_END_OF_RIB = b"\xff" * 16 + (23).to_bytes(2, "big") + b"\x02" + bytes(4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,12 +352,11 @@ _KEEPALIVE = b"\xff" * 16 + (19).to_bytes(2, "big") + b"\x04"
 )
 def test_bgp4mp_addresses_equal_ipaddress_text(fields):
     afi, peer, local = fields
-    body = struct.pack("!HHHH", 65001, 64512, 0, afi) + peer + local + _KEEPALIVE
+    body = struct.pack("!HHHH", 65001, 64512, 0, afi) + peer + local + _END_OF_RIB
     entry = decode_entry(MrtRecordHeader(0, 16, 1, len(body)), body)
-    assert entry.kind == "keepalive"
+    assert entry.kind == "update"
     assert entry.message.peer_address == str(ipaddress.ip_address(peer))
-    assert entry.message.local_address == str(ipaddress.ip_address(local))
-    assert address_str(peer) == str(ipaddress.ip_address(peer))
+    assert address_str(local) == str(ipaddress.ip_address(local))
 
 
 def test_as_path_codec_widths():

@@ -1,0 +1,84 @@
+"""The shared pipeline: each MRT entry with its labeled announcements."""
+
+from __future__ import annotations
+
+from bgpchurn.allocation import AllocationFilter, filter_allocated, load_delegated
+from bgpchurn.classify import StreamClassifier
+from bgpchurn.model import expand_stream
+from bgpchurn.mrt.build import build_keepalive_record
+from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
+from bgpchurn.normalize import FLAG_REPAIRED_PATH, Normalizer, normalize_stream
+from bgpchurn.pipeline import label_messages, mrt_messages
+
+from helpers import update_entry
+
+C1 = (65001 << 16) | 100
+T = 1_600_000_000
+
+# 10.0.0.0/8 and AS65001-65010 are allocated; 11.0.0.0/24 and AS64999 are not
+DELEGATED = [
+    "ripencc|ZZ|asn|65001|10|20000101|allocated",
+    "ripencc|ZZ|ipv4|10.0.0.0|16777216|20000101|allocated",
+]
+
+
+def fixture_entries():
+    return [
+        build_keepalive_record(T, 65001, "10.0.0.1", 64512, "10.0.0.2"),
+        update_entry(T + 1, announced=("10.2.0.0/24", "10.1.0.0/24")),
+        update_entry(T + 2, announced=("10.1.0.0/24",), withdrawn=("10.2.0.0/24",)),
+        update_entry(T + 3, announced=("11.0.0.0/24", "10.1.0.0/24"), communities=(C1,)),
+        # peer 65001 as a route server: the path gets its ASN prepended
+        update_entry(T + 4, announced=("10.2.0.0/24",), path=(65002, 65010)),
+        update_entry(T + 5, announced=()),  # end-of-RIB marker
+        update_entry(T + 6, announced=("10.3.0.0/24",), path=(65001, 64999)),
+    ]
+
+
+def write_fixture(tmp_path):
+    path = tmp_path / "updates.mrt"
+    with open(path, "wb") as f:
+        write_mrt_stream(fixture_entries(), f)
+    return path
+
+
+def label_file(path, allocated=None):
+    messages = mrt_messages(path, "rrc00")
+    return list(label_messages(messages, Normalizer(allocated), StreamClassifier()))
+
+
+def test_labels_come_per_entry_in_wire_order(tmp_path):
+    path = write_fixture(tmp_path)
+    labeled = label_file(path, AllocationFilter(load_delegated(DELEGATED)))
+    assert [entry.encode() for entry, _ in labeled] == [
+        entry.encode() for entry in fixture_entries()
+    ]
+    by_entry = [
+        [(r.record.prefix, r.label.value, r.after_withdrawal) for r in labels]
+        for _, labels in labeled
+    ]
+    assert by_entry == [
+        [],  # a keepalive
+        [("10.2.0.0/24", "initial", False), ("10.1.0.0/24", "initial", False)],
+        [("10.1.0.0/24", "nn", False)],  # the withdrawal leaves no label
+        [("10.1.0.0/24", "nc", False)],  # the filter drops 11.0.0.0/24
+        [("10.2.0.0/24", "pn", True)],
+        [],  # end-of-RIB
+        [],  # the filter drops the path through AS64999
+    ]
+    (repaired,) = labeled[4][1]
+    assert FLAG_REPAIRED_PATH in repaired.record.flags
+    assert repaired.record.attrs.path == (65001, 65002, 65010)
+
+
+def test_labels_equal_the_record_stream_wrappers(tmp_path):
+    path = write_fixture(tmp_path)
+    table = load_delegated(DELEGATED)
+    for allocated, clean in (
+        (None, normalize_stream),
+        (AllocationFilter(table), lambda recs: normalize_stream(filter_allocated(recs, table))),
+    ):
+        per_entry = label_file(path, allocated)
+        records = expand_stream(read_mrt_stream(path), "rrc00", str(path))
+        expected = list(StreamClassifier().process(clean(records)))
+        assert [r for _, labels in per_entry for r in labels] == expected

@@ -20,6 +20,7 @@ from bgpchurn.errors import LabelMismatch, TruncatedRecord
 from bgpchurn.mrt.build import build_keepalive_record
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 from bgpchurn.reduce import (
+    REPORT_HEADER,
     CorpusSummary,
     ReductionReport,
     corpus_reduction,
@@ -227,6 +228,31 @@ def test_reduce_repairs_route_server_paths(tmp_path):
                      path=(65001, 65002, 65010)),
     ])
     assert reduce_file(src, tmp_path / "out.mrt").discarded_messages == 1
+
+
+def test_reduce_summary_counts_normalizer_flags(tmp_path):
+    # route server 65001 leaves itself off two paths, one of them empty
+    t = 1_600_000_000
+    first, second = tmp_path / "updates.0000.mrt", tmp_path / "updates.0005.mrt"
+    write_fixture(first, [
+        update_entry(t, announced=("10.1.0.0/24",), path=(65002, 65010)),
+        update_entry(t + 1, announced=("10.1.0.0/24",), path=(65001, 65002, 65010)),
+    ])
+    write_fixture(second, [
+        update_entry(t + 2, announced=("10.2.0.0/24", "10.3.0.0/24"), path=()),
+    ])
+    out = tmp_path / "out"
+    assert cli_main(["reduce", str(first), str(second), "-o", str(out)]) == 0
+    summary = json.loads((out / "reduction_summary.json").read_text())
+    assert list(summary["flags"].items()) == [
+        ("repaired_path", 3), ("anomalous_empty_path", 2), ("overflow_second", 0),
+    ]
+    assert all("flags" not in report for report in summary["reports"])
+    header = (out / "reduction.csv").read_text().splitlines()[0]
+    assert header == ",".join(REPORT_HEADER)
+
+    report = reduce_file(second, tmp_path / "second.mrt")
+    assert report.flags == {"repaired_path": 2, "anomalous_empty_path": 2}
 
 
 ROUTE_SERVER = 65100
