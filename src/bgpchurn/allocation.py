@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import BgpChurnError
-from .model import UpdateRecord
+from .model import US_PER_DAY, UpdateRecord
 from .mrt.bgp import BgpAttributes, PathElement, address_str
 
 # delegated-extended status values that mean "usable on the internet"
@@ -34,8 +34,6 @@ def _record_date_key(arrival_us: int) -> int:
     dt = datetime.fromtimestamp(arrival_us // 1_000_000, tz=timezone.utc)
     return dt.year * 10000 + dt.month * 100 + dt.day
 
-
-_US_PER_DAY = 86_400_000_000
 
 _V4_HOST_MASKS = {str(n): (1 << (32 - n)) - 1 for n in range(33)}
 
@@ -199,7 +197,7 @@ class AllocationFilter:
 
     def __call__(self, rec: UpdateRecord) -> Optional[UpdateRecord]:
         table, stats = self.table, self.stats
-        rec_day = rec.arrival_us // _US_PER_DAY
+        rec_day = rec.arrival_us // US_PER_DAY
         if rec_day != self._day:
             self._day = rec_day
             self._date_key = _record_date_key(rec.arrival_us)
@@ -214,7 +212,7 @@ class AllocationFilter:
         if not table.prefix_allocated(rec.prefix, date_key):
             stats.dropped_prefix += 1
             return None
-        if rec.is_announcement:
+        if rec.attrs is not None:
             if rec.attrs is not self._judged_attrs:
                 self._judged_attrs = rec.attrs
                 self._path_allocated = self._path_ok(rec.attrs.path)

@@ -15,14 +15,12 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .mrt.bgp import community_str
-from .model import UpdateRecord
+from .model import US_PER_DAY, UpdateRecord
 from .output import atomic_output
 
 PHASE_ANNOUNCE = "announce_phase"
 PHASE_WITHDRAW = "withdraw_phase"
 PHASE_OUTSIDE = "outside"
-
-US_PER_DAY = 86_400 * 1_000_000
 
 # RIPE RIS IPv4 beacon convention: 84.205.(64+N).0/24 per collector
 DEFAULT_BEACONS = tuple(f"84.205.{64 + n}.0/24" for n in range(16))
@@ -107,7 +105,7 @@ def partition_communities(
     value_phases: dict[int, set] = {}
     multiset_phases: dict[tuple, set] = {}
     for rec in records:
-        if not rec.is_announcement:
+        if rec.attrs is None:
             continue
         phase = schedule.phase_of(rec.arrival_us)
         communities = rec.attrs.communities

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .mrt.bgp import PathElement
-from .model import WITHDRAWAL, SessionKey, UpdateRecord
+from .model import SessionKey, UpdateRecord
 from .output import atomic_output
 
 FLAG_OUT_OF_ORDER = "out_of_order"
@@ -155,13 +155,13 @@ class StreamClassifier:
         """Label one record; withdrawals return None and update state."""
         key = (record.session, record.prefix)
         state = self.state.get(key)
-        if record.kind == WITHDRAWAL:
+        attrs = record.attrs
+        if attrs is None:
             self.tally.withdrawals += 1
             if state is not None:
                 state.withdrawn = True
                 state.last_arrival_us = record.arrival_us
             return None
-        attrs = record.attrs
         path, communities, med = attrs.path, attrs.communities, attrs.med
         if state is None:
             self.state[key] = StreamState(

@@ -36,69 +36,28 @@ _MEMO_SIZE = 4096
 _session_memo = lru_cache(maxsize=_MEMO_SIZE)(SessionKey)
 
 
-class _UpdateFields(NamedTuple):
+# arrival_us // US_PER_DAY is a record's UTC day
+US_PER_DAY = 86_400 * 1_000_000
+
+
+class UpdateRecord(NamedTuple):
+    """One announcement or withdrawal for one prefix.
+
+    ``arrival_us`` is epoch microseconds.  ``attrs`` is None exactly
+    for withdrawals, which carry no path or communities.  ``flags``
+    accumulates normalization annotations (table_gap, overflow_second,
+    out_of_order, repaired_path, anomalous_empty_path ...).  Records are
+    immutable; ``_replace`` is the copy-with-change.
+    """
+
     arrival_us: int
     session: SessionKey
     prefix: str
-    kind: str  # ANNOUNCEMENT or WITHDRAWAL
-    attrs: Optional[BgpAttributes] = None
+    attrs: Optional[BgpAttributes]
     source_message_index: int = 0
     source_file: str = ""
     native_usec: bool = False
     flags: tuple[str, ...] = ()
-
-
-class UpdateRecord(_UpdateFields):
-    """One announcement or withdrawal for one prefix.
-
-    ``arrival_us`` is epoch microseconds.  ``attrs`` is None exactly
-    for withdrawals: every way of building a record (the constructor,
-    ``_make`` and ``_replace``) refuses a withdrawal with attributes.
-    ``flags`` accumulates normalization annotations (table_gap,
-    overflow_second, out_of_order, repaired_path, anomalous_empty_path,
-    end_of_rib ...).  Records are immutable; ``_replace`` is the
-    copy-with-change.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        arrival_us: int,
-        session: SessionKey,
-        prefix: str,
-        kind: str,
-        attrs: Optional[BgpAttributes] = None,
-        source_message_index: int = 0,
-        source_file: str = "",
-        native_usec: bool = False,
-        flags: tuple[str, ...] = (),
-    ) -> "UpdateRecord":
-        if attrs is not None and kind == WITHDRAWAL:
-            raise ValueError("withdrawal records carry no attributes")
-        return tuple.__new__(
-            cls,
-            (
-                arrival_us,
-                session,
-                prefix,
-                kind,
-                attrs,
-                source_message_index,
-                source_file,
-                native_usec,
-                flags,
-            ),
-        )
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "UpdateRecord":
-        # the inherited _make builds the tuple directly, past __new__
-        return cls(*iterable)
-
-    @property
-    def is_announcement(self) -> bool:
-        return self.kind == ANNOUNCEMENT
 
     def with_flag(self, flag: str) -> "UpdateRecord":
         if flag in self.flags:
@@ -126,14 +85,10 @@ def expand_message(
     native_usec = entry.has_native_usec
     attrs = msg.attributes
     return [
-        UpdateRecord(
-            arrival_us, session, p, WITHDRAWAL, None, index, source_file, native_usec
-        )
+        UpdateRecord(arrival_us, session, p, None, index, source_file, native_usec)
         for p in msg.withdrawn_prefixes
     ] + [
-        UpdateRecord(
-            arrival_us, session, p, ANNOUNCEMENT, attrs, index, source_file, native_usec
-        )
+        UpdateRecord(arrival_us, session, p, attrs, index, source_file, native_usec)
         for p in msg.announced_prefixes
     ]
 
@@ -152,7 +107,8 @@ def expand_stream(
 #   arrival_us: int epoch microseconds
 #   collector, peer_asn, peer_address: session key
 #   prefix: CIDR string
-#   kind: "announcement" | "withdrawal"
+#   kind: "announcement" | "withdrawal", written from attrs (None for
+#     a withdrawal)
 #   as_path: list of ints / sorted-int lists (AS_SET), announcements only
 #   communities: list of "high:low" strings
 #   next_hop: canonical address text ("192.0.2.1", "2001:db8::1", the
@@ -194,7 +150,7 @@ def record_to_dict(rec: UpdateRecord) -> dict:
         "peer_asn": rec.session.peer_asn,
         "peer_address": rec.session.peer_address,
         "prefix": rec.prefix,
-        "kind": rec.kind,
+        "kind": WITHDRAWAL if rec.attrs is None else ANNOUNCEMENT,
         "source_message_index": rec.source_message_index,
         "source_file": rec.source_file,
         "native_usec": rec.native_usec,
@@ -211,6 +167,10 @@ def record_to_dict(rec: UpdateRecord) -> dict:
 # labeled_lines writes JSON text directly: ints and bools as json.dumps
 # formats them, strings through the escaper json.dumps uses by default
 # (ensure_ascii), so each line has the bytes json.dumps gives it.
+
+
+# the "kind" value, by whether attrs is None
+_KIND_JSON = {False: _json_str(ANNOUNCEMENT), True: _json_str(WITHDRAWAL)}
 
 
 def _session_json(session: SessionKey) -> str:
@@ -251,8 +211,7 @@ def labeled_lines(labeled: Iterable[tuple[UpdateRecord, str, bool]]) -> Iterator
     sessions: dict[SessionKey, str] = {}
     last_attrs, attrs_json = None, ""
     for rec, label, after_withdrawal in labeled:
-        (arrival_us, session, prefix, kind, attrs, index, source_file, native_usec,
-         flags) = rec
+        arrival_us, session, prefix, attrs, index, source_file, native_usec, flags = rec
         session_json = sessions.get(session)
         if session_json is None:
             session_json = sessions[session] = _session_json(session)
@@ -260,7 +219,7 @@ def labeled_lines(labeled: Iterable[tuple[UpdateRecord, str, bool]]) -> Iterator
             last_attrs, attrs_json = attrs, _attrs_json(attrs)
         yield (
             f'{{"arrival_us":{arrival_us},{session_json},"prefix":{_json_str(prefix)},'
-            f'"kind":{_json_str(kind)},"source_message_index":{index},'
+            f'"kind":{_KIND_JSON[attrs is None]},"source_message_index":{index},'
             f'"source_file":{_json_str(source_file)},'
             f'"native_usec":{"true" if native_usec else "false"},'
             f'"flags":[{",".join(map(_json_str, flags))}]{attrs_json},'
@@ -325,7 +284,6 @@ def record_from_dict(obj: dict) -> UpdateRecord:
         _require(obj["arrival_us"], int, "arrival_us"),
         _session_from_json(obj),
         _require(obj["prefix"], str, "prefix"),
-        kind,
         attrs,
         _require(obj.get("source_message_index", 0), int, "source_message_index"),
         _require(obj.get("source_file", ""), str, "source_file"),

@@ -21,10 +21,10 @@ from .normalize import Normalizer
 Message = tuple[Optional[MrtEntry], list[UpdateRecord]]
 
 
-def mrt_messages(path: Path, collector: str) -> Iterator[Message]:
+def mrt_messages(path: Path, collector: str, container: str) -> Iterator[Message]:
     """Decode an MRT file and expand every entry, updates or not."""
     source = str(path)
-    for index, entry in enumerate(read_mrt_stream(path)):
+    for index, entry in enumerate(read_mrt_stream(path, container)):
         yield entry, expand_message(entry, collector, source, index)
 
 
@@ -40,7 +40,7 @@ def read_messages(
         if path.suffix == ".jsonl":
             yield from ((None, [rec]) for rec in read_records_jsonl(path))
         else:
-            yield from mrt_messages(path, collector or collector_id(path))
+            yield from mrt_messages(path, collector or collector_id(path), "auto")
 
 
 def label_messages(

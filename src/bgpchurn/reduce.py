@@ -119,10 +119,11 @@ def reduce_file(
 
     # A fresh Normalizer per file: its same-second runs change no label.
     normalizer = Normalizer()
-    messages = mrt_messages(input_path, collector_id(input_path))
+    container = detect_container(input_path)
+    messages = mrt_messages(input_path, collector_id(input_path), container)
     entries = kept(label_messages(messages, normalizer, clf))
     with atomic_output(output_path, "wb") as tmp:
-        write_mrt_stream(entries, tmp, detect_container(input_path))
+        write_mrt_stream(entries, tmp, container)
     return ReductionReport(
         str(input_path), total, discarded, bytes_in, bytes_out, normalizer.flags
     )

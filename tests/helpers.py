@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from bgpchurn.classify import AnnouncementType, collapse_path
-from bgpchurn.model import ANNOUNCEMENT, WITHDRAWAL, SessionKey, UpdateRecord
+from bgpchurn.model import SessionKey, UpdateRecord
 from bgpchurn.mrt.bgp import (
     BgpAttributes,
     WireAttribute,
@@ -46,7 +46,6 @@ def make_announcement(
         arrival_us=arrival_us,
         session=session or make_session(),
         prefix=prefix,
-        kind=ANNOUNCEMENT,
         attrs=BgpAttributes(
             path=tuple(el if isinstance(el, int) else tuple(sorted(el)) for el in path),
             communities=tuple(communities),
@@ -65,7 +64,7 @@ def make_withdrawal(
         arrival_us=arrival_us,
         session=session or make_session(),
         prefix=prefix,
-        kind=WITHDRAWAL,
+        attrs=None,
     )
 
 
@@ -79,11 +78,11 @@ def oracle_labels(records: Iterable[UpdateRecord]) -> list[AnnouncementType]:
     labels = []
     for rec in records:
         key = (rec.session, rec.prefix)
-        if rec.kind == WITHDRAWAL:
+        if rec.attrs is None:
             history.setdefault(key, []).append(rec)
             continue
         previous = [
-            r for r in history.get(key, []) if r.kind == ANNOUNCEMENT
+            r for r in history.get(key, []) if r.attrs is not None
         ]
         history.setdefault(key, []).append(rec)
         if not previous:

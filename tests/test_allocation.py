@@ -160,7 +160,7 @@ def reference_filter(records, table):
             kept.append(rec.with_flag(FLAG_TABLE_GAP))
         elif not table.prefix_allocated(rec.prefix, day):
             stats.dropped_prefix += 1
-        elif rec.is_announcement and not all(
+        elif rec.attrs is not None and not all(
             table.asn_allocated(asn, day)
             for el in rec.attrs.path
             for asn in (el if isinstance(el, tuple) else (el,))

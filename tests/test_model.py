@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgpchurn.model import (
-    ANNOUNCEMENT,
-    WITHDRAWAL,
     SessionKey,
     UpdateRecord,
     expand_message,
@@ -47,7 +45,7 @@ def test_expand_multi_prefix_announcement():
     entry = update_entry(announced=("10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24"))
     records = expand_message(entry, "rrc00", "f", 7)
     assert len(records) == 3
-    assert all(r.kind == ANNOUNCEMENT for r in records)
+    assert all(r.attrs is not None for r in records)
     assert [r.prefix for r in records] == ["10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24"]
     assert len({r.attrs for r in records}) == 1  # shared attribute set
     assert {r.source_message_index for r in records} == {7}
@@ -57,14 +55,13 @@ def test_expand_multi_prefix_announcement():
 def test_expand_withdrawals_without_attrs():
     entry = update_entry(announced=(), withdrawn=("10.0.0.0/24", "10.1.0.0/16"))
     records = expand_message(entry, "rrc00")
-    assert [r.kind for r in records] == [WITHDRAWAL, WITHDRAWAL]
-    assert all(r.attrs is None for r in records)
+    assert [r.attrs for r in records] == [None, None]
 
 
 def test_expand_order_withdrawals_then_announcements():
     entry = update_entry(announced=("10.2.0.0/24",), withdrawn=("10.1.0.0/24",))
-    kinds = [r.kind for r in expand_message(entry, "c")]
-    assert kinds == [WITHDRAWAL, ANNOUNCEMENT]
+    withdrawn = [r.attrs is None for r in expand_message(entry, "c")]
+    assert withdrawn == [True, False]
 
 
 def test_expand_end_of_rib_empty():
@@ -88,23 +85,7 @@ def test_fanout_conservation():
     assert len(list(expand_stream(entries, "c"))) == expected
 
 
-def test_withdrawal_with_attrs_rejected():
-    with pytest.raises(ValueError):
-        UpdateRecord(
-            arrival_us=1,
-            session=SessionKey("c", 65001, "10.0.0.1"),
-            prefix="10.0.0.0/24",
-            kind=WITHDRAWAL,
-            attrs=make_announcement(1).attrs,
-        )
-
-
-def test_copies_of_a_record_keep_the_withdrawal_check():
-    announcement = make_announcement(1)
-    with pytest.raises(ValueError):
-        announcement._replace(kind=WITHDRAWAL)
-    with pytest.raises(ValueError):  # a withdrawal with the announcement's attrs
-        UpdateRecord._make([*announcement[:3], WITHDRAWAL, *announcement[4:]])
+def test_copies_of_a_record_are_records():
     withdrawal = make_withdrawal(1)
     assert UpdateRecord._make(withdrawal) == withdrawal
     assert type(withdrawal._replace(arrival_us=2)) is UpdateRecord
@@ -132,7 +113,7 @@ def test_jsonl_round_trip(tmp_path):
         assert rt.arrival_us == orig.arrival_us
         assert rt.session == orig.session
         assert rt.prefix == orig.prefix
-        assert rt.kind == orig.kind
+        assert (rt.attrs is None) == (orig.attrs is None)
         assert rt.flags == orig.flags
         assert rt.attrs == orig.attrs
 
@@ -140,7 +121,7 @@ def test_jsonl_round_trip(tmp_path):
 def test_jsonl_files(tmp_path):
     records = [make_announcement(10), make_withdrawal(20)]
     back = list(read_records_jsonl(write_jsonl(tmp_path / "r.jsonl", records)))
-    assert [r.kind for r in back] == [ANNOUNCEMENT, WITHDRAWAL]
+    assert [r.attrs is None for r in back] == [False, True]
 
 
 def test_jsonl_as_set_reads_back_sorted(tmp_path):
@@ -158,6 +139,37 @@ def test_jsonl_as_set_reads_back_sorted(tmp_path):
     assert as_path == [65001, [65010, 65020, 65030], 65040]
 
 
+_KEY = {"arrival_us": 1, "collector": "c", "peer_asn": 65001,
+        "peer_address": "10.0.0.1", "prefix": "10.0.0.0/24"}
+_DEFAULTS = {"source_message_index": 0, "source_file": "", "native_usec": False, "flags": []}
+
+
+@pytest.mark.parametrize(
+    "fields,attrs,written",
+    [
+        (
+            {"kind": "announcement"},
+            BgpAttributes(),
+            {"kind": "announcement", "as_path": [], "communities": [],
+             "next_hop": None, "med": None},
+        ),
+        (  # a withdrawal's attribute keys are not read
+            {"kind": "withdrawal", "as_path": [65001], "communities": ["65001:100"]},
+            None,
+            {"kind": "withdrawal"},
+        ),
+    ],
+    ids=["announcement-without-attributes", "withdrawal-with-attributes"],
+)
+def test_jsonl_kind_survives_the_round_trip(fields, attrs, written):
+    rec = record_from_dict(json.loads(json.dumps({**_KEY, **fields})))
+    assert rec.attrs == attrs
+    row = {**_KEY, **_DEFAULTS, **written}
+    assert record_to_dict(rec) == row
+    (line,) = labeled_lines([(rec, "initial", False)])
+    assert json.loads(line) == {**row, "label": "initial", "after_withdrawal": False}
+
+
 @settings(max_examples=100)
 @given(
     arrival=st.integers(0, 2**60),
@@ -170,7 +182,6 @@ def test_record_dict_round_trip_property(arrival, peer, med, flags):
         arrival_us=arrival,
         session=SessionKey("c", peer, "10.0.0.9"),
         prefix="192.0.2.0/24",
-        kind=ANNOUNCEMENT,
         attrs=make_announcement(1, med=med).attrs,
         flags=tuple(flags),
     )
@@ -250,9 +261,9 @@ def expanded_updates(draw):
 @given(expanded_updates())
 def test_jsonl_round_trip_is_identity(case):
     records, next_hop = case
-    assert any(rec.is_announcement for rec in records)
+    assert any(rec.attrs is not None for rec in records)
     for rec in records:
-        if rec.is_announcement:
+        if rec.attrs is not None:
             assert rec.attrs.next_hop == next_hop
         assert record_from_dict(json.loads(json.dumps(record_to_dict(rec)))) == rec
 
@@ -291,7 +302,7 @@ def labeled_runs(draw):
             session = SessionKey(draw(_TEXT), peer_asn, draw(_TEXT))
         elif session_reuse == "equal":
             session = session._replace()
-        kind = draw(st.sampled_from([ANNOUNCEMENT, ANNOUNCEMENT, WITHDRAWAL]))
+        withdrawal = draw(st.sampled_from([False, False, True]))
         attrs_reuse = draw(reuse) if attrs else "new"
         if attrs_reuse == "new":
             attrs = draw(_attributes())
@@ -301,8 +312,7 @@ def labeled_runs(draw):
             draw(st.integers(0, 2**63)),
             session,
             draw(_TEXT),
-            kind,
-            attrs if kind == ANNOUNCEMENT else None,
+            None if withdrawal else attrs,
             draw(st.integers(0, 2**32)),
             draw(_TEXT),
             draw(st.booleans()),

@@ -43,7 +43,7 @@ def write_fixture(tmp_path):
 
 
 def label_file(path, allocated=None):
-    messages = mrt_messages(path, "rrc00")
+    messages = mrt_messages(path, "rrc00", "auto")
     return list(label_messages(messages, Normalizer(allocated), StreamClassifier()))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import bz2
 import gzip
 import io
@@ -216,6 +217,25 @@ def test_reduce_gzip_header_is_deterministic(tmp_path):
     header = dst.read_bytes()[:10]
     assert header[3] == 0  # no FNAME or other optional fields
     assert header[4:8] == b"\x00\x00\x00\x00"  # mtime 0
+
+
+# bzip2 is left out: bz2 binds open at import, past builtins.open
+@pytest.mark.parametrize("pack", [gzip.compress, bytes], ids=["gzip", "plain"])
+def test_reduce_opens_its_input_twice(tmp_path, monkeypatch, pack):
+    """Once for the magic bytes, once to read the records."""
+    src = tmp_path / "in.mrt"
+    blob = io.BytesIO()
+    write_mrt_stream(fixture_entries(), blob)
+    src.write_bytes(pack(blob.getvalue()))
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    reduce_file(src, tmp_path / "out.mrt")
+    assert opened.count(str(src)) == 2
 
 
 def test_reduce_repairs_route_server_paths(tmp_path):
