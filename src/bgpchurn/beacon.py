@@ -9,14 +9,13 @@ in which they were ever revealed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
 from .mrt.bgp import community_str
 from .model import US_PER_DAY, UpdateRecord
-from .output import atomic_output
+from .output import write_csv
 
 PHASE_ANNOUNCE = "announce_phase"
 PHASE_WITHDRAW = "withdraw_phase"
@@ -123,9 +122,6 @@ def partition_communities(
 # ---------------------------------------------------------------------------
 # CSV output
 
-PARTITION_VALUE_HEADER = ["community_value", "category"]
-PARTITION_SUMMARY_HEADER = ["category", "count", "share"]
-
 
 def write_partition_csv(
     part: RevealPartition, path: Union[str, Path], granularity: str = "value"
@@ -137,18 +133,15 @@ def write_partition_csv(
             return " ".join(community_str(v) for v in item)
         return community_str(item)
 
-    with atomic_output(path) as f:
-        w = csv.writer(f)
-        w.writerow(PARTITION_VALUE_HEADER)
-        for category in part.sizes():
-            for item in sorted(getattr(part, category)):
-                w.writerow([render(item), category])
+    rows = (
+        (render(item), category)
+        for category in part.sizes()
+        for item in sorted(getattr(part, category))
+    )
+    write_csv(path, ["community_value", "category"], rows)
 
 
 def write_partition_summary_csv(part: RevealPartition, path: Union[str, Path]) -> None:
-    with atomic_output(path) as f:
-        w = csv.writer(f)
-        w.writerow(PARTITION_SUMMARY_HEADER)
-        shares = part.shares()
-        for category, count in part.sizes().items():
-            w.writerow([category, count, f"{shares[category]:.6f}"])
+    shares = part.shares()
+    rows = ((category, n, shares[category]) for category, n in part.sizes().items())
+    write_csv(path, ["category", "count", "share"], rows)

@@ -9,7 +9,6 @@ announcement of a stream has no predecessor and is labeled initial.
 
 from __future__ import annotations
 
-import csv
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .mrt.bgp import PathElement
 from .model import SessionKey, UpdateRecord
-from .output import atomic_output
+from .output import write_csv
 
 FLAG_OUT_OF_ORDER = "out_of_order"
 FLAG_MED_CHANGED = "med_changed"
@@ -204,26 +203,15 @@ class StreamClassifier:
 # ---------------------------------------------------------------------------
 # report output
 
-TALLY_HEADER = ["type", "count", "share"]
-PEER_HEADER = ["peer_asn", "nc_count", "nn_count"]
-
 
 def write_tally_csv(t: TypeTally, path: Union[str, Path]) -> None:
-    with atomic_output(path) as f:
-        w = csv.writer(f)
-        w.writerow(TALLY_HEADER)
-        shares = t.shares()
-        for kind in LABELED_TYPES:
-            w.writerow([kind.value, t.counts[kind], f"{shares[kind]:.6f}"])
-        w.writerow(
-            [AnnouncementType.INITIAL.value, t.counts[AnnouncementType.INITIAL], ""]
-        )
+    shares = t.shares()
+    rows = [(kind.value, t.counts[kind], shares[kind]) for kind in LABELED_TYPES]
+    initial = AnnouncementType.INITIAL
+    rows.append((initial.value, t.counts[initial], ""))
+    write_csv(path, ["type", "count", "share"], rows)
 
 
 def write_peer_csv(t: TypeTally, path: Union[str, Path]) -> None:
-    with atomic_output(path) as f:
-        w = csv.writer(f)
-        w.writerow(PEER_HEADER)
-        for peer in sorted(t.per_peer):
-            nc, nn = t.per_peer[peer]
-            w.writerow([peer, nc, nn])
+    rows = ((peer, *t.per_peer[peer]) for peer in sorted(t.per_peer))
+    write_csv(path, ["peer_asn", "nc_count", "nn_count"], rows)

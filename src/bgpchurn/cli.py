@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import ipaddress
-import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -38,7 +38,7 @@ from .errors import BgpChurnError, NoBeaconRecords
 from .fetch import ArchiveTarget, RetryPolicy, fetch_target
 from .model import UpdateRecord, labeled_lines
 from .normalize import NORMALIZER_FLAGS, Normalizer
-from .output import atomic_output
+from .output import atomic_output, write_csv, write_json
 from .pipeline import label_messages, read_messages
 from .reduce import corpus_reduction, write_reports_csv, write_summary_json
 from .sim.export import write_capture_mrt, write_log_jsonl
@@ -85,19 +85,10 @@ def cmd_fetch(ns) -> int:
         retry=RetryPolicy(attempts=ns.retries),
         offline=ns.offline,
     )
-    out = _outdir(ns)
-    with atomic_output(out / "fetch_report.json") as f:
-        json.dump(
-            {
-                "planned": report.planned,
-                "cached": report.cached,
-                "downloaded": report.downloaded,
-                "failures": report.failures,
-                "files": [p.relative_path for p in plan],
-            },
-            f,
-            indent=2,
-        )
+    write_json(
+        _outdir(ns) / "fetch_report.json",
+        {**asdict(report), "files": [p.relative_path for p in plan]},
+    )
     print(
         f"planned {report.planned}, cached {report.cached}, "
         f"downloaded {report.downloaded}, failed {len(report.failures)}"
@@ -137,15 +128,8 @@ def cmd_classify(ns) -> int:
         },
     }
     if allocated is not None:
-        stats = allocated.stats
-        meta["allocation"] = {
-            "kept": stats.kept,
-            "dropped_prefix": stats.dropped_prefix,
-            "dropped_asn": stats.dropped_asn,
-            "table_gaps": stats.table_gaps,
-        }
-    with atomic_output(out / "classify_report.json") as f:
-        json.dump(meta, f, indent=2)
+        meta["allocation"] = asdict(allocated.stats)
+    write_json(out / "classify_report.json", meta)
     counts = " ".join(
         f"{kind.value}={clf.tally.counts[kind]}"
         for kind in LABELED_TYPES + (AnnouncementType.INITIAL,)
@@ -241,12 +225,11 @@ def cmd_simulate(ns) -> int:
     out = _outdir(ns)
     if ns.matrix:
         rows = run_experiment_matrix()
-        with atomic_output(out / "matrix.csv") as f:
-            f.write("profile,exp1,exp2,exp3,exp4\n")
-            for row in rows:
-                f.write(
-                    f"{row.profile},{row.exp1},{row.exp2},{row.exp3},{row.exp4}\n"
-                )
+        write_csv(
+            out / "matrix.csv",
+            ["profile", "exp1", "exp2", "exp3", "exp4"],
+            ((r.profile, *r.as_tuple()) for r in rows),
+        )
         width = max(len(r.profile) for r in rows)
         print(f"{'profile'.ljust(width)}  exp1  exp2  exp3  exp4")
         for r in rows:

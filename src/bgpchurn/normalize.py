@@ -48,8 +48,8 @@ class Normalizer:
 
     Allocation filter (when one is given), route-server repair, then
     timestamp disambiguation.  A call returns the cleaned record, or
-    None when the filter drops it.  The current same-second run is kept
-    between calls, so one Normalizer cleans one stream in arrival order.
+    None when the filter drops it.  The count of the current second is
+    kept between calls, so one Normalizer cleans one stream in arrival order.
     ``flags`` counts the records it flags, per flag.
     """
 
@@ -72,27 +72,28 @@ class Normalizer:
         return self.disambiguate(repaired)
 
     def disambiguate(self, rec: UpdateRecord) -> UpdateRecord:
-        """Spread same-second runs of coarse timestamps by +1 us per record.
+        """Number the records without native microseconds within their second.
 
-        Only records without native microsecond stamps are renumbered; a
-        run longer than 10^6 spills into the next second's range and is
-        flagged.  Native-stamped records break a run.
+        Such a record's stamp becomes its UTC second x 10^6 plus its
+        0-based position among that second's non-native records, so any
+        sub-second digits it came with are replaced.  Native-stamped
+        records are left alone and do not interrupt the count.  A second
+        with more than 10^6 such records spills into the next second's
+        range, and each record that spills is flagged.
         """
         if rec.native_usec:
-            self._run_second = None
             return rec
         second = rec.arrival_us // 1_000_000
-        if second != self._run_second:
-            self._run_second = second
-            self._run_index = 1
-            return rec
+        if second == self._run_second:
+            self._run_index += 1
+        else:
+            self._run_second, self._run_index = second, 0
         index = self._run_index
-        self._run_index += 1
-        bumped = rec._replace(arrival_us=second * 1_000_000 + index)
+        stamp = second * 1_000_000 + index
         if index >= 1_000_000:
             self.flags[FLAG_OVERFLOW_SECOND] += 1
-            bumped = bumped.with_flag(FLAG_OVERFLOW_SECOND)
-        return bumped
+            return rec._replace(arrival_us=stamp).with_flag(FLAG_OVERFLOW_SECOND)
+        return rec if rec.arrival_us == stamp else rec._replace(arrival_us=stamp)
 
 
 def normalize_stream(records: Iterable[UpdateRecord]) -> Iterator[UpdateRecord]:

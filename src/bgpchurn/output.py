@@ -2,14 +2,19 @@
 
 Every artifact is written through ``atomic_output``, so it appears
 whole or not at all, with the permissions a plain ``open`` would give.
+Every report is written by one of two writers: ``write_csv`` (the
+``csv`` module's default dialect, every float at six decimals) or
+``write_json`` (indented by two spaces, with a final newline).
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 
 @contextmanager
@@ -40,3 +45,20 @@ def atomic_output(path: Union[str, Path], mode: str = "w") -> Iterator[IO]:
         except OSError:
             pass
         raise
+
+
+def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable) -> None:
+    """A header row, then ``rows``; floats as ``.6f``, the rest as given."""
+    with atomic_output(path) as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(
+            [f"{v:.6f}" if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def write_json(path: Union[str, Path], obj) -> None:
+    """``obj`` as JSON indented by two spaces, ending with a newline."""
+    with atomic_output(path) as f:
+        json.dump(obj, f, indent=2)
+        f.write("\n")

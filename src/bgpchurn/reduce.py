@@ -8,8 +8,6 @@ kept byte-identically, so pruned files stay valid MRT.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +19,7 @@ from .fetch import collector_id
 from .mrt.bgp import RawBgpMessage
 from .mrt.codec import MrtEntry, detect_container, write_mrt_stream
 from .normalize import NORMALIZER_FLAGS, Normalizer
-from .output import atomic_output
+from .output import atomic_output, write_csv, write_json
 from .pipeline import label_messages, mrt_messages
 
 
@@ -101,29 +99,26 @@ def reduce_file(
     """
     input_path = Path(input_path)
     clf = classifier if classifier is not None else StreamClassifier()
-    total = discarded = 0
-    bytes_in = bytes_out = 0
+    total = discarded = bytes_in = 0
 
     def kept(labeled_messages) -> Iterator[MrtEntry]:
-        nonlocal total, discarded, bytes_in, bytes_out
+        nonlocal total, discarded, bytes_in
         for entry, labeled in labeled_messages:
-            blob_len = len(entry.body) + 12
-            bytes_in += blob_len
+            bytes_in += len(entry.body) + 12
             if entry.message is not None:
                 total += 1
                 if message_is_unnecessary(entry.message, [lr.label for lr in labeled]):
                     discarded += 1
                     continue
-            bytes_out += blob_len
             yield entry
 
-    # A fresh Normalizer per file: its same-second runs change no label.
+    # A fresh Normalizer per file: its same-second numbering changes no label.
     normalizer = Normalizer()
     container = detect_container(input_path)
     messages = mrt_messages(input_path, collector_id(input_path), container)
     entries = kept(label_messages(messages, normalizer, clf))
     with atomic_output(output_path, "wb") as tmp:
-        write_mrt_stream(entries, tmp, container)
+        bytes_out = write_mrt_stream(entries, tmp, container)
     return ReductionReport(
         str(input_path), total, discarded, bytes_in, bytes_out, normalizer.flags
     )
@@ -210,34 +205,24 @@ def corpus_reduction(
 
 
 def write_reports_csv(summary: CorpusSummary, path: Union[str, Path]) -> None:
-    """One row per report; the ratios, the only floats, as ``.6f``."""
-    with atomic_output(path) as f:
-        w = csv.writer(f)
-        w.writerow(REPORT_HEADER)
-        for r in summary.reports:
-            w.writerow(
-                f"{v:.6f}" if isinstance(v, float) else v
-                for v in r.to_dict().values()
-            )
+    """One row per report."""
+    write_csv(path, REPORT_HEADER, (r.to_dict().values() for r in summary.reports))
 
 
 def write_summary_json(summary: CorpusSummary, path: Union[str, Path]) -> None:
-    with atomic_output(path) as f:
-        json.dump(
-            {
-                "files": len(summary.reports),
-                "failures": summary.failures,
-                "mean_reduction_ratio": summary.mean_ratio(),
-                "mean_bytes_ratio": summary.mean_bytes_ratio(),
-                "per_project_means": summary.per_project_means(),
-                "cdf": summary.cdf_points(),
-                "flags": {
-                    flag: sum(r.flags[flag] for r in summary.reports)
-                    for flag in NORMALIZER_FLAGS
-                },
-                "reports": [r.to_dict() for r in summary.reports],
+    write_json(
+        path,
+        {
+            "files": len(summary.reports),
+            "failures": summary.failures,
+            "mean_reduction_ratio": summary.mean_ratio(),
+            "mean_bytes_ratio": summary.mean_bytes_ratio(),
+            "per_project_means": summary.per_project_means(),
+            "cdf": summary.cdf_points(),
+            "flags": {
+                flag: sum(r.flags[flag] for r in summary.reports)
+                for flag in NORMALIZER_FLAGS
             },
-            f,
-            indent=2,
-        )
-        f.write("\n")
+            "reports": [r.to_dict() for r in summary.reports],
+        },
+    )

@@ -58,6 +58,13 @@ def read_tally(path):
     }
 
 
+def read_report(path):
+    """A JSON report, which must end with a newline."""
+    text = path.read_text()
+    assert text.endswith("\n")
+    return json.loads(text)
+
+
 # --- classify ---
 
 
@@ -110,7 +117,7 @@ def test_classify_mrt_file(tmp_path, capsys):
     ]
     assert [r["label"] for r in rows] == ["initial", "nn", "nc", "pn", "nn"]
     assert rows[-1]["after_withdrawal"] is True
-    report = json.loads((out / "classify_report.json").read_text())
+    report = read_report(out / "classify_report.json")
     assert report["announcements"] == 5
     assert report["withdrawals"] == 1
     assert report["allocation_filter"] is False
@@ -138,7 +145,7 @@ def test_classify_report_counts_each_flag(tmp_path):
     ])
     out = tmp_path / "out"
     assert main(["classify", str(src), "-o", str(out)]) == 0
-    report = json.loads((out / "classify_report.json").read_text())
+    report = read_report(out / "classify_report.json")
     assert report["flags"] == {
         "out_of_order": 1, "reorder_equal_multiset": 1, "med_changed": 1,
         "repaired_path": 0, "anomalous_empty_path": 0, "overflow_second": 0,
@@ -162,7 +169,7 @@ def test_classify_report_counts_repaired_paths(tmp_path):
     ])
     out = tmp_path / "out"
     assert main(["classify", str(src), "-o", str(out)]) == 0
-    report = json.loads((out / "classify_report.json").read_text())
+    report = read_report(out / "classify_report.json")
     rows = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()]
     assert report["flags"] == {
         "out_of_order": 0, "reorder_equal_multiset": 0, "med_changed": 0,
@@ -221,14 +228,14 @@ def test_classify_allocation_filter(tmp_path):
     assert main([
         "classify", str(src), "-o", str(out), "--allocation", str(delegated)
     ]) == 0
-    report = json.loads((out / "classify_report.json").read_text())
+    report = read_report(out / "classify_report.json")
     assert report["allocation_filter"] is True
     assert report["allocation"]["dropped_asn"] == 2
     assert report["announcements"] == 3
 
     out2 = tmp_path / "out2"
     assert main(["classify", str(src), "-o", str(out2)]) == 0
-    report2 = json.loads((out2 / "classify_report.json").read_text())
+    report2 = read_report(out2 / "classify_report.json")
     assert report2["allocation_filter"] is False
     assert report2["announcements"] == 5
 
@@ -270,7 +277,7 @@ def test_reduce_cli(tmp_path, capsys):
     assert (out / "pruned" / "b.mrt").exists()
     lines = (out / "reduction.csv").read_text().strip().splitlines()
     assert len(lines) == 3
-    summary = json.loads((out / "reduction_summary.json").read_text())
+    summary = read_report(out / "reduction_summary.json")
     assert summary["files"] == 2
     # warm state: messages 2,3 (nn,nc) and 6 (nn after withdrawal) drop
     total_discarded = sum(r["discarded_messages"] for r in summary["reports"])
@@ -306,7 +313,7 @@ def test_reduce_cold_vs_warm_state(tmp_path):
                  "--state", "warm"]) == 0
 
     def discards(out):
-        summary = json.loads((out / "reduction_summary.json").read_text())
+        summary = read_report(out / "reduction_summary.json")
         return {r["file"]: r["discarded_messages"] for r in summary["reports"]}
 
     cold, warm = discards(cold_out), discards(warm_out)
@@ -320,7 +327,7 @@ def test_reduce_missing_file_exit_code(tmp_path):
     out = tmp_path / "out"
     assert main(["reduce", str(a), str(tmp_path / "ghost.mrt"),
                  "-o", str(out)]) == 1
-    summary = json.loads((out / "reduction_summary.json").read_text())
+    summary = read_report(out / "reduction_summary.json")
     assert len(summary["failures"]) == 1
 
 
@@ -354,7 +361,7 @@ def test_reduce_warm_keeps_collectors_apart(tmp_path, names):
     out = tmp_path / "out"
     inputs = [str(tmp_path / name) for name in names]
     assert main(["reduce", "--state", "warm", *inputs, "-o", str(out)]) == 0
-    summary = json.loads((out / "reduction_summary.json").read_text())
+    summary = read_report(out / "reduction_summary.json")
     assert [r["discarded_messages"] for r in summary["reports"]] == [0, 0]
     for name in names:
         pruned = out / "pruned" / name.rsplit("/", 1)[-1]
@@ -637,7 +644,7 @@ def test_fetch_offline_with_cache(tmp_path):
         "--cache-dir", str(cache), "--offline", "-o", str(out),
     ])
     assert code == 0
-    report = json.loads((out / "fetch_report.json").read_text())
+    report = read_report(out / "fetch_report.json")
     assert report == {
         "planned": 1, "cached": 1, "downloaded": 0, "failures": {},
         "files": [rel],
@@ -653,7 +660,7 @@ def test_fetch_offline_cold_cache_fails(tmp_path, monkeypatch):
         "--offline", "-o", str(out),
     ])
     assert code == 1
-    report = json.loads((out / "fetch_report.json").read_text())
+    report = read_report(out / "fetch_report.json")
     assert len(report["failures"]) == 1
 
 
@@ -671,7 +678,7 @@ def test_fetch_counts_that_do_not_add_up_exit_nonzero(tmp_path, monkeypatch, cap
     ])
     assert code == 2
     assert "fetch counts do not add up" in capsys.readouterr().err
-    report = json.loads((out / "fetch_report.json").read_text())
+    report = read_report(out / "fetch_report.json")
     assert report["planned"] == 1 and report["failures"] == {}
 
 

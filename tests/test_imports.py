@@ -62,3 +62,26 @@ def test_module_imports_alone(module):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+
+WRITERS = {("csv", "writer"), ("json", "dump")}
+
+
+def test_reports_are_written_only_by_output():
+    """Only output.py builds a csv.writer or calls json.dump; every other
+    module writes its reports through output.write_csv and write_json."""
+    package = SRC / "bgpchurn"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "output.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                used = {(node.module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used = {(node.value.id, node.attr)}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {m}.{n}" for m, n in used & WRITERS]
+    assert found == []

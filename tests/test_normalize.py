@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,8 +106,8 @@ def test_disambiguate_skips_native_stamps():
     native = make_withdrawal(base + 250)._replace(native_usec=True)
     records = [make_withdrawal(base), native, make_withdrawal(base)]
     out = list(map(Normalizer().disambiguate, records))
-    # native record untouched and it breaks the run: the third starts fresh
-    assert [r.arrival_us for r in out] == [base, base + 250, base]
+    # native record untouched and it does not interrupt the count
+    assert [r.arrival_us for r in out] == [base, base + 250, base + 1]
     assert not any(r.native_usec for r in (out[0], out[2]))
 
 
@@ -129,17 +130,21 @@ def test_disambiguate_overflow_flagged():
 @settings(max_examples=100)
 @given(
     st.lists(
-        st.tuples(st.integers(0, 3), st.booleans()),  # (second offset, native?)
+        # (second offset, sub-second digits, native?)
+        st.tuples(st.integers(0, 3), st.integers(0, 999_999), st.booleans()),
         max_size=40,
-    )
+    ),
+    st.booleans(),
 )
-def test_disambiguate_idempotent_and_order_preserving(items):
+def test_disambiguate_idempotent_and_order_preserving(items, in_order):
+    if in_order:
+        items = sorted(items, key=lambda item: item[0])
     base_s = 1_600_000_000
     records = [
         make_withdrawal(
-            (base_s + off) * 1_000_000, prefix=f"10.{i}.0.0/16"
+            (base_s + off) * 1_000_000 + usec, prefix=f"10.{i}.0.0/16"
         )._replace(native_usec=nat)
-        for i, (off, nat) in enumerate(items)
+        for i, (off, usec, nat) in enumerate(items)
     ]
     once = list(map(Normalizer().disambiguate, records))
     twice = list(map(Normalizer().disambiguate, once))
@@ -148,6 +153,16 @@ def test_disambiguate_idempotent_and_order_preserving(items):
     # bumps never cross into a different second for short runs
     for orig, out in zip(records, once):
         assert out.arrival_us // 1_000_000 == orig.arrival_us // 1_000_000
+        if orig.native_usec:
+            assert out is orig
+    if in_order:
+        # each second's non-native records are numbered 0, 1, 2, ... in input order
+        seen = Counter()
+        for orig, out in zip(records, once):
+            if not orig.native_usec:
+                second = orig.arrival_us // 1_000_000
+                assert out.arrival_us == second * 1_000_000 + seen[second]
+                seen[second] += 1
 
 
 # --- combined pipeline ---

@@ -82,3 +82,21 @@ def test_labels_equal_the_record_stream_wrappers(tmp_path):
         records = expand_stream(read_mrt_stream(path), "rrc00", str(path))
         expected = list(StreamClassifier().process(clean(records)))
         assert [r for _, labels in per_entry for r in labels] == expected
+
+
+def test_native_stamp_does_not_reset_the_same_second_count(tmp_path):
+    path = tmp_path / "updates.mrt"
+    with open(path, "wb") as f:
+        write_mrt_stream(
+            [
+                update_entry(T, announced=("10.1.0.0/24",)),
+                # another session, with a native microsecond stamp
+                update_entry(T, peer_asn=65002, path=(65002,), microsecond=500),
+                update_entry(T, announced=("10.1.0.0/24",)),  # a re-announcement
+            ],
+            f,
+        )
+    first, native, again = [labels[0].record for _, labels in label_file(path)]
+    assert native.arrival_us == T * 1_000_000 + 500
+    assert again.arrival_us > first.arrival_us
+    assert "out_of_order" not in again.flags
