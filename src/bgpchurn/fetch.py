@@ -1,22 +1,24 @@
 """Collector archive client for the two public MRT archives.
 
 Plans deterministic URL lists from each archive's directory layout,
-downloads with bounded parallelism and retry, and commits files to the
-cache only after the whole payload reads as MRT.
+names the collector and project of a path in that layout, downloads
+with bounded parallelism and retry, and commits files to the cache only
+after the whole payload reads as MRT in the container its name says.
 """
 
 from __future__ import annotations
 
 import re
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Optional, Sequence, Union
 
-from .errors import MrtError, UnknownCollector
-from .mrt.codec import read_mrt_stream
+from .errors import BgpChurnError, MrtError, UnknownCollector
+from .mrt.codec import detect_container, read_mrt_stream
 from .output import atomic_output
 
 PROJECT_ROUTEVIEWS = "routeviews"
@@ -35,6 +37,8 @@ _MONTH = re.compile(r"^\d{4}\.\d{2}$")
 _RV_DIRS = ("UPDATES", "RIBS")
 
 _KNOWN_MRT_TYPES = frozenset({11, 12, 13, 16, 17, 32, 33, 48, 49})
+# the container a cached file's name promises; any other name, plain
+_CONTAINER_OF_SUFFIX = {".gz": "gzip", ".bz2": "bzip2"}
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,7 @@ class ArchiveTarget:
             raise ValueError(f"unknown project {self.project!r}")
         if self.kind not in ("updates", "rib"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        pattern = (
-            _RIS_COLLECTOR if self.project == PROJECT_RIPE_RIS else _RV_COLLECTOR
-        )
-        if not pattern.match(self.collector):
+        if project_of(self.collector) != self.project:
             raise UnknownCollector(
                 f"{self.collector!r} is not a {self.project} collector name"
             )
@@ -133,6 +134,15 @@ def collector_id(path: Path) -> str:
     return layout_collector(path) or path.stem.split(".")[0] or path.stem
 
 
+def project_of(collector: str) -> str:
+    """The project whose collector names ``collector`` fits, or "unknown"."""
+    if _RIS_COLLECTOR.match(collector):
+        return PROJECT_RIPE_RIS
+    if _RV_COLLECTOR.match(collector):
+        return PROJECT_ROUTEVIEWS
+    return "unknown"
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     attempts: int = 3
@@ -158,15 +168,16 @@ class FetchReport:
         return self.planned == self.cached + self.downloaded + len(self.failures)
 
 
-def probe_mrt_payload(blob: bytes) -> bool:
-    """Does the payload read whole, with a known type on its first record?
+def probe_mrt_payload(payload: Union[str, Path, bytes]) -> bool:
+    """Does the payload, a file or bytes, read whole, with a known type
+    on its first record?
 
     Every record is read to the end of the container, so a gzip or
     bzip2 payload cut short anywhere, even between records or in the
     container's trailer, fails the probe, and so does an empty one.
     """
     try:
-        entries = read_mrt_stream(blob)
+        entries = read_mrt_stream(payload)
         first = next(entries, None)
         if first is None or first.header.type not in _KNOWN_MRT_TYPES:
             return False
@@ -177,12 +188,11 @@ def probe_mrt_payload(blob: bytes) -> bool:
     return True
 
 
-def _default_transport(url: str) -> bytes:
-    import requests
+def _default_transport(url: str) -> BinaryIO:
+    # imported here: it is slow to import, and only a download needs it
+    import urllib.request
 
-    response = requests.get(url, timeout=60)
-    response.raise_for_status()
-    return response.content
+    return urllib.request.urlopen(url, timeout=60)
 
 
 def fetch(
@@ -190,15 +200,17 @@ def fetch(
     cache_dir: Union[str, Path],
     parallelism: int = 4,
     retry: RetryPolicy = RetryPolicy(),
-    transport: Optional[Callable[[str], bytes]] = None,
+    transport: Optional[Callable[[str], BinaryIO]] = None,
     offline: bool = False,
     sleep: Callable[[float], None] = time.sleep,
 ) -> FetchReport:
     """Bring the planned files into the cache.
 
-    Cached files are never re-downloaded or rewritten; downloads land
-    in a sibling temp file and are renamed in only after the integrity
-    probe passes.  Per-file failures are collected in the report.
+    Cached files are never re-downloaded or rewritten.  ``transport``
+    opens a URL as a binary stream, which is copied in chunks into a
+    sibling temp file, renamed in only once it passes
+    ``probe_mrt_payload`` and is in the container its name says.
+    Per-file failures are collected in the report.
     """
     cache_dir = Path(cache_dir)
     report = FetchReport(planned=len(plan))
@@ -206,15 +218,24 @@ def fetch(
 
     def download(url: str, path: Path) -> Optional[str]:
         """One attempt: None once ``path`` holds the payload, else the error."""
+        path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            blob = get(url)
+            # a raise inside the block removes the temp file
+            with atomic_output(path, "wb") as tmp:
+                with get(url) as response:
+                    shutil.copyfileobj(response, tmp)
+                tmp.flush()
+                if not probe_mrt_payload(tmp.name):
+                    raise BgpChurnError("payload failed MRT header probe")
+                container = detect_container(tmp.name)
+                expected = _CONTAINER_OF_SUFFIX.get(path.suffix, "plain")
+                if container != expected:
+                    raise BgpChurnError(
+                        f"payload is {container}, but the name {path.name} "
+                        f"says {expected}"
+                    )
         except Exception as exc:  # noqa: BLE001 - transport-defined
             return str(exc)
-        if not probe_mrt_payload(blob):
-            return "payload failed MRT header probe"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_output(path, "wb") as tmp:
-            tmp.write(blob)
         return None
 
     def fetch_one(item: PlannedFile) -> tuple[PlannedFile, Optional[str], bool]:

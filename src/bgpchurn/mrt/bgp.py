@@ -462,18 +462,6 @@ def attr_communities(values: Iterable[int]) -> WireAttribute:
     )
 
 
-def attr_mp_reach(prefixes: Iterable[IPNetwork], next_hop) -> WireAttribute:
-    nh = ipaddress.ip_address(next_hop)
-    afi = AFI_IPV4 if nh.version == 4 else AFI_IPV6
-    payload = (
-        struct.pack("!HBB", afi, 1, len(nh.packed))
-        + nh.packed
-        + b"\x00"
-        + encode_prefixes(prefixes)
-    )
-    return WireAttribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload)
-
-
 def path_segments(path: Iterable) -> tuple[PathSegment, ...]:
     """Build segments from a mixed sequence of ASNs and AS_SET tuples.
 

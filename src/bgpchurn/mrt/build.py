@@ -6,12 +6,7 @@ import ipaddress
 import struct
 from typing import Iterable, Optional
 
-from .bgp import (
-    MSG_KEEPALIVE,
-    WireAttribute,
-    build_bgp_message,
-    build_update_message,
-)
+from .bgp import WireAttribute, build_update_message
 from .codec import (
     BGP4MP_MESSAGE,
     BGP4MP_MESSAGE_AS4,
@@ -83,18 +78,4 @@ def build_update_record(
         message,
         microsecond,
         as4,
-    )
-
-
-def build_keepalive_record(
-    timestamp: int,
-    peer_asn: int,
-    peer_address: str,
-    local_asn: int,
-    local_address: str,
-    microsecond: Optional[int] = None,
-) -> MrtEntry:
-    message = build_bgp_message(MSG_KEEPALIVE, b"")
-    return build_bgp4mp_record(
-        timestamp, peer_asn, peer_address, local_asn, local_address, message, microsecond
     )

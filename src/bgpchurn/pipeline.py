@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .classify import LabeledRecord, StreamClassifier
+from .errors import BgpChurnError, MrtError
 from .fetch import collector_id
 from .model import UpdateRecord, expand_message, read_records_jsonl
 from .mrt.codec import MrtEntry, read_mrt_stream
@@ -34,13 +35,18 @@ def read_messages(
     """The messages of MRT files and .jsonl record files, in input order.
 
     A .jsonl file gives (None, [record]) per line.  MRT sessions take
-    ``collector``, or else the collector of each file's path.
+    ``collector``, or else the collector of each file's path.  A file
+    that cannot be opened or decoded fails with a BgpChurnError that
+    starts with its path.
     """
     for path in map(Path, paths):
-        if path.suffix == ".jsonl":
-            yield from ((None, [rec]) for rec in read_records_jsonl(path))
-        else:
-            yield from mrt_messages(path, collector or collector_id(path), "auto")
+        try:
+            if path.suffix == ".jsonl":
+                yield from ((None, [rec]) for rec in read_records_jsonl(path))
+            else:
+                yield from mrt_messages(path, collector or collector_id(path), "auto")
+        except (OSError, MrtError) as exc:
+            raise BgpChurnError(f"{path}: {exc}") from exc
 
 
 def label_messages(

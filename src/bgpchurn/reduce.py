@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import UNNECESSARY_TYPES, AnnouncementType, StreamClassifier
 from .errors import DuplicateOutputName, LabelMismatch
-from .fetch import collector_id
+from .fetch import collector_id, project_of
 from .mrt.bgp import RawBgpMessage
 from .mrt.codec import MrtEntry, detect_container, write_mrt_stream
 from .normalize import NORMALIZER_FLAGS, Normalizer
@@ -124,16 +124,6 @@ def reduce_file(
     )
 
 
-def infer_project(path: Union[str, Path]) -> str:
-    parts = [p.lower() for p in Path(path).parts] + [Path(path).name.lower()]
-    for p in parts:
-        if p.startswith("rrc"):
-            return "ripe_ris"
-        if "route-views" in p or "routeviews" in p:
-            return "routeviews"
-    return "unknown"
-
-
 @dataclass
 class CorpusSummary:
     reports: list[ReductionReport] = field(default_factory=list)
@@ -159,11 +149,12 @@ class CorpusSummary:
         return [(r, (i + 1) / n) for i, r in enumerate(ratios)]
 
     def per_project_means(self) -> dict[str, float]:
+        """Mean ratio per project of the collector each file's sessions
+        are keyed to."""
         groups: dict[str, list[float]] = {}
         for report in self.reports:
-            groups.setdefault(infer_project(report.file), []).append(
-                report.reduction_ratio
-            )
+            project = project_of(collector_id(Path(report.file)))
+            groups.setdefault(project, []).append(report.reduction_ratio)
         return {k: sum(v) / len(v) for k, v in sorted(groups.items())}
 
 

@@ -7,7 +7,9 @@ agree with it on every record.
 
 from __future__ import annotations
 
+import ipaddress
 import random
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -15,15 +17,22 @@ from typing import Iterable, Optional
 from bgpchurn.classify import AnnouncementType, collapse_path
 from bgpchurn.model import SessionKey, UpdateRecord
 from bgpchurn.mrt.bgp import (
+    AFI_IPV4,
+    AFI_IPV6,
+    ATTR_MP_REACH_NLRI,
+    FLAG_OPTIONAL,
+    MSG_KEEPALIVE,
     BgpAttributes,
     WireAttribute,
     attr_as_path,
     attr_communities,
     attr_next_hop,
     attr_origin,
+    build_bgp_message,
+    encode_prefixes,
     path_segments,
 )
-from bgpchurn.mrt.build import build_update_record
+from bgpchurn.mrt.build import build_bgp4mp_record, build_update_record
 
 # ---------------------------------------------------------------------------
 # record construction
@@ -180,6 +189,33 @@ def random_stream(
 
 # ---------------------------------------------------------------------------
 # synthetic MRT files
+
+
+def attr_mp_reach(prefixes: Iterable, next_hop) -> WireAttribute:
+    """An MP_REACH_NLRI attribute announcing ``prefixes`` (ip_network objects)."""
+    nh = ipaddress.ip_address(next_hop)
+    afi = AFI_IPV4 if nh.version == 4 else AFI_IPV6
+    payload = (
+        struct.pack("!HBB", afi, 1, len(nh.packed))
+        + nh.packed
+        + b"\x00"
+        + encode_prefixes(prefixes)
+    )
+    return WireAttribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload)
+
+
+def build_keepalive_record(
+    timestamp: int,
+    peer_asn: int,
+    peer_address: str,
+    local_asn: int,
+    local_address: str,
+    microsecond: Optional[int] = None,
+):
+    message = build_bgp_message(MSG_KEEPALIVE, b"")
+    return build_bgp4mp_record(
+        timestamp, peer_asn, peer_address, local_asn, local_address, message, microsecond
+    )
 
 
 def std_attrs(

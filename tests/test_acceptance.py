@@ -24,13 +24,18 @@ from bgpchurn.beacon import (
 from bgpchurn.classify import AnnouncementType, StreamClassifier
 from bgpchurn.errors import MrtError
 from bgpchurn.model import expand_stream
-from bgpchurn.mrt.build import build_keepalive_record
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 from bgpchurn.reduce import reduce_file
 from bgpchurn.sim.export import capture_to_mrt_entries
 from bgpchurn.sim.lab import PROFILES, run_experiment, run_experiment_matrix
 
-from helpers import make_announcement, oracle_labels, random_stream, update_entry
+from helpers import (
+    build_keepalive_record,
+    make_announcement,
+    oracle_labels,
+    random_stream,
+    update_entry,
+)
 from test_mrt_codec import REFERENCE_RECORD, REFERENCE_RECORD_ET
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import io
 import ipaddress
 import json
 import os
@@ -17,12 +18,11 @@ import pytest
 
 from bgpchurn.cli import build_parser, main
 from bgpchurn.fetch import FetchReport
-from bgpchurn.mrt.bgp import attr_mp_reach
 from bgpchurn.mrt.build import build_update_record
 from bgpchurn.model import record_to_dict
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 
-from helpers import make_announcement, std_attrs, update_entry
+from helpers import attr_mp_reach, make_announcement, std_attrs, update_entry
 
 C1 = (65001 << 16) | 100
 C2 = (65001 << 16) | 200
@@ -262,6 +262,35 @@ def test_classify_failure_leaves_no_output(tmp_path):
     out = tmp_path / "out"
     assert main(["classify", str(src), "-o", str(out)]) != 0
     assert list(out.iterdir()) == []  # no partial labels.jsonl, no temp file
+
+
+def truncated_gzip(tmp_path):
+    buf = io.BytesIO()
+    write_mrt_stream(classify_fixture(), buf)
+    path = tmp_path / "updates.20230501.0000.gz"
+    path.write_bytes(gzip.compress(buf.getvalue())[:-30])
+    return path
+
+
+def directory(tmp_path):
+    path = tmp_path / "adir"
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [lambda tmp_path: tmp_path / "nothere.mrt", directory, truncated_gzip],
+    ids=["missing", "directory", "truncated-gzip"],
+)
+@pytest.mark.parametrize("command", ["classify", "beacon"])
+def test_unreadable_input_is_named(tmp_path, capsys, command, fault):
+    src = fault(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, str(src), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: "), err
+    assert list(out.iterdir()) == []  # no labels.jsonl, partition_*.csv or temp file
 
 
 # --- reduce ---

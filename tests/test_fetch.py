@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import bz2
+import functools
 import gzip
+import http.server
 import io
+import threading
 import zlib
 from datetime import datetime, timezone
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from bgpchurn.errors import UnknownCollector
 from bgpchurn.fetch import (
     ArchiveTarget,
+    PlannedFile,
     RetryPolicy,
     fetch,
     fetch_target,
@@ -175,7 +179,8 @@ def test_probe_rejects_garbage():
 
 class FakeTransport:
     def __init__(self, responses):
-        self.responses = responses  # url -> bytes | Exception | [attempt, ...]
+        # url -> bytes | stream | Exception | [attempt, ...]
+        self.responses = responses
         self.calls = []
 
     def __call__(self, url):
@@ -185,7 +190,7 @@ class FakeTransport:
             result = result.pop(0)
         if isinstance(result, Exception):
             raise result
-        return result
+        return io.BytesIO(result) if isinstance(result, bytes) else result
 
 
 def no_sleep(_):
@@ -275,6 +280,126 @@ def test_fetch_truncated_payload_fails_only_its_file(tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_fetch_refuses_a_payload_in_another_container_than_its_name(tmp_path):
+    ris, rv = two_file_plan()[0], plan_urls(day("updates", "routeviews", "route-views2"))[0]
+    transport = FakeTransport({
+        ris.url: mrt_blob(),  # plain MRT named .gz
+        rv.url: mrt_blob(compress="gzip"),  # gzip named .bz2
+    })
+    report = fetch([ris, rv], tmp_path, transport=transport,
+                   retry=RetryPolicy(attempts=1), sleep=no_sleep)
+    assert report.downloaded == 0
+    assert report.failures == {
+        ris.url: "payload is plain, but the name updates.20230501.0000.gz says gzip",
+        rv.url: "payload is gzip, but the name updates.20230501.0000.bz2 says bzip2",
+    }
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+class ChunkedStream(io.BytesIO):
+    """A response that fails the test if asked for all of it at once."""
+
+    def __init__(self, payload, cut_after=None):
+        super().__init__(payload)
+        self.sizes = []
+        self.cut_after = cut_after  # raise on the read after this many
+
+    def read(self, size=-1):
+        assert size is not None and 0 < size <= 1 << 20, f"read({size})"
+        if len(self.sizes) == self.cut_after:
+            raise ConnectionResetError("connection reset mid-payload")
+        self.sizes.append(size)
+        return super().read(size)
+
+
+def test_fetch_copies_the_payload_in_bounded_reads(tmp_path):
+    plan = two_file_plan()[:1]
+    # stored, not compressed: a gzip payload of more than 1 MiB
+    blob = gzip.compress(mrt_blob() * 40_000, compresslevel=0)
+    assert len(blob) > 1 << 20
+    stream = ChunkedStream(blob)
+    report = fetch(plan, tmp_path, transport=lambda url: stream, sleep=no_sleep)
+    assert report.downloaded == 1
+    assert (tmp_path / plan[0].relative_path).read_bytes() == blob
+    assert len(stream.sizes) > 2
+
+
+def test_fetch_stream_cut_mid_copy_leaves_no_file(tmp_path):
+    plan = two_file_plan()[:1]
+    blob = gzip.compress(mrt_blob() * 40_000, compresslevel=0)
+    report = fetch(plan, tmp_path, transport=lambda url: ChunkedStream(blob, 2),
+                   retry=RetryPolicy(attempts=1), sleep=no_sleep)
+    assert report.failures == {plan[0].url: "connection reset mid-payload"}
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+# --- the default transport, offline through file:// URLs ---
+
+
+def served(tmp_path, planned, payload=None) -> PlannedFile:
+    """``planned`` with its URL pointing into a local mirror."""
+    source = tmp_path / "mirror" / planned.relative_path
+    if payload is not None:
+        source.parent.mkdir(parents=True)
+        source.write_bytes(payload)
+    return PlannedFile(source.as_uri(), planned.relative_path)
+
+
+def test_default_transport_downloads_a_served_file(tmp_path):
+    blob = mrt_blob(compress="gzip")
+    item = served(tmp_path, two_file_plan()[0], blob)
+    cache = tmp_path / "cache"
+    report = fetch([item], cache, sleep=no_sleep)
+    assert report.downloaded == 1 and report.complete
+    assert (cache / item.relative_path).read_bytes() == blob
+    assert not list(cache.rglob("*.tmp"))
+
+
+def test_default_transport_missing_file_fails(tmp_path):
+    item = served(tmp_path, two_file_plan()[0])
+    cache = tmp_path / "cache"
+    report = fetch([item], cache, retry=RetryPolicy(attempts=1), sleep=no_sleep)
+    assert report.downloaded == 0
+    assert report.failures[item.url].startswith("<urlopen error")
+    assert "No such file or directory" in report.failures[item.url]
+    assert not [p for p in cache.rglob("*") if p.is_file()]
+
+
+class QuietHandler(http.server.SimpleHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+
+def test_default_transport_over_http(tmp_path):
+    """A served file is committed, and an HTTP error status is a failure."""
+    good, missing = two_file_plan()
+    blob = mrt_blob(compress="gzip")
+    (tmp_path / "mirror" / "good.gz").parent.mkdir()
+    (tmp_path / "mirror" / "good.gz").write_bytes(blob)
+    handler = functools.partial(QuietHandler, directory=str(tmp_path / "mirror"))
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        plan = [
+            PlannedFile(f"{base}/good.gz", good.relative_path),
+            PlannedFile(f"{base}/missing.gz", missing.relative_path),
+        ]
+        cache = tmp_path / "cache"
+        report = fetch(plan, cache, retry=RetryPolicy(attempts=1), sleep=no_sleep)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert report.downloaded == 1
+    assert report.failures == {plan[1].url: "HTTP Error 404: File not found"}
+    assert (cache / good.relative_path).read_bytes() == blob
+    assert not (cache / missing.relative_path).exists()
+    assert not list(cache.rglob("*.tmp"))
+
+
 def test_fetch_offline_mode(tmp_path):
     plan = two_file_plan()
     blob = mrt_blob(compress="gzip")
@@ -314,7 +439,7 @@ def test_fetch_target_wrapper(tmp_path):
     plan, report = fetch_target(
         target,
         tmp_path,
-        transport=lambda url: blob,
+        transport=lambda url: io.BytesIO(blob),
         sleep=no_sleep,
     )
     assert len(plan) == 1

@@ -1,5 +1,6 @@
-"""Every name the benchmark imports from bgpchurn exists, and every
-bgpchurn module imports on its own.
+"""Every name the benchmark imports from bgpchurn exists, every
+bgpchurn module imports on its own, and bgpchurn needs nothing beyond
+the standard library.
 
 ``perfbench/run.py --trace 0`` never imports ``perfbench/pipelines.py``,
 so a library change that breaks a traced pass would not show in the
@@ -63,6 +64,49 @@ def test_module_imports_alone(module):
     )
     assert result.returncode == 0, result.stderr
 
+
+def imported_modules(path: Path):
+    """(line, top-level name) of every import in a file, at any depth;
+    a relative import counts as bgpchurn."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            name = "bgpchurn" if node.level else node.module.split(".")[0]
+            yield node.lineno, name
+
+
+def test_package_imports_only_the_standard_library():
+    found = [
+        f"{path.name}:{lineno}: {name}"
+        for path in sorted((SRC / "bgpchurn").rglob("*.py"))
+        for lineno, name in imported_modules(path)
+        if name not in sys.stdlib_module_names and name != "bgpchurn"
+    ]
+    assert found == []
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project.get("dependencies", []) == []
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    """Only a download needs urllib.request, which is slow to import."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, bgpchurn.cli; print('urllib.request' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 WRITERS = {("csv", "writer"), ("json", "dump")}

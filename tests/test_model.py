@@ -30,7 +30,6 @@ from bgpchurn.mrt.bgp import (
     attr_as_path,
     attr_communities,
     attr_med,
-    attr_mp_reach,
     attr_next_hop,
     attr_origin,
     encode_prefixes,
@@ -38,7 +37,7 @@ from bgpchurn.mrt.bgp import (
 )
 from bgpchurn.mrt.build import build_update_record
 
-from helpers import make_announcement, make_withdrawal, update_entry
+from helpers import attr_mp_reach, make_announcement, make_withdrawal, update_entry
 
 
 def test_expand_multi_prefix_announcement():

@@ -46,7 +46,7 @@ from bgpchurn.mrt.bgp import (
     merge_as4_path,
     path_segments,
 )
-from bgpchurn.mrt.build import build_keepalive_record, build_update_record
+from bgpchurn.mrt.build import build_update_record
 from bgpchurn.mrt.codec import (
     BGP4MP_MESSAGE_ADDPATH,
     MrtRecordHeader,
@@ -55,7 +55,7 @@ from bgpchurn.mrt.codec import (
     write_mrt_stream,
 )
 
-from helpers import update_entry
+from helpers import build_keepalive_record, update_entry
 
 # ---------------------------------------------------------------------------
 # hand-built reference record

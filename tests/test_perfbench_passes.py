@@ -18,10 +18,9 @@ import pytest
 
 from bgpchurn.cli import main
 from bgpchurn.model import record_to_dict
-from bgpchurn.mrt.build import build_keepalive_record
 from bgpchurn.mrt.codec import write_mrt_stream
 
-from helpers import make_announcement, update_entry
+from helpers import build_keepalive_record, make_announcement, update_entry
 
 ROOT = Path(__file__).resolve().parents[1]
 C1 = (65001 << 16) | 100

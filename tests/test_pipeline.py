@@ -5,12 +5,11 @@ from __future__ import annotations
 from bgpchurn.allocation import AllocationFilter, filter_allocated, load_delegated
 from bgpchurn.classify import StreamClassifier
 from bgpchurn.model import expand_stream
-from bgpchurn.mrt.build import build_keepalive_record
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 from bgpchurn.normalize import FLAG_REPAIRED_PATH, Normalizer, normalize_stream
 from bgpchurn.pipeline import label_messages, mrt_messages
 
-from helpers import update_entry
+from helpers import build_keepalive_record, update_entry
 
 C1 = (65001 << 16) | 100
 T = 1_600_000_000

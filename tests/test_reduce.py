@@ -9,6 +9,7 @@ import io
 import json
 import tempfile
 from collections import defaultdict
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -18,21 +19,20 @@ from hypothesis import strategies as st
 from bgpchurn.classify import AnnouncementType, StreamClassifier
 from bgpchurn.cli import main as cli_main
 from bgpchurn.errors import LabelMismatch, TruncatedRecord
-from bgpchurn.mrt.build import build_keepalive_record
+from bgpchurn.fetch import ArchiveTarget, plan_urls
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 from bgpchurn.reduce import (
     REPORT_HEADER,
     CorpusSummary,
     ReductionReport,
     corpus_reduction,
-    infer_project,
     message_is_unnecessary,
     reduce_file,
     write_reports_csv,
     write_summary_json,
 )
 
-from helpers import update_entry
+from helpers import build_keepalive_record, update_entry
 
 NC = AnnouncementType.NC
 NN = AnnouncementType.NN
@@ -390,9 +390,9 @@ def mk_report(name, total, discarded):
 def test_summary_statistics():
     summary = CorpusSummary(
         reports=[
-            mk_report("rrc00/updates.1", 10, 5),
-            mk_report("rrc01/updates.2", 10, 3),
-            mk_report("route-views2/updates.3", 10, 1),
+            mk_report("rrc00/2023.05/updates.20230501.0000.gz", 10, 5),
+            mk_report("rrc01/2023.05/updates.20230501.0000.gz", 10, 3),
+            mk_report("bgpdata/2023.05/UPDATES/updates.20230501.0000.bz2", 10, 1),
         ]
     )
     assert summary.mean_ratio() == pytest.approx((0.5 + 0.3 + 0.1) / 3)
@@ -405,10 +405,27 @@ def test_summary_statistics():
     assert means["routeviews"] == pytest.approx(0.1)
 
 
-def test_infer_project():
-    assert infer_project("data/rrc00/updates.20230101.mrt") == "ripe_ris"
-    assert infer_project("route-views2/bgpdata/updates.mrt") == "routeviews"
-    assert infer_project("somewhere/else.mrt") == "unknown"
+def test_per_project_means_follow_the_collector():
+    # a file counts for the project of the collector its sessions are keyed to
+    ratios = {"rrc00": 0.4, "route-views2": 0.2, "route-views.sydney": 0.1}
+    reports = [mk_report("somewhere/else.mrt", 10, 9)]
+    for collector, ratio in ratios.items():
+        project = "ripe_ris" if collector.startswith("rrc") else "routeviews"
+        target = ArchiveTarget(
+            project,
+            collector,
+            "updates",
+            datetime(2023, 5, 1, tzinfo=timezone.utc),
+            datetime(2023, 5, 1, 0, 5, tzinfo=timezone.utc),
+        )
+        (planned,) = plan_urls(target)
+        path = f"/home/u/.cache/bgpchurn/{planned.relative_path}"
+        reports.append(mk_report(path, 10, round(ratio * 10)))
+    assert CorpusSummary(reports=reports).per_project_means() == {
+        "ripe_ris": pytest.approx(0.4),
+        "routeviews": pytest.approx(0.15),
+        "unknown": pytest.approx(0.9),
+    }
 
 
 def test_report_outputs(tmp_path):
