@@ -35,7 +35,7 @@ from .classify import (
     write_tally_csv,
 )
 from .errors import BgpChurnError, NoBeaconRecords
-from .fetch import ArchiveTarget, RetryPolicy, fetch_target
+from .fetch import ArchiveTarget, fetch, plan_urls
 from .model import UpdateRecord, labeled_lines
 from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output, write_csv, write_json
@@ -47,11 +47,6 @@ from .sim.scenario import load_scenario
 
 CACHE_ENV = "BGPCHURN_CACHE"
 DEFAULT_CACHE = "~/.cache/bgpchurn"
-
-
-def _cache_dir(value: Optional[str]) -> Path:
-    chosen = value or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
-    return Path(chosen).expanduser()
 
 
 def _utc(stamp: str) -> datetime:
@@ -74,15 +69,16 @@ def cmd_fetch(ns) -> int:
     target = ArchiveTarget(
         project=ns.project,
         collector=ns.collector,
-        kind=ns.kind,
         start=_utc(ns.start),
         end=_utc(ns.end),
     )
-    plan, report = fetch_target(
-        target,
-        _cache_dir(ns.cache_dir),
+    cache_dir = ns.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
+    plan = plan_urls(target)
+    report = fetch(
+        plan,
+        Path(cache_dir).expanduser(),
         parallelism=ns.jobs,
-        retry=RetryPolicy(attempts=ns.retries),
+        attempts=ns.retries,
         offline=ns.offline,
     )
     write_json(
@@ -258,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", "-j", type=int, default=4, help="parallel downloads")
     p.add_argument("--project", choices=("routeviews", "ripe_ris"), required=True)
     p.add_argument("--collector", required=True)
-    p.add_argument("--kind", choices=("updates", "rib"), default="updates")
     p.add_argument("--start", required=True, help="UTC ISO time, inclusive")
     p.add_argument("--end", required=True, help="UTC ISO time, exclusive")
     p.add_argument("--cache-dir", help=f"cache directory (or ${CACHE_ENV})")

@@ -1,9 +1,10 @@
-"""Collector archive client for the two public MRT archives.
+"""Collector archive client for the two public MRT update archives.
 
-Plans deterministic URL lists from each archive's directory layout,
-names the collector and project of a path in that layout, downloads
-with bounded parallelism and retry, and commits files to the cache only
-after the whole payload reads as MRT in the container its name says.
+Plans deterministic URL lists of update files from each archive's
+directory layout, names the collector and project of a path in that
+layout, downloads with bounded parallelism and retry, and commits files
+to the cache only after the whole payload reads as BGP4MP updates in
+the container its name says.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 from .errors import BgpChurnError, MrtError, UnknownCollector
-from .mrt.codec import detect_container, read_mrt_stream
+from .mrt.codec import TYPE_BGP4MP, TYPE_BGP4MP_ET, detect_container, read_mrt_stream
 from .output import atomic_output
 
 PROJECT_ROUTEVIEWS = "routeviews"
@@ -26,7 +27,6 @@ PROJECT_RIPE_RIS = "ripe_ris"
 
 # updates binning: RouteViews writes 96 files/day, RIS 288
 UPDATE_BIN_MINUTES = {PROJECT_ROUTEVIEWS: 15, PROJECT_RIPE_RIS: 5}
-RIB_BIN_MINUTES = {PROJECT_ROUTEVIEWS: 120, PROJECT_RIPE_RIS: 480}
 
 ROUTEVIEWS_BASE = "http://archive.routeviews.org"
 RIPE_RIS_BASE = "https://data.ris.ripe.net"
@@ -34,35 +34,27 @@ RIPE_RIS_BASE = "https://data.ris.ripe.net"
 _RIS_COLLECTOR = re.compile(r"^rrc\d{2}$")
 _RV_COLLECTOR = re.compile(r"^route-views[0-9a-z.\-]*$")
 _MONTH = re.compile(r"^\d{4}\.\d{2}$")
-_RV_DIRS = ("UPDATES", "RIBS")
 
-_KNOWN_MRT_TYPES = frozenset({11, 12, 13, 16, 17, 32, 33, 48, 49})
 # the container a cached file's name promises; any other name, plain
 _CONTAINER_OF_SUFFIX = {".gz": "gzip", ".bz2": "bzip2"}
+# the wait before the first retry; each later retry waits twice the last
+BACKOFF_S = 1.0
 
 
 @dataclass(frozen=True)
 class ArchiveTarget:
     project: str  # routeviews | ripe_ris
     collector: str
-    kind: str  # updates | rib
     start: datetime  # inclusive, UTC
     end: datetime  # exclusive, UTC
 
     def __post_init__(self):
         if self.project not in (PROJECT_ROUTEVIEWS, PROJECT_RIPE_RIS):
             raise ValueError(f"unknown project {self.project!r}")
-        if self.kind not in ("updates", "rib"):
-            raise ValueError(f"unknown kind {self.kind!r}")
         if project_of(self.collector) != self.project:
             raise UnknownCollector(
                 f"{self.collector!r} is not a {self.project} collector name"
             )
-
-    @property
-    def bin_minutes(self) -> int:
-        table = UPDATE_BIN_MINUTES if self.kind == "updates" else RIB_BIN_MINUTES
-        return table[self.project]
 
 
 @dataclass(frozen=True)
@@ -72,7 +64,7 @@ class PlannedFile:
 
 
 def _bins(target: ArchiveTarget):
-    step = timedelta(minutes=target.bin_minutes)
+    step = timedelta(minutes=UPDATE_BIN_MINUTES[target.project])
     start = target.start.astimezone(timezone.utc)
     end = target.end.astimezone(timezone.utc)
     # align to the bin grid within the day
@@ -87,7 +79,7 @@ def _bins(target: ArchiveTarget):
 
 
 def plan_urls(target: ArchiveTarget) -> list[PlannedFile]:
-    """Deterministic file plan following each archive's layout."""
+    """Deterministic update-file plan following each archive's layout."""
     plan = []
     for t in _bins(target):
         month = f"{t.year:04d}.{t.month:02d}"
@@ -100,14 +92,10 @@ def plan_urls(target: ArchiveTarget) -> list[PlannedFile]:
                 if target.collector == "route-views2"
                 else f"{target.collector}/bgpdata"
             )
-            if target.kind == "updates":
-                rel = f"{base}/{month}/UPDATES/updates.{stamp}.bz2"
-            else:
-                rel = f"{base}/{month}/RIBS/rib.{stamp}.bz2"
+            rel = f"{base}/{month}/UPDATES/updates.{stamp}.bz2"
             plan.append(PlannedFile(f"{ROUTEVIEWS_BASE}/{rel}", rel))
         else:
-            name = "updates" if target.kind == "updates" else "bview"
-            rel = f"{target.collector}/{month}/{name}.{stamp}.gz"
+            rel = f"{target.collector}/{month}/updates.{stamp}.gz"
             plan.append(PlannedFile(f"{RIPE_RIS_BASE}/{rel}", rel))
     return plan
 
@@ -116,15 +104,15 @@ def layout_collector(path: Path) -> Optional[str]:
     """The collector of a file at a path shaped as plan_urls writes, or None.
 
     RIS: ``rrcNN/YYYY.MM/<file>``.  RouteViews:
-    ``[collector/]bgpdata/YYYY.MM/(UPDATES|RIBS)/<file>``, where no
-    collector directory above ``bgpdata`` means route-views2.
+    ``[collector/]bgpdata/YYYY.MM/UPDATES/<file>``, where no collector
+    directory above ``bgpdata`` means route-views2.
     """
-    if path.name.split(".")[0] not in ("updates", "bview", "rib"):
+    if path.name.split(".")[0] != "updates":
         return None
     dirs = ("",) * 4 + path.parts[:-1]
     if _RIS_COLLECTOR.match(dirs[-2]) and _MONTH.match(dirs[-1]):
         return dirs[-2]
-    if dirs[-3] == "bgpdata" and _MONTH.match(dirs[-2]) and dirs[-1] in _RV_DIRS:
+    if dirs[-3] == "bgpdata" and _MONTH.match(dirs[-2]) and dirs[-1] == "UPDATES":
         return dirs[-4] if _RV_COLLECTOR.match(dirs[-4]) else "route-views2"
     return None
 
@@ -143,16 +131,6 @@ def project_of(collector: str) -> str:
     return "unknown"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    attempts: int = 3
-    backoff_s: float = 1.0
-
-    def delays(self):
-        for i in range(self.attempts):
-            yield self.backoff_s * (2**i)
-
-
 @dataclass
 class FetchReport:
     planned: int = 0
@@ -169,8 +147,8 @@ class FetchReport:
 
 
 def probe_mrt_payload(payload: Union[str, Path, bytes]) -> bool:
-    """Does the payload, a file or bytes, read whole, with a known type
-    on its first record?
+    """Does the payload, a file or bytes, read whole, with a BGP4MP or
+    BGP4MP_ET first record?
 
     Every record is read to the end of the container, so a gzip or
     bzip2 payload cut short anywhere, even between records or in the
@@ -179,7 +157,7 @@ def probe_mrt_payload(payload: Union[str, Path, bytes]) -> bool:
     try:
         entries = read_mrt_stream(payload)
         first = next(entries, None)
-        if first is None or first.header.type not in _KNOWN_MRT_TYPES:
+        if first is None or first.header.type not in (TYPE_BGP4MP, TYPE_BGP4MP_ET):
             return False
         for _ in entries:
             pass
@@ -199,7 +177,7 @@ def fetch(
     plan: Sequence[PlannedFile],
     cache_dir: Union[str, Path],
     parallelism: int = 4,
-    retry: RetryPolicy = RetryPolicy(),
+    attempts: int = 3,
     transport: Optional[Callable[[str], BinaryIO]] = None,
     offline: bool = False,
     sleep: Callable[[float], None] = time.sleep,
@@ -210,7 +188,9 @@ def fetch(
     opens a URL as a binary stream, which is copied in chunks into a
     sibling temp file, renamed in only once it passes
     ``probe_mrt_payload`` and is in the container its name says.
-    Per-file failures are collected in the report.
+    A file is tried up to ``attempts`` times, waiting ``BACKOFF_S``,
+    then twice as long after each later failure, and not after the
+    last.  Per-file failures are collected in the report.
     """
     cache_dir = Path(cache_dir)
     report = FetchReport(planned=len(plan))
@@ -245,12 +225,12 @@ def fetch(
         if offline:
             return item, "not cached and offline mode is on", False
         error = "no attempts made"
-        for attempt, delay in enumerate(retry.delays(), 1):
+        for attempt in range(attempts):
+            if attempt:
+                sleep(BACKOFF_S * 2 ** (attempt - 1))
             error = download(item.url, path)
             if error is None:
                 return item, None, False
-            if attempt < retry.attempts:  # no wait after the last attempt
-                sleep(delay)
         return item, error, False
 
     workers = max(1, parallelism)
@@ -263,12 +243,3 @@ def fetch(
             else:
                 report.downloaded += 1
     return report
-
-
-def fetch_target(
-    target: ArchiveTarget,
-    cache_dir: Union[str, Path],
-    **kwargs,
-) -> tuple[list[PlannedFile], FetchReport]:
-    plan = plan_urls(target)
-    return plan, fetch(plan, cache_dir, **kwargs)

@@ -295,14 +295,17 @@ def record_from_dict(obj: dict) -> UpdateRecord:
 def read_records_jsonl(path: Union[str, Path]) -> Iterator[UpdateRecord]:
     """Records of a .jsonl file; a bad line fails naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = record_from_dict(json.loads(line))
-            except KeyError as exc:
-                raise BgpChurnError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise BgpChurnError(f"{path}:{lineno}: {exc}") from exc
-            yield rec
+        try:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = record_from_dict(json.loads(line))
+                except KeyError as exc:
+                    raise BgpChurnError(f"{path}:{lineno}: missing key {exc}") from exc
+                except (AttributeError, TypeError, ValueError) as exc:
+                    raise BgpChurnError(f"{path}:{lineno}: {exc}") from exc
+                yield rec
+        except UnicodeDecodeError as exc:  # decoding happens in the for
+            raise BgpChurnError(f"{path}: {exc}") from exc

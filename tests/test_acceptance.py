@@ -265,16 +265,16 @@ def test_criterion_8_full_data_spot_check(tmp_path):
     """Qualitative beacon pattern on one real collector hour (optional)."""
     from datetime import datetime, timezone
 
-    from bgpchurn.fetch import ArchiveTarget, fetch_target
+    from bgpchurn.fetch import ArchiveTarget, fetch, plan_urls
 
     target = ArchiveTarget(
         project="ripe_ris",
         collector="rrc00",
-        kind="updates",
         start=datetime(2023, 5, 1, 1, 55, tzinfo=timezone.utc),
         end=datetime(2023, 5, 1, 2, 20, tzinfo=timezone.utc),
     )
-    plan, report = fetch_target(target, tmp_path)
+    plan = plan_urls(target)
+    report = fetch(plan, tmp_path)
     assert report.complete, report.failures
     beacon = "84.205.64.0/24"
     records = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import gzip
 import io
 import ipaddress
@@ -278,10 +279,16 @@ def directory(tmp_path):
     return path
 
 
+def not_utf8(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b"\xff\xfe{}\n")
+    return path
+
+
 @pytest.mark.parametrize(
     "fault",
-    [lambda tmp_path: tmp_path / "nothere.mrt", directory, truncated_gzip],
-    ids=["missing", "directory", "truncated-gzip"],
+    [lambda tmp_path: tmp_path / "nothere.mrt", directory, truncated_gzip, not_utf8],
+    ids=["missing", "directory", "truncated-gzip", "not-utf8"],
 )
 @pytest.mark.parametrize("command", ["classify", "beacon"])
 def test_unreadable_input_is_named(tmp_path, capsys, command, fault):
@@ -696,8 +703,7 @@ def test_fetch_offline_cold_cache_fails(tmp_path, monkeypatch):
 def test_fetch_counts_that_do_not_add_up_exit_nonzero(tmp_path, monkeypatch, capsys):
     # one planned file neither cached, downloaded nor failed
     monkeypatch.setattr(
-        "bgpchurn.cli.fetch_target",
-        lambda *args, **kwargs: ([], FetchReport(planned=1)),
+        "bgpchurn.cli.fetch", lambda *args, **kwargs: FetchReport(planned=1)
     )
     out = tmp_path / "out"
     code = main([
@@ -721,6 +727,17 @@ def test_fetch_unknown_collector_exit_code(tmp_path, capsys):
     assert "not a ripe_ris collector" in capsys.readouterr().err
 
 
+def test_fetch_has_no_rib_kind(tmp_path):
+    with pytest.raises(SystemExit) as exc_info:
+        main([
+            "fetch", "--project", "ripe_ris", "--collector", "rrc00", "--kind", "rib",
+            "--start", "2023-05-01T00:00", "--end", "2023-05-01T08:00",
+            "--offline", "-o", str(tmp_path),
+        ])
+    assert exc_info.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 # --- entry point wiring ---
 
 
@@ -730,10 +747,12 @@ def test_version_flag():
     assert exc_info.value.code == 0
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands():
     """The arguments of each ``bgpchurn`` line in README.md's sh blocks."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     for block in re.findall(r"```sh\n(.*?)```", text, re.S):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
@@ -751,6 +770,23 @@ def test_readme_has_commands():
 @pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
 def test_readme_command_parses(args):
     build_parser().parse_args(args)
+
+
+def test_readme_documents_every_long_option():
+    text = README.read_text(encoding="utf-8")
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    missing = [
+        f"{command} {option}"
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+        and not re.search(re.escape(option) + r"(?![\w-])", text)
+    ]
+    assert not missing, missing
 
 
 def test_console_script_installed():

@@ -7,6 +7,7 @@ import functools
 import gzip
 import http.server
 import io
+import struct
 import threading
 import zlib
 from datetime import datetime, timezone
@@ -18,9 +19,7 @@ from bgpchurn.errors import UnknownCollector
 from bgpchurn.fetch import (
     ArchiveTarget,
     PlannedFile,
-    RetryPolicy,
     fetch,
-    fetch_target,
     layout_collector,
     plan_urls,
     probe_mrt_payload,
@@ -30,11 +29,10 @@ from bgpchurn.mrt.codec import write_mrt_stream
 from helpers import update_entry
 
 
-def day(kind="updates", project="ripe_ris", collector="rrc00"):
+def day(project="ripe_ris", collector="rrc00"):
     return ArchiveTarget(
         project=project,
         collector=collector,
-        kind=kind,
         start=datetime(2023, 5, 1, tzinfo=timezone.utc),
         end=datetime(2023, 5, 2, tzinfo=timezone.utc),
     )
@@ -78,20 +76,10 @@ def test_routeviews_secondary_collector_path():
     )
 
 
-def test_rib_planning():
-    ris = plan_urls(day(kind="rib"))
-    assert len(ris) == 3  # every 8 hours
-    assert ris[0].relative_path == "rrc00/2023.05/bview.20230501.0000.gz"
-    rv = plan_urls(day(kind="rib", project="routeviews", collector="route-views2"))
-    assert len(rv) == 12  # every 2 hours
-    assert rv[0].relative_path == "bgpdata/2023.05/RIBS/rib.20230501.0000.bz2"
-
-
 def test_partial_range_aligns_to_grid():
     target = ArchiveTarget(
         project="ripe_ris",
         collector="rrc00",
-        kind="updates",
         start=datetime(2023, 5, 1, 10, 2, tzinfo=timezone.utc),
         end=datetime(2023, 5, 1, 10, 20, tzinfo=timezone.utc),
     )
@@ -103,7 +91,6 @@ def test_empty_range():
     target = ArchiveTarget(
         project="ripe_ris",
         collector="rrc00",
-        kind="updates",
         start=datetime(2023, 5, 1, tzinfo=timezone.utc),
         end=datetime(2023, 5, 1, tzinfo=timezone.utc),
     )
@@ -114,7 +101,6 @@ def test_month_boundary_crossing():
     target = ArchiveTarget(
         project="ripe_ris",
         collector="rrc01",
-        kind="updates",
         start=datetime(2023, 4, 30, 23, 50, tzinfo=timezone.utc),
         end=datetime(2023, 5, 1, 0, 10, tzinfo=timezone.utc),
     )
@@ -138,8 +124,6 @@ def test_collector_name_validation():
 def test_bad_target_fields():
     with pytest.raises(ValueError):
         day(project="torrents")
-    with pytest.raises(ValueError):
-        day(kind="tables")
 
 
 # --- payload probe ---
@@ -151,6 +135,9 @@ def test_probe_accepts_real_payloads():
     assert probe_mrt_payload(bz2.compress(mrt_blob()))
     two = mrt_blob() + mrt_blob()
     assert probe_mrt_payload(two) and probe_mrt_payload(gzip.compress(two))
+    buf = io.BytesIO()
+    write_mrt_stream([update_entry(1_600_000_000, microsecond=5)], buf)
+    assert probe_mrt_payload(buf.getvalue())  # BGP4MP_ET
 
 
 def gzip_cut_after_first_record() -> bytes:
@@ -172,6 +159,9 @@ def test_probe_rejects_garbage():
     assert not probe_mrt_payload(gzip_cut_after_first_record())
     # plausible length but absurd record type
     assert not probe_mrt_payload(b"\x00" * 4 + b"\xff\xff" + b"\x00" * 6)
+    # a whole TABLE_DUMP_V2 PEER_INDEX_TABLE: a RIB dump, not updates
+    body = b"\x0a\x00\x00\x01" + b"\x00\x00" + b"\x00\x00"
+    assert not probe_mrt_payload(struct.pack("!IHHI", 0, 13, 1, len(body)) + body)
 
 
 # --- fetching with a fake transport ---
@@ -202,7 +192,6 @@ def two_file_plan():
         ArchiveTarget(
             project="ripe_ris",
             collector="rrc00",
-            kind="updates",
             start=datetime(2023, 5, 1, tzinfo=timezone.utc),
             end=datetime(2023, 5, 1, 0, 10, tzinfo=timezone.utc),
         )
@@ -245,12 +234,11 @@ def test_fetch_retries_then_succeeds(tmp_path):
     )
     sleeps = []
     report = fetch(plan, tmp_path, transport=transport,
-                   retry=RetryPolicy(attempts=3, backoff_s=2.0),
-                   sleep=sleeps.append)
+                   attempts=3, sleep=sleeps.append)
     assert report.downloaded == 1
     assert report.complete
     assert len(transport.calls) == 2
-    assert sleeps == [2.0]  # first backoff step only
+    assert sleeps == [1.0]  # first backoff step only
 
 
 def test_fetch_rejects_corrupt_payload(tmp_path):
@@ -258,7 +246,7 @@ def test_fetch_rejects_corrupt_payload(tmp_path):
     url = plan[0].url
     transport = FakeTransport({url: b"<html>error page</html>"})
     report = fetch(plan, tmp_path, transport=transport,
-                   retry=RetryPolicy(attempts=2, backoff_s=0.1), sleep=no_sleep)
+                   attempts=2, sleep=no_sleep)
     assert report.downloaded == 0
     assert report.failures[url] == "payload failed MRT header probe"
     assert len(transport.calls) == 2  # kept retrying to the attempt cap
@@ -272,7 +260,7 @@ def test_fetch_truncated_payload_fails_only_its_file(tmp_path):
     good = mrt_blob(compress="gzip")
     transport = FakeTransport({a.url: good[:10], b.url: good})
     report = fetch(plan, tmp_path, transport=transport,
-                   retry=RetryPolicy(attempts=2, backoff_s=0.1), sleep=no_sleep)
+                   attempts=2, sleep=no_sleep)
     assert (tmp_path / b.relative_path).read_bytes() == good
     assert report.downloaded == 1
     assert list(report.failures) == [a.url]
@@ -281,13 +269,13 @@ def test_fetch_truncated_payload_fails_only_its_file(tmp_path):
 
 
 def test_fetch_refuses_a_payload_in_another_container_than_its_name(tmp_path):
-    ris, rv = two_file_plan()[0], plan_urls(day("updates", "routeviews", "route-views2"))[0]
+    ris, rv = two_file_plan()[0], plan_urls(day("routeviews", "route-views2"))[0]
     transport = FakeTransport({
         ris.url: mrt_blob(),  # plain MRT named .gz
         rv.url: mrt_blob(compress="gzip"),  # gzip named .bz2
     })
     report = fetch([ris, rv], tmp_path, transport=transport,
-                   retry=RetryPolicy(attempts=1), sleep=no_sleep)
+                   attempts=1, sleep=no_sleep)
     assert report.downloaded == 0
     assert report.failures == {
         ris.url: "payload is plain, but the name updates.20230501.0000.gz says gzip",
@@ -328,7 +316,7 @@ def test_fetch_stream_cut_mid_copy_leaves_no_file(tmp_path):
     plan = two_file_plan()[:1]
     blob = gzip.compress(mrt_blob() * 40_000, compresslevel=0)
     report = fetch(plan, tmp_path, transport=lambda url: ChunkedStream(blob, 2),
-                   retry=RetryPolicy(attempts=1), sleep=no_sleep)
+                   attempts=1, sleep=no_sleep)
     assert report.failures == {plan[0].url: "connection reset mid-payload"}
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
@@ -358,7 +346,7 @@ def test_default_transport_downloads_a_served_file(tmp_path):
 def test_default_transport_missing_file_fails(tmp_path):
     item = served(tmp_path, two_file_plan()[0])
     cache = tmp_path / "cache"
-    report = fetch([item], cache, retry=RetryPolicy(attempts=1), sleep=no_sleep)
+    report = fetch([item], cache, attempts=1, sleep=no_sleep)
     assert report.downloaded == 0
     assert report.failures[item.url].startswith("<urlopen error")
     assert "No such file or directory" in report.failures[item.url]
@@ -387,7 +375,7 @@ def test_default_transport_over_http(tmp_path):
             PlannedFile(f"{base}/missing.gz", missing.relative_path),
         ]
         cache = tmp_path / "cache"
-        report = fetch(plan, cache, retry=RetryPolicy(attempts=1), sleep=no_sleep)
+        report = fetch(plan, cache, attempts=1, sleep=no_sleep)
     finally:
         server.shutdown()
         server.server_close()
@@ -420,34 +408,11 @@ def test_fetch_exhausted_retries_reports_error(tmp_path):
     transport = FakeTransport({url: ConnectionError("refused")})
     sleeps = []
     report = fetch(plan, tmp_path, transport=transport,
-                   retry=RetryPolicy(attempts=3, backoff_s=1.0), sleep=sleeps.append)
+                   attempts=3, sleep=sleeps.append)
     assert len(transport.calls) == 3
     assert sleeps == [1.0, 2.0]  # no wait after the last attempt
     assert "refused" in report.failures[url]
     assert not report.complete
-
-
-def test_fetch_target_wrapper(tmp_path):
-    target = ArchiveTarget(
-        project="ripe_ris",
-        collector="rrc00",
-        kind="updates",
-        start=datetime(2023, 5, 1, tzinfo=timezone.utc),
-        end=datetime(2023, 5, 1, 0, 5, tzinfo=timezone.utc),
-    )
-    blob = mrt_blob(compress="gzip")
-    plan, report = fetch_target(
-        target,
-        tmp_path,
-        transport=lambda url: io.BytesIO(blob),
-        sleep=no_sleep,
-    )
-    assert len(plan) == 1
-    assert report.downloaded == 1
-
-
-def test_retry_policy_backoff_doubles():
-    assert list(RetryPolicy(attempts=3, backoff_s=1.5).delays()) == [1.5, 3.0, 6.0]
 
 
 @pytest.mark.parametrize(
@@ -460,9 +425,8 @@ def test_retry_policy_backoff_doubles():
         ("routeviews", "route-views.linx"),
     ],
 )
-@pytest.mark.parametrize("kind", ["updates", "rib"])
-def test_layout_collector_reads_planned_paths(project, collector, kind):
-    for planned in plan_urls(day(kind, project, collector))[:3]:
+def test_layout_collector_reads_planned_paths(project, collector):
+    for planned in plan_urls(day(project, collector))[:3]:
         assert layout_collector(Path(planned.relative_path)) == collector
         cached = Path("/home/u/.cache/bgpchurn") / planned.relative_path
         assert layout_collector(cached) == collector
@@ -481,6 +445,8 @@ def test_layout_collector_reads_planned_paths(project, collector, kind):
         "rrc01/data/updates.20230501.0000.gz",
         "bgpdata/2023.05/OTHER/updates.20230501.0000.bz2",
         "bgpdata/UPDATES/updates.20230501.0000.bz2",
+        "rrc00/2023.05/bview.20230501.0000.gz",
+        "bgpdata/2023.05/RIBS/rib.20230501.0000.bz2",
     ],
 )
 def test_layout_collector_outside_the_layout(path):

@@ -414,7 +414,6 @@ def test_per_project_means_follow_the_collector():
         target = ArchiveTarget(
             project,
             collector,
-            "updates",
             datetime(2023, 5, 1, tzinfo=timezone.utc),
             datetime(2023, 5, 1, 0, 5, tzinfo=timezone.utc),
         )
