@@ -34,7 +34,7 @@ from .classify import (
     write_peer_csv,
     write_tally_csv,
 )
-from .errors import BgpChurnError, NoBeaconRecords
+from .errors import BgpChurnError
 from .fetch import ArchiveTarget, fetch, plan_urls
 from .model import UpdateRecord, labeled_lines
 from .normalize import NORMALIZER_FLAGS, Normalizer
@@ -50,7 +50,11 @@ DEFAULT_CACHE = "~/.cache/bgpchurn"
 
 
 def _utc(stamp: str) -> datetime:
-    dt = datetime.fromisoformat(stamp)
+    """An ISO time; one without a zone is UTC."""
+    try:
+        dt = datetime.fromisoformat(stamp)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an ISO time: {stamp!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
@@ -66,12 +70,11 @@ def _outdir(ns) -> Path:
 
 
 def cmd_fetch(ns) -> int:
-    target = ArchiveTarget(
-        project=ns.project,
-        collector=ns.collector,
-        start=_utc(ns.start),
-        end=_utc(ns.end),
-    )
+    if ns.end <= ns.start:
+        raise BgpChurnError(f"--end {ns.end} is not after --start {ns.start}")
+    if ns.retries < 1:
+        raise BgpChurnError(f"--retries {ns.retries} makes no attempt; give at least 1")
+    target = ArchiveTarget(ns.project, ns.collector, ns.start, ns.end)
     cache_dir = ns.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
     plan = plan_urls(target)
     report = fetch(
@@ -171,7 +174,7 @@ def cmd_beacon(ns) -> int:
 
     by_value, by_multiset = partition_communities(beacon_records(), DEFAULT_SCHEDULE)
     if not matched:
-        raise NoBeaconRecords(f"no records matched {len(beacons)} beacon prefixes")
+        raise BgpChurnError(f"no records matched {len(beacons)} beacon prefixes")
     write_partition_csv(by_value, out / "partition_values.csv")
     write_partition_summary_csv(by_value, out / "partition_values_summary.csv")
     write_partition_csv(by_multiset, out / "partition_multisets.csv", "multiset")
@@ -254,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", "-j", type=int, default=4, help="parallel downloads")
     p.add_argument("--project", choices=("routeviews", "ripe_ris"), required=True)
     p.add_argument("--collector", required=True)
-    p.add_argument("--start", required=True, help="UTC ISO time, inclusive")
-    p.add_argument("--end", required=True, help="UTC ISO time, exclusive")
+    p.add_argument("--start", type=_utc, required=True, help="UTC ISO time, inclusive")
+    p.add_argument("--end", type=_utc, required=True, help="UTC ISO time, exclusive")
     p.add_argument("--cache-dir", help=f"cache directory (or ${CACHE_ENV})")
-    p.add_argument("--retries", type=int, default=3)
+    p.add_argument("--retries", type=int, default=3, help="attempts per file")
     p.add_argument("--offline", action="store_true", help="never hit the network")
     p.set_defaults(func=cmd_fetch)
 

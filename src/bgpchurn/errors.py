@@ -6,39 +6,23 @@ class BgpChurnError(Exception):
 
 
 class MrtError(BgpChurnError):
-    """Base class for MRT codec errors."""
+    """An MRT file could not be read or written."""
 
 
 class TruncatedRecord(MrtError):
     """A record header promised more bytes than the stream contains."""
 
 
-class ContainerCorrupt(MrtError):
-    """The gzip/bzip2 container failed to decompress."""
-
-
 class BgpParseError(MrtError):
     """A BGP message body could not be decoded.
 
     Raised internally; stream readers downgrade affected records to
-    kind="other" rather than aborting the file.
+    kind="undecodable" rather than aborting the file.
     """
-
-
-class SinkFailure(MrtError):
-    """Writing to the output sink failed."""
 
 
 class LabelMismatch(BgpChurnError):
     """Classifier labels do not cover a message's announced prefixes."""
-
-
-class DuplicateOutputName(BgpChurnError):
-    """Two inputs would write their output to the same file."""
-
-
-class NoBeaconRecords(BgpChurnError):
-    """No input records fall on a configured beacon prefix."""
 
 
 class NonConvergence(BgpChurnError):

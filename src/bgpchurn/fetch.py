@@ -19,7 +19,12 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 from .errors import BgpChurnError, MrtError, UnknownCollector
-from .mrt.codec import TYPE_BGP4MP, TYPE_BGP4MP_ET, detect_container, read_mrt_stream
+from .mrt.codec import (
+    CONTAINER_OF_SUFFIX,
+    UPDATE_TYPES,
+    detect_container,
+    read_mrt_stream,
+)
 from .output import atomic_output
 
 PROJECT_ROUTEVIEWS = "routeviews"
@@ -35,8 +40,6 @@ _RIS_COLLECTOR = re.compile(r"^rrc\d{2}$")
 _RV_COLLECTOR = re.compile(r"^route-views[0-9a-z.\-]*$")
 _MONTH = re.compile(r"^\d{4}\.\d{2}$")
 
-# the container a cached file's name promises; any other name, plain
-_CONTAINER_OF_SUFFIX = {".gz": "gzip", ".bz2": "bzip2"}
 # the wait before the first retry; each later retry waits twice the last
 BACKOFF_S = 1.0
 
@@ -157,7 +160,7 @@ def probe_mrt_payload(payload: Union[str, Path, bytes]) -> bool:
     try:
         entries = read_mrt_stream(payload)
         first = next(entries, None)
-        if first is None or first.header.type not in (TYPE_BGP4MP, TYPE_BGP4MP_ET):
+        if first is None or first.header.type not in UPDATE_TYPES:
             return False
         for _ in entries:
             pass
@@ -208,7 +211,7 @@ def fetch(
                 if not probe_mrt_payload(tmp.name):
                     raise BgpChurnError("payload failed MRT header probe")
                 container = detect_container(tmp.name)
-                expected = _CONTAINER_OF_SUFFIX.get(path.suffix, "plain")
+                expected = CONTAINER_OF_SUFFIX.get(path.suffix, "plain")
                 if container != expected:
                     raise BgpChurnError(
                         f"payload is {container}, but the name {path.name} "

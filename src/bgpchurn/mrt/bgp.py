@@ -20,9 +20,7 @@ from ..errors import BgpParseError
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
 # BGP message types (RFC 4271 4.1)
-MSG_OPEN = 1
 MSG_UPDATE = 2
-MSG_NOTIFICATION = 3
 MSG_KEEPALIVE = 4
 
 MARKER = b"\xff" * 16
@@ -53,6 +51,8 @@ AFI_IPV6 = 2
 # An AS_SET is folded into one synthetic element (its sorted members) so
 # path comparison stays deterministic.
 PathElement = Union[int, tuple]
+# One wire AS path segment: AS_SET or AS_SEQUENCE, and its ASNs.
+Segment = tuple[int, tuple]
 
 
 def community_str(value: int) -> str:
@@ -68,14 +68,6 @@ def community_value(text: str) -> int:
     if high_value > 0xFFFF or low_value > 0xFFFF:
         raise ValueError(f"community out of range: {text}")
     return high_value << 16 | low_value
-
-
-@dataclass(frozen=True)
-class PathSegment:
-    """One wire AS_PATH segment, for building messages."""
-
-    kind: int  # AS_SET or AS_SEQUENCE
-    asns: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -211,7 +203,7 @@ def encode_prefixes(prefixes: Iterable[IPNetwork]) -> bytes:
 # AS path codec
 
 
-def _as_path_segments(payload: bytes, width: int) -> Iterator[tuple[int, tuple]]:
+def _as_path_segments(payload: bytes, width: int) -> Iterator[Segment]:
     """Yield (kind, asns) per segment of an AS_PATH/AS4_PATH payload."""
     i = 0
     n = len(payload)
@@ -241,12 +233,12 @@ def decode_path(payload: bytes, width: int) -> tuple[PathElement, ...]:
     return tuple(out)
 
 
-def encode_as_path(segments: Iterable[PathSegment], width: int) -> bytes:
+def encode_as_path(segments: Iterable[Segment], width: int) -> bytes:
     code = "!%dH" if width == 2 else "!%dI"
     parts = []
-    for seg in segments:
-        parts.append(bytes([seg.kind, len(seg.asns)]))
-        parts.append(struct.pack(code % len(seg.asns), *seg.asns))
+    for kind, asns in segments:
+        parts.append(bytes([kind, len(asns)]))
+        parts.append(struct.pack(code % len(asns), *asns))
     return b"".join(parts)
 
 
@@ -391,24 +383,15 @@ def decode_update_body(
 # ---------------------------------------------------------------------------
 # message-level helpers
 
-_KIND_BY_TYPE = {
-    MSG_OPEN: "open",
-    MSG_UPDATE: "update",
-    MSG_NOTIFICATION: "notification",
-    MSG_KEEPALIVE: "keepalive",
-}
 
-
-def split_bgp_message(buf: bytes) -> tuple[str, bytes]:
-    """Return (kind, payload) for one wire BGP message."""
+def split_bgp_message(buf: bytes) -> tuple[int, bytes]:
+    """Return (message type, payload) for one wire BGP message."""
     if len(buf) < BGP_HEADER_LEN:
         raise BgpParseError("BGP message shorter than header")
     (length,) = struct.unpack_from("!H", buf, 16)
-    msg_type = buf[18]
     if length < BGP_HEADER_LEN or length > len(buf):
         raise BgpParseError("BGP message length field inconsistent")
-    kind = _KIND_BY_TYPE.get(msg_type, "other")
-    return kind, buf[BGP_HEADER_LEN:length]
+    return buf[18], buf[BGP_HEADER_LEN:length]
 
 
 def build_bgp_message(msg_type: int, payload: bytes) -> bytes:
@@ -440,7 +423,7 @@ def attr_origin(value: int = 0) -> WireAttribute:
     return WireAttribute(FLAG_TRANSITIVE, ATTR_ORIGIN, bytes([value]))
 
 
-def attr_as_path(segments: Iterable[PathSegment], width: int = 2) -> WireAttribute:
+def attr_as_path(segments: Iterable[Segment], width: int = 2) -> WireAttribute:
     return WireAttribute(FLAG_TRANSITIVE, ATTR_AS_PATH, encode_as_path(segments, width))
 
 
@@ -462,22 +445,22 @@ def attr_communities(values: Iterable[int]) -> WireAttribute:
     )
 
 
-def path_segments(path: Iterable) -> tuple[PathSegment, ...]:
+def path_segments(path: Iterable) -> tuple[Segment, ...]:
     """Build segments from a mixed sequence of ASNs and AS_SET tuples.
 
     Consecutive plain ints group into one AS_SEQUENCE; a tuple/list/set
     becomes an AS_SET segment.
     """
-    segs: list[PathSegment] = []
+    segs: list[Segment] = []
     run: list[int] = []
     for item in path:
         if isinstance(item, int):
             run.append(item)
             continue
         if run:
-            segs.append(PathSegment(AS_SEQUENCE, tuple(run)))
+            segs.append((AS_SEQUENCE, tuple(run)))
             run = []
-        segs.append(PathSegment(AS_SET, tuple(sorted(item))))
+        segs.append((AS_SET, tuple(sorted(item))))
     if run:
-        segs.append(PathSegment(AS_SEQUENCE, tuple(run)))
+        segs.append((AS_SEQUENCE, tuple(run)))
     return tuple(segs)

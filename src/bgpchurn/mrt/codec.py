@@ -16,12 +16,23 @@ import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
-from ..errors import BgpParseError, ContainerCorrupt, SinkFailure, TruncatedRecord
-from .bgp import RawBgpMessage, address_str, decode_update_body, split_bgp_message
+from ..errors import BgpParseError, MrtError, TruncatedRecord
+from .bgp import (
+    MSG_UPDATE,
+    RawBgpMessage,
+    address_str,
+    decode_update_body,
+    split_bgp_message,
+)
 
 # MRT record types
 TYPE_BGP4MP = 16
 TYPE_BGP4MP_ET = 17
+# the record types of an update file; its first record must be one of them
+UPDATE_TYPES = (TYPE_BGP4MP, TYPE_BGP4MP_ET)
+
+# MrtEntry.kind; "other" is any record no stage reads, such as a KEEPALIVE
+RECORD_KINDS = ("update", "state_change", "addpath", "undecodable", "other")
 
 # BGP4MP subtypes
 BGP4MP_STATE_CHANGE = 0
@@ -41,14 +52,15 @@ _MESSAGE_SUBTYPES = {
     BGP4MP_MESSAGE_LOCAL: False,
     BGP4MP_MESSAGE_AS4_LOCAL: True,
 }
-_ADDPATH_SUBTYPES = frozenset(
-    {
-        BGP4MP_MESSAGE_ADDPATH,
-        BGP4MP_MESSAGE_AS4_ADDPATH,
-        BGP4MP_MESSAGE_LOCAL_ADDPATH,
-        BGP4MP_MESSAGE_AS4_LOCAL_ADDPATH,
-    }
-)
+# the kind of each other BGP4MP subtype's record, which is not decoded
+_UNDECODED_SUBTYPES = {
+    BGP4MP_STATE_CHANGE: "state_change",
+    BGP4MP_STATE_CHANGE_AS4: "state_change",
+    BGP4MP_MESSAGE_ADDPATH: "addpath",
+    BGP4MP_MESSAGE_AS4_ADDPATH: "addpath",
+    BGP4MP_MESSAGE_LOCAL_ADDPATH: "addpath",
+    BGP4MP_MESSAGE_AS4_LOCAL_ADDPATH: "addpath",
+}
 
 # 0                   1                   2                   3
 # 0 1 2 3 4 5 6 7 8 9 0 1 2 3 4 5 6 7 8 9 0 1 2 3 4 5 6 7 8 9 0 1
@@ -65,6 +77,8 @@ GZIP_MAGIC = b"\x1f\x8b"
 BZ2_MAGIC = b"\x42\x5a\x68"
 # what a gzip or bzip2 reader raises on a cut or corrupt stream
 _CONTAINER_ERRORS = (OSError, EOFError, zlib.error)
+# the container a file's name promises
+CONTAINER_OF_SUFFIX = {".gz": "gzip", ".bz2": "bzip2"}
 
 
 # BGP4MP address family -> address length
@@ -87,12 +101,13 @@ class MrtEntry(NamedTuple):
     ``body`` is everything after the 12-byte common header, including
     the microsecond field of extended-timestamp records, so that
     ``header.encode() + body`` always reproduces the input.  ``message``
-    is the decoded UPDATE, and None for every other kind.
+    is the decoded UPDATE, and None for every other kind; ``note`` says
+    why an undecodable record failed.
     """
 
     header: MrtRecordHeader
     body: bytes
-    kind: str  # update | keepalive | open | notification | state_change | other
+    kind: str  # one of RECORD_KINDS
     message: Optional[RawBgpMessage] = None
     microsecond: int = 0
     note: Optional[str] = None
@@ -111,13 +126,13 @@ class MrtEntry(NamedTuple):
 
 def _decode_bgp4mp_message(
     body: bytes, subtype: int, offset: int
-) -> tuple[str, Optional[RawBgpMessage]]:
+) -> Optional[RawBgpMessage]:
     """Decode a BGP4MP (ET offset already applied) message body.
 
-    Returns the BGP message kind, and the decoded message when it is an
-    UPDATE.  Layout: peer AS, local AS (2 or 4 bytes each), interface
-    index, address family, peer address, local address, raw BGP message.
-    The local AS and address are bounds-checked, not decoded.
+    Returns the decoded message when it is an UPDATE, else None.
+    Layout: peer AS, local AS (2 or 4 bytes each), interface index,
+    address family, peer address, local address, raw BGP message.  The
+    local AS and address are bounds-checked, not decoded.
     """
     as4 = _MESSAGE_SUBTYPES[subtype]
     i = offset + (8 if as4 else 4) + 4  # past the two ASes, interface index and AFI
@@ -130,12 +145,12 @@ def _decode_bgp4mp_message(
         raise BgpParseError(f"BGP4MP unknown address family {afi}")
     if len(body) < i + 2 * addr_len:
         raise BgpParseError("BGP4MP addresses truncated")
-    kind, payload = split_bgp_message(body[i + 2 * addr_len :])
-    if kind != "update":
-        return kind, None
+    msg_type, payload = split_bgp_message(body[i + 2 * addr_len :])
+    if msg_type != MSG_UPDATE:
+        return None
     peer_address = address_str(body[i : i + addr_len])
     withdrawn, announced, attributes = decode_update_body(payload, as4)
-    return kind, RawBgpMessage(peer_asn, peer_address, withdrawn, announced, attributes)
+    return RawBgpMessage(peer_asn, peer_address, withdrawn, announced, attributes)
 
 
 def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
@@ -147,18 +162,16 @@ def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
             raise TruncatedRecord("extended timestamp record shorter than 4 bytes")
         (microsecond,) = struct.unpack_from("!I", body)
         offset = 4
-    if header.type not in (TYPE_BGP4MP, TYPE_BGP4MP_ET):
+    if header.type not in UPDATE_TYPES:
         return MrtEntry(header, body, "other", None, microsecond)
-    if header.subtype in (BGP4MP_STATE_CHANGE, BGP4MP_STATE_CHANGE_AS4):
-        return MrtEntry(header, body, "state_change", None, microsecond)
-    if header.subtype in _ADDPATH_SUBTYPES:
-        return MrtEntry(header, body, "other", None, microsecond, "addpath")
     if header.subtype not in _MESSAGE_SUBTYPES:
-        return MrtEntry(header, body, "other", None, microsecond)
+        kind = _UNDECODED_SUBTYPES.get(header.subtype, "other")
+        return MrtEntry(header, body, kind, None, microsecond)
     try:
-        kind, message = _decode_bgp4mp_message(body, header.subtype, offset)
+        message = _decode_bgp4mp_message(body, header.subtype, offset)
     except BgpParseError as exc:
-        return MrtEntry(header, body, "other", None, microsecond, str(exc))
+        return MrtEntry(header, body, "undecodable", None, microsecond, str(exc))
+    kind = "other" if message is None else "update"
     return MrtEntry(header, body, kind, message, microsecond)
 
 
@@ -221,19 +234,16 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
     while True:
         try:
             head = f.read(_COMMON_HEADER.size)
-        except _CONTAINER_ERRORS as exc:
-            raise ContainerCorrupt(f"record {index}: {exc}") from exc
-        if not head:
-            return
-        if len(head) < _COMMON_HEADER.size:
-            raise TruncatedRecord(
-                f"record {index}: header cut short at {len(head)} bytes"
-            )
-        header = MrtRecordHeader._make(_COMMON_HEADER.unpack(head))
-        try:
+            if not head:
+                return
+            if len(head) < _COMMON_HEADER.size:
+                raise TruncatedRecord(
+                    f"record {index}: header cut short at {len(head)} bytes"
+                )
+            header = MrtRecordHeader._make(_COMMON_HEADER.unpack(head))
             body = f.read(header.length)
         except _CONTAINER_ERRORS as exc:
-            raise ContainerCorrupt(f"record {index}: {exc}") from exc
+            raise MrtError(f"record {index}: {exc}") from exc
         if len(body) < header.length:
             raise TruncatedRecord(
                 f"record {index}: body cut short ({len(body)} of {header.length} bytes)"
@@ -266,5 +276,5 @@ def write_mrt_stream(
             sink.write(blob)
             total += len(blob)
     except OSError as exc:
-        raise SinkFailure(str(exc)) from exc
+        raise MrtError(str(exc)) from exc
     return total

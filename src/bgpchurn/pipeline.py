@@ -16,16 +16,21 @@ from .classify import LabeledRecord, StreamClassifier
 from .errors import BgpChurnError, MrtError
 from .fetch import collector_id
 from .model import UpdateRecord, expand_message, read_records_jsonl
-from .mrt.codec import MrtEntry, read_mrt_stream
+from .mrt.codec import UPDATE_TYPES, MrtEntry, read_mrt_stream
 from .normalize import Normalizer
 
 Message = tuple[Optional[MrtEntry], list[UpdateRecord]]
 
 
 def mrt_messages(path: Path, collector: str, container: str) -> Iterator[Message]:
-    """Decode an MRT file and expand every entry, updates or not."""
+    """Decode an update file and expand every entry, updates or not.
+
+    A file whose first record is not BGP4MP or BGP4MP_ET raises MrtError.
+    """
     source = str(path)
     for index, entry in enumerate(read_mrt_stream(path, container)):
+        if index == 0 and entry.header.type not in UPDATE_TYPES:
+            raise MrtError(f"not an update file: first record type {entry.header.type}")
         yield entry, expand_message(entry, collector, source, index)
 
 

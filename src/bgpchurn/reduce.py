@@ -14,10 +14,15 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import UNNECESSARY_TYPES, AnnouncementType, StreamClassifier
-from .errors import DuplicateOutputName, LabelMismatch
+from .errors import BgpChurnError, LabelMismatch
 from .fetch import collector_id, project_of
 from .mrt.bgp import RawBgpMessage
-from .mrt.codec import MrtEntry, detect_container, write_mrt_stream
+from .mrt.codec import (
+    CONTAINER_OF_SUFFIX,
+    MrtEntry,
+    detect_container,
+    write_mrt_stream,
+)
 from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output, write_csv, write_json
 from .pipeline import label_messages, mrt_messages
@@ -91,8 +96,9 @@ def reduce_file(
     by default the state is cold (first announcements label initial and
     their messages are kept).  The output file appears atomically: a
     sibling temp file is renamed over the target only after a complete
-    pass.  The output is compressed as the input is (gzip, bzip2 or plain, by
-    magic bytes).  Session keys take the collector from the path, as
+    pass.  The output is gzip or bzip2 when its name ends ``.gz`` or
+    ``.bz2``, and is otherwise compressed as the input is (gzip, bzip2 or
+    plain, by magic bytes).  Session keys take the collector from the path, as
     ``classify`` does, so warm state never joins two collectors' sessions.
 
     Byte counts are uncompressed record sizes including MRT headers.
@@ -117,8 +123,9 @@ def reduce_file(
     container = detect_container(input_path)
     messages = mrt_messages(input_path, collector_id(input_path), container)
     entries = kept(label_messages(messages, normalizer, clf))
+    out_container = CONTAINER_OF_SUFFIX.get(Path(output_path).suffix, container)
     with atomic_output(output_path, "wb") as tmp:
-        bytes_out = write_mrt_stream(entries, tmp, container)
+        bytes_out = write_mrt_stream(entries, tmp, out_container)
     return ReductionReport(
         str(input_path), total, discarded, bytes_in, bytes_out, normalizer.flags
     )
@@ -175,7 +182,7 @@ def corpus_reduction(
     by_name: dict[str, Path] = {}
     for path in files:
         if path.name in by_name:
-            raise DuplicateOutputName(
+            raise BgpChurnError(
                 f"{by_name[path.name]} and {path} would both be pruned to "
                 f"{output_dir / path.name}"
             )

@@ -21,7 +21,7 @@ from bgpchurn.cli import build_parser, main
 from bgpchurn.fetch import FetchReport
 from bgpchurn.mrt.build import build_update_record
 from bgpchurn.model import record_to_dict
-from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
+from bgpchurn.mrt.codec import MrtRecordHeader, read_mrt_stream, write_mrt_stream
 
 from helpers import attr_mp_reach, make_announcement, std_attrs, update_entry
 
@@ -298,6 +298,43 @@ def test_unreadable_input_is_named(tmp_path, capsys, command, fault):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src}: "), err
     assert list(out.iterdir()) == []  # no labels.jsonl, partition_*.csv or temp file
+
+
+def write_table_dump(path):
+    """A one-record TABLE_DUMP_V2 (type 13) file: a RIB dump, no updates."""
+    # PEER_INDEX_TABLE: collector id, an empty view name, no peers
+    body = b"\x0a\x00\x00\x01\x00\x00\x00\x00"
+    path.write_bytes(MrtRecordHeader(1_682_899_200, 13, 1, len(body)).encode() + body)
+    return path
+
+
+@pytest.mark.parametrize("command", ["classify", "beacon"])
+def test_non_update_file_is_refused(tmp_path, capsys, command):
+    empty = tmp_path / "empty.mrt"
+    empty.write_bytes(b"")
+    if command == "classify":  # an empty file is an update file with no records
+        assert main([command, str(empty), "-o", str(tmp_path / "empty_out")]) == 0
+    rib = write_table_dump(tmp_path / "bview.20230501.0000")
+    out = tmp_path / "out"
+    assert main([command, str(empty), str(rib), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rib}: not an update file: "), err
+    assert list(out.iterdir()) == []
+
+
+def test_reduce_lists_a_non_update_file_under_failures(tmp_path):
+    empty = tmp_path / "empty.mrt"
+    empty.write_bytes(b"")
+    rib = write_table_dump(tmp_path / "bview.20230501.0000")
+    updates = write_mrt(tmp_path / "updates.mrt", classify_fixture())
+    out = tmp_path / "out"
+    assert main(["reduce", str(empty), str(rib), str(updates), "-o", str(out)]) == 1
+    summary = read_report(out / "reduction_summary.json")
+    assert list(summary["failures"]) == [str(rib)]
+    assert summary["failures"][str(rib)].startswith("not an update file: ")
+    assert [r["file"] for r in summary["reports"]] == [str(empty), str(updates)]
+    assert sorted(p.name for p in (out / "pruned").iterdir()) == ["empty.mrt", "updates.mrt"]
+    assert (out / "pruned" / "empty.mrt").read_bytes() == b""
 
 
 # --- reduce ---
@@ -725,6 +762,30 @@ def test_fetch_unknown_collector_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "not a ripe_ris collector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "times,retries",
+    [
+        (("banana", "2023-05-01T00:05"), "3"),
+        (("2023-05-02T00:00", "2023-05-01T00:00"), "3"),
+        (("2023-05-01T00:00", "2023-05-01T00:00"), "3"),
+        (("2023-05-01T00:00", "2023-05-01T00:05"), "0"),
+    ],
+    ids=["bad-start", "end-before-start", "end-at-start", "no-attempts"],
+)
+def test_fetch_argument_errors_are_usage_errors(tmp_path, times, retries):
+    argv = [
+        "fetch", "--project", "ripe_ris", "--collector", "rrc00",
+        "--start", times[0], "--end", times[1], "--retries", retries,
+        "--cache-dir", str(tmp_path / "cache"), "--offline", "-o", str(tmp_path / "out"),
+    ]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        code = exc.code
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []  # no fetch_report.json, no cache
 
 
 def test_fetch_has_no_rib_kind(tmp_path):

@@ -30,7 +30,6 @@ from bgpchurn.mrt.bgp import (
     ATTR_MP_REACH_NLRI,
     ATTR_MP_UNREACH_NLRI,
     ATTR_NEXT_HOP,
-    PathSegment,
     WireAttribute,
     address_str,
     attr_as_path,
@@ -49,6 +48,7 @@ from bgpchurn.mrt.bgp import (
 from bgpchurn.mrt.build import build_update_record
 from bgpchurn.mrt.codec import (
     BGP4MP_MESSAGE_ADDPATH,
+    RECORD_KINDS,
     MrtRecordHeader,
     decode_entry,
     read_mrt_stream,
@@ -202,7 +202,7 @@ def test_truncated_body_raises():
 def test_keepalive_and_unknown_kinds():
     keep = build_keepalive_record(1, 65001, "10.0.0.1", 64512, "10.0.0.2")
     other = decode_entry(MrtRecordHeader(1, 42, 7, 3), b"\x00\x01\x02")
-    assert keep.kind == "keepalive"
+    assert keep.kind == "other"
     assert keep.message is None  # only an UPDATE is decoded
     assert other.kind == "other"
     blob = keep.encode() + other.encode()
@@ -213,8 +213,8 @@ def test_addpath_surfaced_as_other_with_note():
     header = MrtRecordHeader(5, 16, BGP4MP_MESSAGE_ADDPATH, len(_BGP4MP_BODY))
     blob = header.encode() + _BGP4MP_BODY + REFERENCE_RECORD
     entries = list(read_mrt_stream(blob))
-    assert [e.kind for e in entries] == ["other", "update"]
-    assert [e.note for e in entries] == ["addpath", None]
+    assert [e.kind for e in entries] == ["addpath", "update"]
+    assert [e.note for e in entries] == [None, None]
     assert b"".join(e.encode() for e in entries) == blob
 
 
@@ -223,7 +223,7 @@ def test_garbled_bgp_body_downgrades_to_other():
     body = _BGP4MP_BODY[: len(_BGP4MP_BODY) - len(_BGP_MESSAGE)] + bad_bgp
     header = MrtRecordHeader(5, 16, 1, len(body))
     (entry,) = list(read_mrt_stream(header.encode() + body))
-    assert entry.kind == "other"
+    assert entry.kind == "undecodable"
     assert entry.note
     assert entry.encode() == header.encode() + body
 
@@ -238,6 +238,8 @@ def test_fuzzed_mutations_never_crash():
         try:
             for entry in read_mrt_stream(bytes(mutated)):
                 entry.encode()
+                assert entry.kind in RECORD_KINDS
+                assert (entry.message is not None) == (entry.kind == "update")
         except MrtError:
             pass  # typed errors are the allowed failure mode
 
@@ -360,9 +362,9 @@ def test_bgp4mp_addresses_equal_ipaddress_text(fields):
 
 
 def test_as_path_codec_widths():
-    segs = (PathSegment(AS_SEQUENCE, (65001, 65002)), PathSegment(AS_SET, (3, 1, 2)))
+    segs = ((AS_SEQUENCE, (65001, 65002)), (AS_SET, (3, 1, 2)))
     assert decode_path(encode_as_path(segs, 2), 2) == (65001, 65002, (1, 2, 3))
-    wide = (PathSegment(AS_SEQUENCE, (4_200_000_000, 65002)),)
+    wide = ((AS_SEQUENCE, (4_200_000_000, 65002)),)
     assert decode_path(encode_as_path(wide, 4), 4) == (4_200_000_000, 65002)
 
 
@@ -370,7 +372,7 @@ def test_as_set_collapses_to_sorted_element():
     payload = encode_as_path(path_segments([65001, (65003, 65002), 65004]), 2)
     assert decode_path(payload, 2) == (65001, (65002, 65003), 65004)
     # AS_SET members in any wire order give one sorted element
-    unsorted = (PathSegment(AS_SET, (65003, 65002)),)
+    unsorted = ((AS_SET, (65003, 65002)),)
     assert decode_path(encode_as_path(unsorted, 4), 4) == ((65002, 65003),)
 
 

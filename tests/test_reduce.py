@@ -208,6 +208,26 @@ def test_reduce_keeps_input_container(tmp_path, compress, decompress, magic):
     assert second.read_bytes() == blob  # no timestamp or temp-file name inside
 
 
+@pytest.mark.parametrize(
+    "suffix,decompress,magic",
+    [(".gz", gzip.decompress, b"\x1f\x8b"), (".bz2", bz2.decompress, b"BZh")],
+)
+def test_reduce_writes_the_container_its_name_says(tmp_path, suffix, decompress, magic):
+    plain_src, plain_out = tmp_path / "in.mrt", tmp_path / "plain-out.mrt"
+    write_fixture(plain_src, fixture_entries())
+    reduce_file(plain_src, plain_out)
+    # plain MRT under a compressed name, pruned to that same name
+    named_src = tmp_path / f"plain_named{suffix}"
+    named_src.write_bytes(plain_src.read_bytes())
+    out = tmp_path / "pruned" / named_src.name
+    out.parent.mkdir()
+    report = reduce_file(named_src, out)
+    assert report.discarded_messages == 3
+    blob = out.read_bytes()
+    assert blob.startswith(magic)
+    assert decompress(blob) == plain_out.read_bytes()
+
+
 def test_reduce_gzip_header_is_deterministic(tmp_path):
     src, dst = tmp_path / "in.mrt.gz", tmp_path / "out.mrt.gz"
     blob = io.BytesIO()
