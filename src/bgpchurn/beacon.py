@@ -9,7 +9,7 @@ in which they were ever revealed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -60,28 +60,20 @@ class RevealPartition:
     outside_only: set = field(default_factory=set)
     ambiguous: set = field(default_factory=set)
 
-    _BUCKETS = (
-        (frozenset({PHASE_WITHDRAW}), "withdrawal_only"),
-        (frozenset({PHASE_ANNOUNCE}), "announce_only"),
-        (frozenset({PHASE_OUTSIDE}), "outside_only"),
-    )
-
     @classmethod
     def from_phase_sets(cls, seen: dict) -> "RevealPartition":
         part = cls()
-        exact = dict(cls._BUCKETS)
+        exact = {
+            frozenset({PHASE_WITHDRAW}): part.withdrawal_only,
+            frozenset({PHASE_ANNOUNCE}): part.announce_only,
+            frozenset({PHASE_OUTSIDE}): part.outside_only,
+        }
         for value, phases in seen.items():
-            bucket = exact.get(frozenset(phases), "ambiguous")
-            getattr(part, bucket).add(value)
+            exact.get(frozenset(phases), part.ambiguous).add(value)
         return part
 
     def sizes(self) -> dict[str, int]:
-        return {
-            "withdrawal_only": len(self.withdrawal_only),
-            "announce_only": len(self.announce_only),
-            "outside_only": len(self.outside_only),
-            "ambiguous": len(self.ambiguous),
-        }
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
     def shares(self) -> dict[str, float]:
         sizes = self.sizes()

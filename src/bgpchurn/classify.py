@@ -33,9 +33,6 @@ class AnnouncementType(str, enum.Enum):
     XN = "xn"
     INITIAL = "initial"
 
-    def __str__(self) -> str:  # csv-friendly
-        return self.value
-
 
 LABELED_TYPES = (
     AnnouncementType.PC,

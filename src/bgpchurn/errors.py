@@ -9,20 +9,12 @@ class MrtError(BgpChurnError):
     """An MRT file could not be read or written."""
 
 
-class TruncatedRecord(MrtError):
-    """A record header promised more bytes than the stream contains."""
-
-
 class BgpParseError(MrtError):
     """A BGP message body could not be decoded.
 
     Raised internally; stream readers downgrade affected records to
     kind="undecodable" rather than aborting the file.
     """
-
-
-class LabelMismatch(BgpChurnError):
-    """Classifier labels do not cover a message's announced prefixes."""
 
 
 class NonConvergence(BgpChurnError):
@@ -35,7 +27,3 @@ class ScenarioError(BgpChurnError):
     def __init__(self, message, field=None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
-
-
-class UnknownCollector(BgpChurnError):
-    """Collector name is not valid for the requested archive project."""

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
-from .errors import BgpChurnError, MrtError, UnknownCollector
+from .errors import BgpChurnError, MrtError
 from .mrt.codec import (
     CONTAINER_OF_SUFFIX,
     UPDATE_TYPES,
@@ -55,7 +55,7 @@ class ArchiveTarget:
         if self.project not in (PROJECT_ROUTEVIEWS, PROJECT_RIPE_RIS):
             raise ValueError(f"unknown project {self.project!r}")
         if project_of(self.collector) != self.project:
-            raise UnknownCollector(
+            raise BgpChurnError(
                 f"{self.collector!r} is not a {self.project} collector name"
             )
 

@@ -232,7 +232,8 @@ def labeled_lines(labeled: Iterable[tuple[UpdateRecord, str, bool]]) -> Iterator
 # have its JSON type exactly.  Next hops, communities and sessions
 # repeat from line to line, so their checks are memoized in bounded
 # memos that hold no exceptions, each reached only once the field's
-# JSON types are checked.
+# JSON types are checked.  Peer addresses and next hops are kept in the
+# canonical text decode gives them.
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -253,8 +254,13 @@ def _community_from_json(value) -> int:
     return _community_memo(_require(value, str, "community"))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _json_session_memo(collector: str, peer_asn: int, peer_address: str) -> SessionKey:
+    return _session_memo(collector, peer_asn, _address_memo(peer_address))
+
+
 def _session_from_json(obj: dict) -> SessionKey:
-    return _session_memo(
+    return _json_session_memo(
         _require(obj["collector"], str, "collector"),
         _require(obj["peer_asn"], int, "peer_asn"),
         _require(obj["peer_address"], str, "peer_address"),

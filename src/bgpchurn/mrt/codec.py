@@ -16,7 +16,7 @@ import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
-from ..errors import BgpParseError, MrtError, TruncatedRecord
+from ..errors import BgpParseError, MrtError
 from .bgp import (
     MSG_UPDATE,
     RawBgpMessage,
@@ -159,7 +159,7 @@ def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
     offset = 0
     if header.type == TYPE_BGP4MP_ET:
         if len(body) < 4:
-            raise TruncatedRecord("extended timestamp record shorter than 4 bytes")
+            raise MrtError("extended timestamp record shorter than 4 bytes")
         (microsecond,) = struct.unpack_from("!I", body)
         offset = 4
     if header.type not in UPDATE_TYPES:
@@ -237,15 +237,13 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
             if not head:
                 return
             if len(head) < _COMMON_HEADER.size:
-                raise TruncatedRecord(
-                    f"record {index}: header cut short at {len(head)} bytes"
-                )
+                raise MrtError(f"record {index}: header cut short at {len(head)} bytes")
             header = MrtRecordHeader._make(_COMMON_HEADER.unpack(head))
             body = f.read(header.length)
         except _CONTAINER_ERRORS as exc:
             raise MrtError(f"record {index}: {exc}") from exc
         if len(body) < header.length:
-            raise TruncatedRecord(
+            raise MrtError(
                 f"record {index}: body cut short ({len(body)} of {header.length} bytes)"
             )
         yield decode_entry(header, body)

@@ -17,9 +17,15 @@ from .model import UpdateRecord
 FLAG_REPAIRED_PATH = "repaired_path"
 FLAG_ANOMALOUS_EMPTY_PATH = "anomalous_empty_path"
 FLAG_OVERFLOW_SECOND = "overflow_second"
+FLAG_REOPENED_SECOND = "reopened_second"
 
 # the flags a Normalizer sets, in the order classify_report.json lists them
-NORMALIZER_FLAGS = (FLAG_REPAIRED_PATH, FLAG_ANOMALOUS_EMPTY_PATH, FLAG_OVERFLOW_SECOND)
+NORMALIZER_FLAGS = (
+    FLAG_REPAIRED_PATH,
+    FLAG_ANOMALOUS_EMPTY_PATH,
+    FLAG_OVERFLOW_SECOND,
+    FLAG_REOPENED_SECOND,
+)
 
 
 def repair_route_server_path(record: UpdateRecord) -> UpdateRecord:
@@ -57,6 +63,7 @@ class Normalizer:
         self._allocated = allocated
         self._run_second: Optional[int] = None
         self._run_index = 0
+        self._latest_second: Optional[int] = None
         self.flags: Counter = Counter()
 
     def __call__(self, rec: UpdateRecord) -> Optional[UpdateRecord]:
@@ -79,7 +86,9 @@ class Normalizer:
         sub-second digits it came with are replaced.  Native-stamped
         records are left alone and do not interrupt the count.  A second
         with more than 10^6 such records spills into the next second's
-        range, and each record that spills is flagged.
+        range, and each record that spills is flagged.  A second that comes
+        back after a later one is counted anew and may repeat a stamp, so
+        each record from a second before the latest numbered is flagged.
         """
         if rec.native_usec:
             return rec
@@ -88,12 +97,19 @@ class Normalizer:
             self._run_index += 1
         else:
             self._run_second, self._run_index = second, 0
+            if self._latest_second is None or second > self._latest_second:
+                self._latest_second = second
         index = self._run_index
         stamp = second * 1_000_000 + index
+        if rec.arrival_us != stamp:
+            rec = rec._replace(arrival_us=stamp)
         if index >= 1_000_000:
             self.flags[FLAG_OVERFLOW_SECOND] += 1
-            return rec._replace(arrival_us=stamp).with_flag(FLAG_OVERFLOW_SECOND)
-        return rec if rec.arrival_us == stamp else rec._replace(arrival_us=stamp)
+            rec = rec.with_flag(FLAG_OVERFLOW_SECOND)
+        if second < self._latest_second:
+            self.flags[FLAG_REOPENED_SECOND] += 1
+            rec = rec.with_flag(FLAG_REOPENED_SECOND)
+        return rec
 
 
 def normalize_stream(records: Iterable[UpdateRecord]) -> Iterator[UpdateRecord]:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import UNNECESSARY_TYPES, AnnouncementType, StreamClassifier
-from .errors import BgpChurnError, LabelMismatch
+from .errors import BgpChurnError
 from .fetch import collector_id, project_of
 from .mrt.bgp import RawBgpMessage
 from .mrt.codec import (
@@ -38,7 +38,7 @@ def message_is_unnecessary(
     label outside {nc, nn} (including initial), vetoes the discard.
     """
     if len(labels) != len(msg.announced_prefixes):
-        raise LabelMismatch(
+        raise BgpChurnError(
             f"{len(msg.announced_prefixes)} announced prefixes "
             f"but {len(labels)} labels"
         )
@@ -131,6 +131,10 @@ def reduce_file(
     )
 
 
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 @dataclass
 class CorpusSummary:
     reports: list[ReductionReport] = field(default_factory=list)
@@ -140,14 +144,10 @@ class CorpusSummary:
         return [r.reduction_ratio for r in self.reports]
 
     def mean_ratio(self) -> float:
-        ratios = self.ratios()
-        return sum(ratios) / len(ratios) if ratios else 0.0
+        return _mean(self.ratios())
 
     def mean_bytes_ratio(self) -> float:
-        reports = self.reports
-        if not reports:
-            return 0.0
-        return sum(r.bytes_ratio for r in reports) / len(reports)
+        return _mean([r.bytes_ratio for r in self.reports])
 
     def cdf_points(self) -> list[tuple[float, float]]:
         """Sorted (ratio, fraction of files with ratio <= it)."""
@@ -162,7 +162,7 @@ class CorpusSummary:
         for report in self.reports:
             project = project_of(collector_id(Path(report.file)))
             groups.setdefault(project, []).append(report.reduction_ratio)
-        return {k: sum(v) / len(v) for k, v in sorted(groups.items())}
+        return {k: _mean(v) for k, v in sorted(groups.items())}
 
 
 def corpus_reduction(
@@ -174,8 +174,9 @@ def corpus_reduction(
 
     Each pruned file is written as ``output_dir/<input name>``, so two
     inputs with the same name are refused before any file is reduced.
-    With warm=True one classifier persists across files in input order;
-    cold restarts per file.
+    With warm=True one classifier persists across files in input order,
+    and restarts cold after a file that fails, whose labels reached no
+    pruned output; cold restarts per file.
     """
     files = [Path(p) for p in files]
     output_dir = Path(output_dir)
@@ -195,6 +196,7 @@ def corpus_reduction(
             summary.reports.append(reduce_file(path, output_dir / path.name, clf))
         except Exception as exc:  # noqa: BLE001 - per-file isolation
             summary.failures[str(path)] = str(exc)
+            clf = StreamClassifier() if warm else None
     return summary
 
 

@@ -125,6 +125,7 @@ def test_classify_mrt_file(tmp_path, capsys):
     assert report["flags"] == {
         "out_of_order": 0, "reorder_equal_multiset": 0, "med_changed": 0,
         "repaired_path": 0, "anomalous_empty_path": 0, "overflow_second": 0,
+        "reopened_second": 0,
     }
     assert (out / "peer_nc_nn.csv").read_text().strip().splitlines()[1] == "65001,1,2"
     assert "labeled 4 announcements" in capsys.readouterr().out
@@ -150,10 +151,12 @@ def test_classify_report_counts_each_flag(tmp_path):
     assert report["flags"] == {
         "out_of_order": 1, "reorder_equal_multiset": 1, "med_changed": 1,
         "repaired_path": 0, "anomalous_empty_path": 0, "overflow_second": 0,
+        "reopened_second": 1,
     }
     rows = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()]
     assert [r["flags"] for r in rows] == [
-        [], ["med_changed"], ["reorder_equal_multiset"], ["out_of_order"],
+        [], ["med_changed"], ["reorder_equal_multiset"],
+        ["reopened_second", "out_of_order"],
     ]
 
 
@@ -175,6 +178,7 @@ def test_classify_report_counts_repaired_paths(tmp_path):
     assert report["flags"] == {
         "out_of_order": 0, "reorder_equal_multiset": 0, "med_changed": 0,
         "repaired_path": 6, "anomalous_empty_path": 1, "overflow_second": 0,
+        "reopened_second": 0,
     }
     for flag in ("repaired_path", "anomalous_empty_path"):
         assert report["flags"][flag] == sum(flag in r["flags"] for r in rows)
@@ -655,6 +659,35 @@ def test_classify_rejects_bad_jsonl_line(tmp_path, capsys, field, value):
     assert main(["classify", str(src), "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {src}:4: ")
     assert list(out.iterdir()) == []  # no labels.jsonl, report or temp file
+
+
+def test_classify_keys_jsonl_peers_by_canonical_address(tmp_path, capsys):
+    t = 1_600_000_000
+    mrt = write_mrt(tmp_path / "rrc00.updates.mrt", [build_update_record(
+        timestamp=t, peer_asn=65001, peer_address="2001:db8::1",
+        local_asn=64512, local_address="2001:db8::2",
+        attributes=std_attrs((65001, 65002)), announced=("10.1.0.0/24",),
+    )])
+    row = record_to_dict(make_announcement((t + 1) * 1_000_000, prefix="10.1.0.0/24"))
+    row.update(collector="rrc00", peer_address="2001:DB8::1")
+    records = write_jsonl(tmp_path / "records.jsonl", [row])
+    out = tmp_path / "out"
+    assert main(["classify", str(mrt), str(records), "-o", str(out)]) == 0
+    assert "initial=1 over 1 streams" in capsys.readouterr().out
+    rows = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()]
+    assert [(r["peer_address"], r["label"]) for r in rows] == [
+        ("2001:db8::1", "initial"), ("2001:db8::1", "nn"),
+    ]
+
+
+def test_classify_rejects_leading_zero_peer_address(tmp_path, capsys):
+    rows = beacon_rows()
+    rows[3]["peer_address"] = "10.0.0.01"
+    src = write_jsonl(tmp_path / "records.jsonl", rows)
+    out = tmp_path / "out"
+    assert main(["classify", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}:4: ")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("prefix", ["10.0.0.1/24", "banana"])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from bgpchurn.errors import UnknownCollector
+from bgpchurn.errors import BgpChurnError
 from bgpchurn.fetch import (
     ArchiveTarget,
     PlannedFile,
@@ -109,13 +109,13 @@ def test_month_boundary_crossing():
 
 
 def test_collector_name_validation():
-    with pytest.raises(UnknownCollector):
+    with pytest.raises(BgpChurnError):
         day(collector="rrc1")  # needs two digits
-    with pytest.raises(UnknownCollector):
+    with pytest.raises(BgpChurnError):
         day(collector="route-views2")  # wrong project
-    with pytest.raises(UnknownCollector):
+    with pytest.raises(BgpChurnError):
         day(project="routeviews", collector="rrc00")
-    with pytest.raises(UnknownCollector):
+    with pytest.raises(BgpChurnError):
         day(project="routeviews", collector="route-views2;rm")
     assert day(collector="rrc21").collector == "rrc21"
     assert day(project="routeviews", collector="route-views.sydney").collector

@@ -131,20 +131,20 @@ def test_reports_are_written_only_by_output():
     assert found == []
 
 
-def test_every_error_class_is_raised_or_caught():
-    """Each class in errors.py is raised or caught somewhere in the package,
+# The simulator raises these and reports them through cli.main's
+# BgpChurnError handler; no code needs to tell them apart.
+UNCAUGHT_ERRORS = {"NonConvergence", "ScenarioError"}
+
+
+def test_every_error_class_is_caught():
+    """Each class in errors.py is caught by name somewhere in the package,
     so no exception type outlives the last code that tells it apart."""
     package = SRC / "bgpchurn"
     tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
     defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-    used = set()
+    caught = set()
     for path in package.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                named = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
-                named = node.type
-            else:
-                continue
-            used |= {n.id for n in ast.walk(named) if isinstance(n, ast.Name)}
-    assert sorted(defined - used) == []
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert sorted(defined - caught - UNCAUGHT_ERRORS) == []

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgpchurn.errors import BgpParseError, MrtError, TruncatedRecord
+from bgpchurn.errors import BgpParseError, MrtError
 from bgpchurn.mrt.bgp import (
     AS_SEQUENCE,
     AS_SET,
@@ -190,12 +190,12 @@ def test_bytes_carry_their_container_and_a_stream_names_its_own():
 
 
 def test_truncated_header_raises():
-    with pytest.raises(TruncatedRecord):
+    with pytest.raises(MrtError):
         list(read_mrt_stream(REFERENCE_RECORD[:8]))
 
 
 def test_truncated_body_raises():
-    with pytest.raises(TruncatedRecord):
+    with pytest.raises(MrtError):
         list(read_mrt_stream(REFERENCE_RECORD[:-5]))
 
 

@@ -12,6 +12,7 @@ from bgpchurn.allocation import FilterStats, filter_allocated, load_delegated
 from bgpchurn.normalize import (
     FLAG_ANOMALOUS_EMPTY_PATH,
     FLAG_OVERFLOW_SECOND,
+    FLAG_REOPENED_SECOND,
     FLAG_REPAIRED_PATH,
     Normalizer,
     normalize_stream,
@@ -125,6 +126,17 @@ def test_disambiguate_overflow_flagged():
     assert out_flags[1_000_000:] == [True, True]
     assert normalizer.flags[FLAG_OVERFLOW_SECOND] == 2
     assert last_us == base + n - 1  # spilled into the next second
+
+
+def test_disambiguate_flags_a_reopened_second():
+    s0, s1 = 1_600_000_000_000_000, 1_600_000_001_000_000
+    records = [make_withdrawal(s0), make_withdrawal(s1), make_withdrawal(s0)]
+    normalizer = Normalizer()
+    out = list(map(normalizer.disambiguate, records))
+    # the count of s0 restarts, so its stamp repeats: flagged, not hidden
+    assert [r.arrival_us for r in out] == [s0, s1, s0]
+    assert [FLAG_REOPENED_SECOND in r.flags for r in out] == [False, False, True]
+    assert normalizer.flags[FLAG_REOPENED_SECOND] == 1
 
 
 @settings(max_examples=100)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from bgpchurn.classify import AnnouncementType, StreamClassifier
 from bgpchurn.cli import main as cli_main
-from bgpchurn.errors import LabelMismatch, TruncatedRecord
+from bgpchurn.errors import BgpChurnError, MrtError
 from bgpchurn.fetch import ArchiveTarget, plan_urls
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 from bgpchurn.reduce import (
@@ -77,7 +77,7 @@ def test_no_announcements_kept():
 
 def test_label_coverage_gap_raises():
     two = msg_of(announced=("10.0.0.0/24", "10.0.1.0/24"))
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(BgpChurnError):
         message_is_unnecessary(two, [NN])
 
 
@@ -182,7 +182,7 @@ def test_reduce_atomic_on_failure(tmp_path):
     blob = io.BytesIO()
     write_mrt_stream(fixture_entries(), blob)
     src.write_bytes(blob.getvalue()[:-10])  # truncate the final record
-    with pytest.raises(TruncatedRecord):
+    with pytest.raises(MrtError):
         reduce_file(src, dst)
     assert not dst.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["in.mrt"]  # no temp litter
@@ -286,6 +286,7 @@ def test_reduce_summary_counts_normalizer_flags(tmp_path):
     summary = json.loads((out / "reduction_summary.json").read_text())
     assert list(summary["flags"].items()) == [
         ("repaired_path", 3), ("anomalous_empty_path", 2), ("overflow_second", 0),
+        ("reopened_second", 0),
     ]
     assert all("flags" not in report for report in summary["reports"])
     header = (out / "reduction.csv").read_text().splitlines()[0]
@@ -398,6 +399,40 @@ def test_corpus_records_failures(tmp_path):
     summary = corpus_reduction([ok, missing], tmp_path / "out")
     assert len(summary.reports) == 1
     assert str(missing) in summary.failures
+
+
+def replay(paths):
+    """A listener's final route per (peer, prefix) stream after ``paths``."""
+    routes = {}
+    for path in paths:
+        for entry in read_mrt_stream(path):
+            msg = entry.message
+            for prefix in msg.withdrawn_prefixes:
+                routes[msg.peer_address, prefix] = None
+            for prefix in msg.announced_prefixes:
+                routes[msg.peer_address, prefix] = msg.attributes
+    return routes
+
+
+def test_warm_state_restarts_after_a_failed_file(tmp_path):
+    # a and c are kept; b fails, so c must not be judged against b
+    t = 1_600_000_000
+    a, b, c = (tmp_path / f"updates.{n}.mrt" for n in ("0000", "0005", "0010"))
+    write_fixture(a, [update_entry(t, announced=("10.1.0.0/24",), path=(65001, 65002))])
+    blob = io.BytesIO()
+    write_mrt_stream([
+        update_entry(t + 300, announced=("10.1.0.0/24",), path=(65001, 65003)),
+        update_entry(t + 301, announced=("10.2.0.0/24",), path=(65001, 65003)),
+    ], blob)
+    b.write_bytes(blob.getvalue()[:-10])  # the second record is cut
+    write_fixture(c, [update_entry(t + 600, announced=("10.1.0.0/24",),
+                                   path=(65001, 65003))])
+    out = tmp_path / "out"
+    summary = corpus_reduction([a, b, c], out, warm=True)
+    assert list(summary.failures) == [str(b)]
+    assert [r.discarded_messages for r in summary.reports] == [0, 0]
+    assert (out / c.name).read_bytes() == c.read_bytes()
+    assert replay([out / a.name, out / c.name]) == replay([a, c])
 
 
 # --- corpus summary math ---
