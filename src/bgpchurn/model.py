@@ -120,29 +120,6 @@ def _path_to_json(elements: tuple[PathElement, ...]) -> list:
     return [list(el) if isinstance(el, tuple) else el for el in elements]
 
 
-_TYPE_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list"}
-
-
-def _require(value, kind: type, name: str):
-    """``value`` when its type is exactly ``kind`` (so True is no int)."""
-    if type(value) is not kind:
-        raise ValueError(
-            f"{name} must be {_TYPE_NAMES[kind]}, not {type(value).__name__}"
-        )
-    return value
-
-
-def _as_set_from_json(item) -> tuple[int, ...]:
-    if type(item) is not list or not all(type(asn) is int for asn in item):
-        raise ValueError(f"as_path element must be an int or a list of ints: {item!r}")
-    return tuple(sorted(item))
-
-
-def _path_from_json(items: list) -> tuple[PathElement, ...]:
-    _require(items, list, "as_path")
-    return tuple([i if type(i) is int else _as_set_from_json(i) for i in items])
-
-
 def record_to_dict(rec: UpdateRecord) -> dict:
     out = {
         "arrival_us": rec.arrival_us,
@@ -229,42 +206,68 @@ def labeled_lines(labeled: Iterable[tuple[UpdateRecord, str, bool]]) -> Iterator
 
 
 # JSONL is outside input, so every line is checked: each field must
-# have its JSON type exactly.  Next hops, communities and sessions
+# have its JSON type exactly, and ASNs, MEDs, arrival times and message
+# indexes their range.  The checks are inline in record_from_dict, so a
+# plain line costs one frame, and run in a fixed order, so a bad line
+# fails on its first bad field.  Next hops, communities and sessions
 # repeat from line to line, so their checks are memoized in bounded
 # memos that hold no exceptions, each reached only once the field's
 # JSON types are checked.  Peer addresses and next hops are kept in the
 # canonical text decode gives them.
 
+_TYPE_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list"}
+_UINT32_MAX = 2**32 - 1
+
+
+def _wrong_type(name: str, kind: type, value) -> ValueError:
+    return ValueError(f"{name} must be {_TYPE_NAMES[kind]}, not {type(value).__name__}")
+
+
+def _out_of_range(name: str, value: int) -> ValueError:
+    return ValueError(f"{name} must be from 0 to {_UINT32_MAX}, not {value}")
+
+
+def _address(text: str, name: str) -> str:
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _address_memo(text: str) -> str:
-    return str(ipaddress.ip_address(text))
+def _next_hop_memo(text: str) -> str:
+    return _address(text, "next_hop")
 
 
 _community_memo = lru_cache(maxsize=_MEMO_SIZE)(community_value)
 
 
-def _next_hop_from_json(value) -> Optional[str]:
-    if value is None:
-        return None
-    return _address_memo(_require(value, str, "next_hop"))
-
-
-def _community_from_json(value) -> int:
-    return _community_memo(_require(value, str, "community"))
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _json_session_memo(collector: str, peer_asn: int, peer_address: str) -> SessionKey:
-    return _session_memo(collector, peer_asn, _address_memo(peer_address))
+    if not 0 <= peer_asn <= _UINT32_MAX:
+        raise _out_of_range("peer_asn", peer_asn)
+    return _session_memo(collector, peer_asn, _address(peer_address, "peer_address"))
 
 
-def _session_from_json(obj: dict) -> SessionKey:
-    return _json_session_memo(
-        _require(obj["collector"], str, "collector"),
-        _require(obj["peer_asn"], int, "peer_asn"),
-        _require(obj["peer_address"], str, "peer_address"),
-    )
+def _path_with_sets(path: list) -> list:
+    """as_path with AS_SETs as sorted tuples, each element checked in turn."""
+    out = []
+    for item in path:
+        if type(item) is list and all(type(asn) is int for asn in item):
+            members, item = item, tuple(sorted(item))
+        elif type(item) is int:
+            members = (item,)
+        else:
+            raise ValueError(f"as_path element must be an int or a list of ints: {item!r}")
+        for asn in members:
+            if not 0 <= asn <= _UINT32_MAX:
+                raise _out_of_range("as_path ASN", asn)
+        out.append(item)
+    return out
+
+
+# NamedTuple construction through its Python __new__ costs a frame
+_new = tuple.__new__
 
 
 def record_from_dict(obj: dict) -> UpdateRecord:
@@ -273,29 +276,77 @@ def record_from_dict(obj: dict) -> UpdateRecord:
     if kind == ANNOUNCEMENT:
         med = obj.get("med")
         if med is not None:
-            _require(med, int, "med")
-        communities = _require(obj.get("communities", []), list, "communities")
-        attrs = BgpAttributes(
-            _path_from_json(obj.get("as_path", [])),
-            tuple(map(_community_from_json, communities)),
-            _next_hop_from_json(obj.get("next_hop")),
-            med,
-        )
+            if type(med) is not int:
+                raise _wrong_type("med", int, med)
+            if not 0 <= med <= _UINT32_MAX:
+                raise _out_of_range("med", med)
+        communities = obj.get("communities", [])
+        if type(communities) is not list:
+            raise _wrong_type("communities", list, communities)
+        path = obj.get("as_path", [])
+        if type(path) is not list:
+            raise _wrong_type("as_path", list, path)
+        for asn in path:
+            if type(asn) is not int or not 0 <= asn <= _UINT32_MAX:
+                path = _path_with_sets(path)
+                break
+        values = []
+        for community in communities:
+            if type(community) is not str:
+                raise _wrong_type("community", str, community)
+            values.append(_community_memo(community))
+        next_hop = obj.get("next_hop")
+        if next_hop is not None:
+            if type(next_hop) is not str:
+                raise _wrong_type("next_hop", str, next_hop)
+            next_hop = _next_hop_memo(next_hop)
+        attrs = _new(BgpAttributes, (tuple(path), tuple(values), next_hop, med))
     elif kind != WITHDRAWAL:
         raise ValueError(f"kind must be {ANNOUNCEMENT!r} or {WITHDRAWAL!r}: {kind!r}")
-    flags = _require(obj.get("flags", []), list, "flags")
+    flags = obj.get("flags", [])
+    if type(flags) is not list:
+        raise _wrong_type("flags", list, flags)
     for flag in flags:
-        _require(flag, str, "flag")
-    return UpdateRecord(
-        _require(obj["arrival_us"], int, "arrival_us"),
-        _session_from_json(obj),
-        _require(obj["prefix"], str, "prefix"),
-        attrs,
-        _require(obj.get("source_message_index", 0), int, "source_message_index"),
-        _require(obj.get("source_file", ""), str, "source_file"),
-        _require(obj.get("native_usec", False), bool, "native_usec"),
-        tuple(flags),
+        if type(flag) is not str:
+            raise _wrong_type("flag", str, flag)
+    arrival_us = obj["arrival_us"]
+    if type(arrival_us) is not int:
+        raise _wrong_type("arrival_us", int, arrival_us)
+    if arrival_us < 0:
+        raise ValueError(f"arrival_us must be at least 0, not {arrival_us}")
+    collector = obj["collector"]
+    if type(collector) is not str:
+        raise _wrong_type("collector", str, collector)
+    peer_asn = obj["peer_asn"]
+    if type(peer_asn) is not int:
+        raise _wrong_type("peer_asn", int, peer_asn)
+    peer_address = obj["peer_address"]
+    if type(peer_address) is not str:
+        raise _wrong_type("peer_address", str, peer_address)
+    session = _json_session_memo(collector, peer_asn, peer_address)
+    prefix = obj["prefix"]
+    if type(prefix) is not str:
+        raise _wrong_type("prefix", str, prefix)
+    index = obj.get("source_message_index", 0)
+    if type(index) is not int:
+        raise _wrong_type("source_message_index", int, index)
+    if index < 0:
+        raise ValueError(f"source_message_index must be at least 0, not {index}")
+    source_file = obj.get("source_file", "")
+    if type(source_file) is not str:
+        raise _wrong_type("source_file", str, source_file)
+    native_usec = obj.get("native_usec", False)
+    if type(native_usec) is not bool:
+        raise _wrong_type("native_usec", bool, native_usec)
+    return _new(
+        UpdateRecord,
+        (arrival_us, session, prefix, attrs, index, source_file, native_usec, tuple(flags)),
     )
+
+
+# One JSON scan per line: raw_decode skips json.loads' two frames and
+# its whitespace matches, which a stripped line does not need.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_records_jsonl(path: Union[str, Path]) -> Iterator[UpdateRecord]:
@@ -307,7 +358,14 @@ def read_records_jsonl(path: Union[str, Path]) -> Iterator[UpdateRecord]:
                 if not line:
                     continue
                 try:
-                    rec = record_from_dict(json.loads(line))
+                    try:
+                        obj, end = _raw_decode(line)
+                    except ValueError:
+                        end = -1
+                    if end != len(line):
+                        # not one JSON value: json.loads raises its exact error
+                        obj = json.loads(line)
+                    rec = record_from_dict(obj)
                 except KeyError as exc:
                     raise BgpChurnError(f"{path}:{lineno}: missing key {exc}") from exc
                 except (AttributeError, TypeError, ValueError) as exc:

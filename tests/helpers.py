@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from bgpchurn.classify import AnnouncementType, collapse_path
-from bgpchurn.model import SessionKey, UpdateRecord
+from bgpchurn.model import ANNOUNCEMENT, WITHDRAWAL, SessionKey, UpdateRecord
 from bgpchurn.mrt.bgp import (
     AFI_IPV4,
     AFI_IPV6,
@@ -29,6 +29,7 @@ from bgpchurn.mrt.bgp import (
     attr_next_hop,
     attr_origin,
     build_bgp_message,
+    community_value,
     encode_prefixes,
     path_segments,
 )
@@ -112,6 +113,112 @@ def oracle_labels(records: Iterable[UpdateRecord]) -> list[AnnouncementType]:
         )
         labels.append(AnnouncementType(first + second))
     return labels
+
+
+# ---------------------------------------------------------------------------
+# reference JSONL row reader
+#
+# The reader model.record_from_dict replaced: one helper per field, and
+# each check made directly where the fast reader memoizes it.  It
+# checks the fields in the same order, so a bad row fails on the same
+# field with the same error.
+
+_TYPE_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list"}
+_UINT32_MAX = 2**32 - 1
+
+
+def _require(value, kind: type, name: str):
+    """``value`` when its type is exactly ``kind`` (so True is no int)."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"{name} must be {_TYPE_NAMES[kind]}, not {type(value).__name__}"
+        )
+    return value
+
+
+def _uint32(value: int, name: str) -> int:
+    if not 0 <= value <= _UINT32_MAX:
+        raise ValueError(f"{name} must be from 0 to {_UINT32_MAX}, not {value}")
+    return value
+
+
+def _at_least_0(value: int, name: str) -> int:
+    if value < 0:
+        raise ValueError(f"{name} must be at least 0, not {value}")
+    return value
+
+
+def _address(text: str, name: str) -> str:
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _as_set_from_json(item) -> tuple[int, ...]:
+    if type(item) is not list or not all(type(asn) is int for asn in item):
+        raise ValueError(f"as_path element must be an int or a list of ints: {item!r}")
+    return tuple(sorted(_uint32(asn, "as_path ASN") for asn in item))
+
+
+def _path_from_json(items: list) -> tuple:
+    _require(items, list, "as_path")
+    return tuple([
+        _uint32(i, "as_path ASN") if type(i) is int else _as_set_from_json(i)
+        for i in items
+    ])
+
+
+def _community_from_json(value) -> int:
+    return community_value(_require(value, str, "community"))
+
+
+def _next_hop_from_json(value) -> Optional[str]:
+    if value is None:
+        return None
+    return _address(_require(value, str, "next_hop"), "next_hop")
+
+
+def _session_from_json(obj: dict) -> SessionKey:
+    collector = _require(obj["collector"], str, "collector")
+    peer_asn = _require(obj["peer_asn"], int, "peer_asn")
+    peer_address = _require(obj["peer_address"], str, "peer_address")
+    _uint32(peer_asn, "peer_asn")
+    return SessionKey(collector, peer_asn, _address(peer_address, "peer_address"))
+
+
+def reference_record_from_dict(obj: dict) -> UpdateRecord:
+    kind = obj["kind"]
+    attrs = None
+    if kind == ANNOUNCEMENT:
+        med = obj.get("med")
+        if med is not None:
+            _uint32(_require(med, int, "med"), "med")
+        communities = _require(obj.get("communities", []), list, "communities")
+        attrs = BgpAttributes(
+            _path_from_json(obj.get("as_path", [])),
+            tuple(map(_community_from_json, communities)),
+            _next_hop_from_json(obj.get("next_hop")),
+            med,
+        )
+    elif kind != WITHDRAWAL:
+        raise ValueError(f"kind must be {ANNOUNCEMENT!r} or {WITHDRAWAL!r}: {kind!r}")
+    flags = _require(obj.get("flags", []), list, "flags")
+    for flag in flags:
+        _require(flag, str, "flag")
+    return UpdateRecord(
+        _at_least_0(_require(obj["arrival_us"], int, "arrival_us"), "arrival_us"),
+        _session_from_json(obj),
+        _require(obj["prefix"], str, "prefix"),
+        attrs,
+        _at_least_0(
+            _require(obj.get("source_message_index", 0), int, "source_message_index"),
+            "source_message_index",
+        ),
+        _require(obj.get("source_file", ""), str, "source_file"),
+        _require(obj.get("native_usec", False), bool, "native_usec"),
+        tuple(flags),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,13 @@ BAD_LINES = [
     ("communities", [" 1:2 "]),
     ("communities", ["+1:2"]),
     ("communities", ["\u0661:1"]),
+    ("arrival_us", -5),  # integers out of range
+    ("peer_asn", -7),
+    ("peer_asn", 2**32),
+    ("as_path", [-7, 99999999999]),
+    ("as_path", [65001, [65002, 2**32]]),
+    ("med", -3),
+    ("source_message_index", -1),
 ]
 
 
@@ -688,6 +695,17 @@ def test_classify_rejects_leading_zero_peer_address(tmp_path, capsys):
     assert main(["classify", str(src), "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {src}:4: ")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("field", ["peer_address", "next_hop"])
+def test_bad_address_error_names_its_field(tmp_path, capsys, field):
+    rows = beacon_rows()
+    rows[3][field] = "10.0.0.01"
+    src = write_jsonl(tmp_path / "records.jsonl", rows)
+    assert main(["classify", str(src), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {src}:4: {field}: '10.0.0.01' does not appear to be an IPv4 or IPv6 address\n"
+    )
 
 
 @pytest.mark.parametrize("prefix", ["10.0.0.1/24", "banana"])

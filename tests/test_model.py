@@ -21,12 +21,12 @@ from bgpchurn.model import (
     record_to_dict,
 )
 from bgpchurn.classify import AnnouncementType
+from bgpchurn.errors import BgpChurnError
 from bgpchurn.mrt.bgp import (
     ATTR_MP_REACH_NLRI,
     BgpAttributes,
     FLAG_OPTIONAL,
     WireAttribute,
-    community_value,
     attr_as_path,
     attr_communities,
     attr_med,
@@ -37,7 +37,13 @@ from bgpchurn.mrt.bgp import (
 )
 from bgpchurn.mrt.build import build_update_record
 
-from helpers import attr_mp_reach, make_announcement, make_withdrawal, update_entry
+from helpers import (
+    attr_mp_reach,
+    make_announcement,
+    make_withdrawal,
+    reference_record_from_dict,
+    update_entry,
+)
 
 
 def test_expand_multi_prefix_announcement():
@@ -363,7 +369,7 @@ def test_jsonl_next_hop_read_as_ipaddress_text(value):
 
 
 # record_from_dict memoizes the next-hop, community and session checks;
-# the reference below makes them directly, as the reader once did.
+# the reference reader in helpers makes them directly.
 _ADDRESSES = st.sampled_from(
     ["192.0.2.1", "2001:0DB8::1", "::ffff:192.0.2.1", "192.0.2.01", "10.0.0.256",
      "192.0.2.1/32", " 192.0.2.1", "2001:db8::g", ""]
@@ -397,18 +403,12 @@ def _exact(value, kind):
     return value
 
 
-def _reference_fields(row):
-    """(communities, next hop, session) checked directly, in the reader's order."""
-    communities = tuple(community_value(_exact(c, str)) for c in row["communities"])
-    next_hop = row["next_hop"]
-    if next_hop is not None:
-        next_hop = str(ipaddress.ip_address(_exact(next_hop, str)))
-    session = (
-        _exact(row["collector"], str),
-        _exact(row["peer_asn"], int),
-        _exact(row["peer_address"], str),
-    )
-    return communities, next_hop, session
+def _outcome(read, row):
+    """(typed record, None), or (exception type, message) when ``read`` fails."""
+    try:
+        return _typed(read(row)), None
+    except Exception as exc:  # noqa: BLE001 - compared with the reference's
+        return type(exc), str(exc)
 
 
 @st.composite
@@ -431,17 +431,180 @@ def repeated_rows(draw):
 @given(repeated_rows())
 def test_memoized_record_from_dict_matches_direct_checks(rows):
     for row in rows:
-        try:
-            expected = _reference_fields(row)
-        except Exception as exc:  # noqa: BLE001 - the reference's outcome
-            with pytest.raises(Exception) as info:
-                record_from_dict(row)
-            assert type(info.value) is type(exc)
-            continue
-        rec = record_from_dict(row)
-        got = (
-            rec.attrs.communities,
-            rec.attrs.next_hop,
-            (rec.session.collector_id, rec.session.peer_asn, rec.session.peer_address),
-        )
-        assert _typed(got) == _typed(expected)
+        assert _outcome(record_from_dict, row) == _outcome(reference_record_from_dict, row)
+
+
+# Rows for the differential test: a valid row with some fields dropped,
+# retyped or set to bad text.  Out-of-range numbers sit at each bound.
+_BAD_TEXT = st.sampled_from(
+    ["", "x", "192.0.2.01", "10.0.0.256", "2001:DB8::1", "65536:0", "1:2:3",
+     "\u0661:1", "announcement", "withdrawal", "banana", "65001"]
+)
+_INTS = st.one_of(
+    st.sampled_from([-1, 0, 2**32 - 1, 2**32, -(2**63), 2**64]), st.integers()
+)
+_SCALARS = st.one_of(
+    _INTS, st.floats(), st.booleans(), _BAD_TEXT, st.text(max_size=4), st.none()
+)
+_VALUES = st.one_of(
+    _SCALARS, st.lists(st.one_of(_SCALARS, st.lists(_INTS, max_size=3)), max_size=3)
+)
+_DROPPED = object()
+_FIELDS = [
+    "arrival_us", "collector", "peer_asn", "peer_address", "prefix", "kind",
+    "source_message_index", "source_file", "native_usec", "flags", "as_path",
+    "communities", "next_hop", "med",
+]
+
+
+@st.composite
+def mutated_rows(draw):
+    rec = draw(st.sampled_from([
+        make_announcement(
+            1_600_000_000_000_001, path=(65001, (65003, 65002)),
+            communities=((65001 << 16) | 100,), med=5,
+        ),
+        make_announcement(7, next_hop="2001:db8::1"),
+        make_withdrawal(0),
+    ]))
+    row = record_to_dict(rec)
+    changes = draw(st.dictionaries(
+        st.sampled_from(_FIELDS), st.one_of(st.just(_DROPPED), _VALUES), max_size=6
+    ))
+    for name, value in changes.items():
+        if value is _DROPPED:
+            row.pop(name, None)
+        else:
+            row[name] = value
+    return row
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(mutated_rows(), min_size=1, max_size=4))
+def test_record_from_dict_matches_the_reference_reader(rows):
+    for row in rows + rows:  # read twice, so the memos hit
+        assert _outcome(record_from_dict, row) == _outcome(reference_record_from_dict, row)
+
+
+# one bad value per check, in the order record_from_dict makes them
+_CHECK_ORDER = [
+    ("kind", "announce"),
+    ("med", -3),
+    ("communities", "65001:100"),
+    ("as_path", ["x"]),
+    ("communities", ["x"]),
+    ("next_hop", "10.0.0.01"),
+    ("flags", "x"),
+    ("arrival_us", -5),
+    ("collector", 1),
+    ("peer_asn", -7),
+    ("peer_address", "10.0.0.01"),
+    ("prefix", 1),
+    ("source_message_index", -1),
+    ("source_file", 1),
+    ("native_usec", 1),
+]
+
+
+def test_a_row_fails_on_its_first_bad_field():
+    def row_with(*bad):
+        row = record_to_dict(make_announcement(1))
+        row.update(bad)
+        return row
+
+    for i, first in enumerate(_CHECK_ORDER):
+        alone = _outcome(record_from_dict, row_with(first))
+        assert alone[1] is not None
+        assert alone == _outcome(reference_record_from_dict, row_with(first))
+        for later in _CHECK_ORDER[i + 1:]:
+            if later[0] != first[0]:
+                assert _outcome(record_from_dict, row_with(first, later)) == alone, later
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("arrival_us", -5, "arrival_us must be at least 0, not -5"),
+        ("peer_asn", -7, "peer_asn must be from 0 to 4294967295, not -7"),
+        ("peer_asn", 2**32, "peer_asn must be from 0 to 4294967295, not 4294967296"),
+        ("as_path", [-7], "as_path ASN must be from 0 to 4294967295, not -7"),
+        ("as_path", [65001, 99999999999],
+         "as_path ASN must be from 0 to 4294967295, not 99999999999"),
+        ("as_path", [65001, [65002, 2**32]],
+         "as_path ASN must be from 0 to 4294967295, not 4294967296"),
+        ("med", -3, "med must be from 0 to 4294967295, not -3"),
+        ("source_message_index", -1, "source_message_index must be at least 0, not -1"),
+    ],
+    ids=["arrival_us", "peer_asn-below", "peer_asn-above", "as_path-below", "as_path-above",
+         "as_set-above", "med", "source_message_index"],
+)
+def test_jsonl_integers_out_of_range_fail_with_path_line(tmp_path, field, value, message):
+    rows = [record_to_dict(make_announcement(1)) for _ in range(2)]
+    rows[1][field] = value
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(BgpChurnError) as info:
+        list(read_records_jsonl(path))
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_jsonl_integers_at_their_bounds_are_read():
+    row = record_to_dict(make_announcement(0, path=(0, (0, 2**32 - 1)), med=2**32 - 1))
+    row["peer_asn"] = 2**32 - 1
+    rec = record_from_dict(row)
+    assert rec.arrival_us == 0 and rec.session.peer_asn == 2**32 - 1
+    assert rec.attrs.path == (0, (0, 2**32 - 1)) and rec.attrs.med == 2**32 - 1
+
+
+def _loads_reader(path):
+    """read_records_jsonl with json.loads on every line, and the reference rows."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = reference_record_from_dict(json.loads(line))
+            except KeyError as exc:
+                raise BgpChurnError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise BgpChurnError(f"{path}:{lineno}: {exc}") from exc
+            yield rec
+
+
+_ROW_TEXT = [
+    json.dumps(record_to_dict(make_announcement(1, communities=(100,)))),
+    json.dumps(record_to_dict(make_withdrawal(2)), separators=(",", ":")),
+    json.dumps(record_to_dict(make_announcement(3)), indent=1).replace("\n", " "),
+]
+_LINES = st.one_of(
+    st.sampled_from(_ROW_TEXT),
+    st.sampled_from(_ROW_TEXT).map(lambda text: "\ufeff" + text),
+    st.tuples(
+        st.sampled_from(_ROW_TEXT),
+        st.sampled_from([" x", "{}", "]", " 1", ",", "\t\"\"", " \u2028"]),
+    ).map("".join),
+    st.sampled_from(_ROW_TEXT).map(lambda text: text.replace("0,", "NaN,", 1)),
+    st.sampled_from(
+        ["NaN", "Infinity", "-Infinity", "[]", '"x"', "{}", "1", "null", "{", "[1,",
+         "", " ", "\t \t", "\u3000", "\x1c", "\ufeff"]
+    ),
+    st.tuples(st.sampled_from([" ", "\t", "\u3000"]), st.sampled_from(_ROW_TEXT)).map(
+        "".join
+    ),
+)
+
+
+def _read_all(read, path):
+    try:
+        return [_typed(rec) for rec in read(path)], None
+    except BgpChurnError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, min_size=1, max_size=5))
+def test_one_scan_reader_matches_json_loads(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert _read_all(read_records_jsonl, path) == _read_all(_loads_reader, path)
