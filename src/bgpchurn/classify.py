@@ -101,6 +101,10 @@ class LabeledRecord(NamedTuple):
     after_withdrawal: bool = False
 
 
+# NamedTuple construction through its Python __new__ costs a frame
+_new = tuple.__new__
+
+
 # the flags observe sets, in the order classify_report.json lists them
 CLASSIFIER_FLAGS = (FLAG_OUT_OF_ORDER, FLAG_REORDER_MULTISET, FLAG_MED_CHANGED)
 
@@ -163,25 +167,29 @@ class StreamClassifier:
             self.state[key] = StreamState(
                 path, communities, med, False, record.arrival_us
             )
-            labeled = LabeledRecord(record, AnnouncementType.INITIAL)
+            labeled = _new(LabeledRecord, (record, AnnouncementType.INITIAL, False))
             self.tally.add(labeled)
             return labeled
         if record.arrival_us < state.last_arrival_us:
             record = self._flagged(record, FLAG_OUT_OF_ORDER)
         last_path = state.last_path
-        pv = path_verdict(last_path, path)
-        cv = community_verdict(state.last_communities, communities)
-        if (
-            pv == "p"
-            and len(last_path) == len(path)
-            and Counter(last_path) == Counter(path)
-        ):
-            # reordering with equal multiset: p by rule, counted apart
-            record = self._flagged(record, FLAG_REORDER_MULTISET)
-        label = _LABEL_OF_VERDICTS[pv + cv]
+        if path is last_path and communities is state.last_communities:
+            # a repeat of a decoded attribute block shares its objects
+            label = AnnouncementType.NN
+        else:
+            pv = path_verdict(last_path, path)
+            cv = community_verdict(state.last_communities, communities)
+            if (
+                pv == "p"
+                and len(last_path) == len(path)
+                and Counter(last_path) == Counter(path)
+            ):
+                # reordering with equal multiset: p by rule, counted apart
+                record = self._flagged(record, FLAG_REORDER_MULTISET)
+            label = _LABEL_OF_VERDICTS[pv + cv]
         if label is AnnouncementType.NN and med != state.last_med:
             record = self._flagged(record, FLAG_MED_CHANGED)
-        labeled = LabeledRecord(record, label, state.withdrawn)
+        labeled = _new(LabeledRecord, (record, label, state.withdrawn))
         state.last_path = path
         state.last_communities = communities
         state.last_med = med

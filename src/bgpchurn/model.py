@@ -30,6 +30,9 @@ class SessionKey(NamedTuple):
     peer_address: str
 
 
+# NamedTuple construction through its Python __new__ costs a frame
+_new = tuple.__new__
+
 # Decode and the JSONL reader both build sessions through one bounded
 # memo, so the records of one session share one key object.
 _MEMO_SIZE = 4096
@@ -85,10 +88,16 @@ def expand_message(
     native_usec = entry.has_native_usec
     attrs = msg.attributes
     return [
-        UpdateRecord(arrival_us, session, p, None, index, source_file, native_usec)
+        _new(
+            UpdateRecord,
+            (arrival_us, session, p, None, index, source_file, native_usec, ()),
+        )
         for p in msg.withdrawn_prefixes
     ] + [
-        UpdateRecord(arrival_us, session, p, attrs, index, source_file, native_usec)
+        _new(
+            UpdateRecord,
+            (arrival_us, session, p, attrs, index, source_file, native_usec, ()),
+        )
         for p in msg.announced_prefixes
     ]
 
@@ -266,10 +275,6 @@ def _path_with_sets(path: list) -> list:
     return out
 
 
-# NamedTuple construction through its Python __new__ costs a frame
-_new = tuple.__new__
-
-
 def record_from_dict(obj: dict) -> UpdateRecord:
     kind = obj["kind"]
     attrs = None
@@ -368,7 +373,7 @@ def read_records_jsonl(path: Union[str, Path]) -> Iterator[UpdateRecord]:
                     rec = record_from_dict(obj)
                 except KeyError as exc:
                     raise BgpChurnError(f"{path}:{lineno}: missing key {exc}") from exc
-                except (AttributeError, TypeError, ValueError) as exc:
+                except (AttributeError, TypeError, ValueError, RecursionError) as exc:
                     raise BgpChurnError(f"{path}:{lineno}: {exc}") from exc
                 yield rec
         except UnicodeDecodeError as exc:  # decoding happens in the for

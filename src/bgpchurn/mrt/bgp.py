@@ -13,6 +13,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from ..errors import BgpParseError
@@ -224,6 +225,11 @@ def _as_path_segments(payload: bytes, width: int) -> Iterator[Segment]:
 
 def decode_path(payload: bytes, width: int) -> tuple[PathElement, ...]:
     """Decode an AS path payload straight to its elements."""
+    n = len(payload)
+    if n > 1 and payload[0] == AS_SEQUENCE and n == 2 + payload[1] * width:
+        # the common path, one AS_SEQUENCE, is its ASNs as they stand
+        code = "!%dH" if width == 2 else "!%dI"
+        return struct.unpack_from(code % payload[1], payload, 2)
     out: list[PathElement] = []
     for kind, asns in _as_path_segments(payload, width):
         if kind == AS_SEQUENCE:
@@ -311,41 +317,36 @@ def _decode_mp_unreach(payload: bytes) -> list[str]:
     return decode_prefix_strs(payload[3:], afi)
 
 
-def decode_update_body(
-    body: bytes, as4: bool
-) -> tuple[tuple[str, ...], tuple[str, ...], BgpAttributes]:
-    """Decode an UPDATE payload (everything after the 19-byte header).
+# A repeated UPDATE repeats its fields byte for byte, so decode keeps
+# each field's decoded view in a bounded memo keyed on its wire bytes.
+# The views are immutable, so every repeat shares one object; a field
+# that fails to decode raises anew each time, as nothing is cached for it.
+_MEMO_SIZE = 1024
 
-    Returns (withdrawn, announced, attributes).  The first occurrence of
-    each attribute type code is the one read.
 
-    +-------------------------------+
-    | Withdrawn Routes Length (2)   |
-    | Withdrawn Routes (variable)   |
-    | Total Path Attribute Len (2)  |
-    | Path Attributes (variable)    |
-    | NLRI (variable)               |
-    +-------------------------------+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _decode_ipv4_prefixes(buf: bytes) -> tuple[str, ...]:
+    """The withdrawn-routes or NLRI field of an UPDATE, as prefix texts."""
+    return tuple(decode_prefix_strs(buf, AFI_IPV4))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _decode_attributes(
+    block: bytes, as4: bool
+) -> tuple[BgpAttributes, tuple[str, ...], tuple[str, ...]]:
+    """(attributes, MP withdrawn, MP announced) of a path attribute block.
+
+    The first occurrence of each attribute type code is the one read.
     """
-    if len(body) < 4:
-        raise BgpParseError("short UPDATE body")
-    (wlen,) = struct.unpack_from("!H", body)
-    if 2 + wlen + 2 > len(body):
-        raise BgpParseError("withdrawn routes overflow UPDATE body")
-    withdrawn = decode_prefix_strs(body[2 : 2 + wlen], AFI_IPV4)
-    (alen,) = struct.unpack_from("!H", body, 2 + wlen)
-    attrs_end = 4 + wlen + alen
-    if attrs_end > len(body):
-        raise BgpParseError("attributes overflow UPDATE body")
     path: tuple[PathElement, ...] = ()
     as4_path: Optional[tuple[PathElement, ...]] = None
     communities: tuple[int, ...] = ()
     next_hop: Optional[str] = None
     med: Optional[int] = None
     mp_next_hop: Optional[str] = None
+    mp_withdrawn: list[str] = []
     mp_announced: list[str] = []
     seen: set[int] = set()
-    block = body[4 + wlen : attrs_end]
     for _flags, type_code, payload in decode_attribute_block(block):
         if type_code in seen:
             continue
@@ -369,15 +370,51 @@ def decode_update_body(
         elif type_code == ATTR_MP_REACH_NLRI:
             mp_announced, mp_next_hop = _decode_mp_reach(payload)
         elif type_code == ATTR_MP_UNREACH_NLRI:
-            withdrawn.extend(_decode_mp_unreach(payload))
-    announced = decode_prefix_strs(body[attrs_end:], AFI_IPV4) + mp_announced
-
+            mp_withdrawn = _decode_mp_unreach(payload)
     if as4_path is not None and not as4:
         path = merge_as4_path(path, as4_path)
     if next_hop is None:
         next_hop = mp_next_hop
     attributes = BgpAttributes(path, communities, next_hop, med)
-    return tuple(withdrawn), tuple(announced), attributes
+    return attributes, tuple(mp_withdrawn), tuple(mp_announced)
+
+
+def decode_update_body(
+    body: bytes, as4: bool
+) -> tuple[tuple[str, ...], tuple[str, ...], BgpAttributes]:
+    """Decode an UPDATE payload (everything after the 19-byte header).
+
+    Returns (withdrawn, announced, attributes): the IPv4 prefixes of each
+    kind, then those of MP_UNREACH_NLRI or MP_REACH_NLRI.  The fields are
+    decoded in wire order, so a malformed body fails on its first bad field.
+
+    +-------------------------------+
+    | Withdrawn Routes Length (2)   |
+    | Withdrawn Routes (variable)   |
+    | Total Path Attribute Len (2)  |
+    | Path Attributes (variable)    |
+    | NLRI (variable)               |
+    +-------------------------------+
+    """
+    if len(body) < 4:
+        raise BgpParseError("short UPDATE body")
+    (wlen,) = struct.unpack_from("!H", body)
+    if 2 + wlen + 2 > len(body):
+        raise BgpParseError("withdrawn routes overflow UPDATE body")
+    withdrawn = _decode_ipv4_prefixes(body[2 : 2 + wlen])
+    (alen,) = struct.unpack_from("!H", body, 2 + wlen)
+    attrs_end = 4 + wlen + alen
+    if attrs_end > len(body):
+        raise BgpParseError("attributes overflow UPDATE body")
+    attributes, mp_withdrawn, mp_announced = _decode_attributes(
+        body[4 + wlen : attrs_end], as4
+    )
+    announced = _decode_ipv4_prefixes(body[attrs_end:])
+    if mp_withdrawn:
+        withdrawn += mp_withdrawn
+    if mp_announced:
+        announced += mp_announced
+    return withdrawn, announced, attributes
 
 
 # ---------------------------------------------------------------------------

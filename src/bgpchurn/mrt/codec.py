@@ -84,6 +84,12 @@ CONTAINER_OF_SUFFIX = {".gz": "gzip", ".bz2": "bzip2"}
 # BGP4MP address family -> address length
 _ADDRESS_LENGTHS = {1: 4, 2: 16}
 
+# compressed inputs are read, and outputs written, in pieces of this size
+_CHUNK = 64 * 1024
+
+# NamedTuple construction through its Python __new__ costs a frame
+_new = tuple.__new__
+
 
 class MrtRecordHeader(NamedTuple):
     timestamp: int
@@ -150,7 +156,9 @@ def _decode_bgp4mp_message(
         return None
     peer_address = address_str(body[i : i + addr_len])
     withdrawn, announced, attributes = decode_update_body(payload, as4)
-    return RawBgpMessage(peer_asn, peer_address, withdrawn, announced, attributes)
+    return _new(
+        RawBgpMessage, (peer_asn, peer_address, withdrawn, announced, attributes)
+    )
 
 
 def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
@@ -163,16 +171,16 @@ def decode_entry(header: MrtRecordHeader, body: bytes) -> MrtEntry:
         (microsecond,) = struct.unpack_from("!I", body)
         offset = 4
     if header.type not in UPDATE_TYPES:
-        return MrtEntry(header, body, "other", None, microsecond)
+        return _new(MrtEntry, (header, body, "other", None, microsecond, None))
     if header.subtype not in _MESSAGE_SUBTYPES:
         kind = _UNDECODED_SUBTYPES.get(header.subtype, "other")
-        return MrtEntry(header, body, kind, None, microsecond)
+        return _new(MrtEntry, (header, body, kind, None, microsecond, None))
     try:
         message = _decode_bgp4mp_message(body, header.subtype, offset)
     except BgpParseError as exc:
-        return MrtEntry(header, body, "undecodable", None, microsecond, str(exc))
+        return _new(MrtEntry, (header, body, "undecodable", None, microsecond, str(exc)))
     kind = "other" if message is None else "update"
-    return MrtEntry(header, body, kind, message, microsecond)
+    return _new(MrtEntry, (header, body, kind, message, microsecond, None))
 
 
 def _container_of(head: bytes) -> str:
@@ -197,14 +205,16 @@ def open_archive(
 
     With ``auto`` a path's container comes from its magic bytes; a
     stream must name its container.  Closing the reader closes the file.
+    A compressed reader is buffered in ``_CHUNK`` pieces, so the small
+    reads of each record are served without a call into the decompressor.
     """
     is_path = isinstance(source, (str, Path))
     if container == "auto" and is_path:
         container = detect_container(source)
     if container == "gzip":
-        return gzip.open(source, "rb")  # type: ignore[return-value]
+        return io.BufferedReader(gzip.open(source, "rb"), _CHUNK)  # type: ignore[return-value]
     if container == "bzip2":
-        return bz2.open(source, "rb")  # type: ignore[return-value]
+        return io.BufferedReader(bz2.open(source, "rb"), _CHUNK)  # type: ignore[return-value]
     if container == "plain":
         return open(source, "rb") if is_path else source
     raise ValueError(f"unknown container {container!r}")
@@ -238,7 +248,7 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
                 return
             if len(head) < _COMMON_HEADER.size:
                 raise MrtError(f"record {index}: header cut short at {len(head)} bytes")
-            header = MrtRecordHeader._make(_COMMON_HEADER.unpack(head))
+            header = _new(MrtRecordHeader, _COMMON_HEADER.unpack(head))
             body = f.read(header.length)
         except _CONTAINER_ERRORS as exc:
             raise MrtError(f"record {index}: {exc}") from exc
@@ -255,7 +265,10 @@ def write_mrt_stream(
     sink: BinaryIO,
     container: str = "plain",
 ) -> int:
-    """Write records verbatim to a binary handle; returns the byte count."""
+    """Write records verbatim to a binary handle; returns the byte count.
+
+    Records are joined into writes of about ``_CHUNK`` bytes.
+    """
     if container == "gzip":
         # no file name and a zero mtime in the header: same records, same bytes
         with gzip.GzipFile(
@@ -268,11 +281,16 @@ def write_mrt_stream(
     if container != "plain":
         raise ValueError(f"unknown container {container!r}")
     total = 0
+    chunk = bytearray()
     try:
         for entry in entries:
-            blob = entry.encode()
-            sink.write(blob)
-            total += len(blob)
+            chunk += entry.encode()
+            if len(chunk) >= _CHUNK:
+                sink.write(chunk)
+                total += len(chunk)
+                chunk = bytearray()  # the sink may keep what it was given
+        if chunk:
+            sink.write(chunk)
     except OSError as exc:
         raise MrtError(str(exc)) from exc
-    return total
+    return total + len(chunk)

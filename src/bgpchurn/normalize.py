@@ -14,6 +14,9 @@ from typing import Iterable, Iterator, Optional
 from .allocation import AllocationFilter
 from .model import UpdateRecord
 
+# NamedTuple construction through its Python __new__ costs a frame
+_new = tuple.__new__
+
 FLAG_REPAIRED_PATH = "repaired_path"
 FLAG_ANOMALOUS_EMPTY_PATH = "anomalous_empty_path"
 FLAG_OVERFLOW_SECOND = "overflow_second"
@@ -102,7 +105,7 @@ class Normalizer:
         index = self._run_index
         stamp = second * 1_000_000 + index
         if rec.arrival_us != stamp:
-            rec = rec._replace(arrival_us=stamp)
+            rec = _new(UpdateRecord, (stamp, *rec[1:]))
         if index >= 1_000_000:
             self.flags[FLAG_OVERFLOW_SECOND] += 1
             rec = rec.with_flag(FLAG_OVERFLOW_SECOND)

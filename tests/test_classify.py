@@ -182,6 +182,22 @@ def test_med_change_flag_on_nn():
     assert FLAG_MED_CHANGED in out[1].record.flags
 
 
+def test_med_change_flag_on_shared_path_and_communities():
+    """A record whose path and communities are the predecessor's own
+    objects, as a repeated attribute block's are, is nn; its MED is
+    still compared."""
+    first = make_announcement(1, path=(1, 2), communities=(7,), med=10)
+    same_med = first._replace(arrival_us=2)
+    other_med = first._replace(arrival_us=3, attrs=first.attrs._replace(med=20))
+    assert other_med.attrs.path is first.attrs.path
+    assert other_med.attrs.communities is first.attrs.communities
+    out = list(StreamClassifier().process([first, same_med, other_med]))
+    assert [lr.label for lr in out] == [
+        AnnouncementType.INITIAL, AnnouncementType.NN, AnnouncementType.NN,
+    ]
+    assert [lr.record.flags for lr in out] == [(), (), (FLAG_MED_CHANGED,)]
+
+
 def test_out_of_order_flag():
     seq = [make_announcement(100, path=(1, 2)), make_announcement(50, path=(1, 2))]
     out = list(StreamClassifier().process(seq))

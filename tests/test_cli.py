@@ -632,6 +632,7 @@ BAD_LINES = [
     ("as_path", [65001, [65002, 2**32]]),
     ("med", -3),
     ("source_message_index", -1),
+    pytest.param("line", "[" * 100_000, id="line-nested-past-recursion-limit"),
 ]
 
 

@@ -148,3 +148,63 @@ def test_every_error_class_is_caught():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     assert sorted(defined - caught - UNCAUGHT_ERRORS) == []
+
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def memo_uses(tree: ast.AST):
+    """(line, functools name, call or None) for each use of lru_cache or
+    cache; the call is the one that builds the memo, None for a bare use."""
+    names = {}  # local name -> functools name
+    modules = set()  # local names of functools itself
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in MEMO_DECORATORS:
+                    names[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            kind = names[node.id]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr in MEMO_DECORATORS
+        ):
+            kind = node.attr
+        else:
+            continue
+        yield node.lineno, kind, calls.get(id(node))
+
+
+def test_every_memo_is_bounded():
+    """An unbounded memo keyed on wire bytes or file text would grow with
+    a whole collector day, so each lru_cache names a maxsize that is not
+    None, and functools.cache, which has none, is not used."""
+    package = SRC / "bgpchurn"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for lineno, kind, call in memo_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{lineno}: {kind}"
+            if kind == "cache" or call is None:
+                found.append(where)
+                continue
+            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            if len(sizes) != 1 or (
+                isinstance(sizes[0], ast.Constant) and sizes[0].value is None
+            ):
+                found.append(where)
+    assert found == []
+    memos = [
+        obj
+        for module in MODULES
+        for obj in vars(importlib.import_module(module)).values()
+        if callable(getattr(obj, "cache_parameters", None))
+    ]
+    assert memos
+    for memo in memos:
+        assert isinstance(memo.cache_parameters()["maxsize"], int), memo

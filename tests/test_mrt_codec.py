@@ -7,6 +7,7 @@ RFC 4271 field layouts, independent of the codec under test.
 from __future__ import annotations
 
 import bz2
+import contextlib
 import gzip
 import io
 import ipaddress
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgpchurn.errors import BgpParseError, MrtError
+from bgpchurn.mrt import bgp
 from bgpchurn.mrt.bgp import (
     AS_SEQUENCE,
     AS_SET,
@@ -39,6 +41,7 @@ from bgpchurn.mrt.bgp import (
     decode_path,
     decode_prefix_strs,
     decode_prefixes,
+    decode_update_body,
     encode_as_path,
     encode_attribute_block,
     encode_prefixes,
@@ -49,6 +52,7 @@ from bgpchurn.mrt.build import build_update_record
 from bgpchurn.mrt.codec import (
     BGP4MP_MESSAGE_ADDPATH,
     RECORD_KINDS,
+    MrtEntry,
     MrtRecordHeader,
     decode_entry,
     read_mrt_stream,
@@ -163,6 +167,64 @@ def test_round_trip_through_files(tmp_path):
     with open(dst, "wb") as f:
         write_mrt_stream(read_mrt_stream(src), f)
     assert dst.read_bytes() == src.read_bytes()
+
+
+def raw_entry(size: int, fill: int) -> MrtEntry:
+    """An opaque record of ``size`` bytes, header included."""
+    body = bytes([fill]) * (size - 12)
+    return MrtEntry(MrtRecordHeader(REFERENCE_TS, 16, 1, len(body)), body, "other")
+
+
+def write_each(entries, container):
+    """(bytes, count) of writing the records one write call each."""
+    sink = io.BytesIO()
+    if container == "gzip":
+        out = gzip.GzipFile(fileobj=sink, mode="wb", filename="", mtime=0, compresslevel=6)
+    elif container == "bzip2":
+        out = bz2.open(sink, "wb")
+    else:
+        out = contextlib.nullcontext(sink)
+    total = 0
+    with out as f:
+        for entry in entries:
+            total += f.write(entry.encode())
+    return sink.getvalue(), total
+
+
+CHUNK = 64 * 1024
+_CHUNKED_INPUTS = {
+    "empty": [],
+    "one record": [raw_entry(100, 1)],
+    "whole chunks": [raw_entry(1024, i % 256) for i in range(3 * 64)],
+    "whole chunks and a part": [raw_entry(1024, i % 256) for i in range(3 * 64 + 5)],
+    "drawn sizes": [
+        raw_entry(random.Random(i).randrange(12, 3000), i % 256) for i in range(300)
+    ],
+    "a record over a chunk": [raw_entry(100, 1), raw_entry(CHUNK + 7, 2), raw_entry(50, 3)],
+}
+
+
+class CountingSink(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(len(data))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("container", ["plain", "gzip", "bzip2"])
+@pytest.mark.parametrize("name", sorted(_CHUNKED_INPUTS))
+def test_chunked_write_equals_a_write_per_record(name, container):
+    entries = _CHUNKED_INPUTS[name]
+    sink = CountingSink()
+    count = write_mrt_stream(iter(entries), sink, container)
+    assert (sink.getvalue(), count) == write_each(entries, container)
+    if container == "plain":
+        # every write but the last holds a chunk, and less than one more record
+        largest = max((len(e.encode()) for e in entries), default=0)
+        assert all(CHUNK <= n < CHUNK + largest for n in sink.writes[:-1])
 
 
 @pytest.mark.parametrize(
@@ -568,8 +630,8 @@ def _draw_attribute(draw, code, width):
 
 
 @st.composite
-def update_records(draw):
-    """(record bytes, expected decoded fields) for one BGP4MP UPDATE."""
+def update_bodies(draw):
+    """(as4, UPDATE body, expected decoded fields) for one UPDATE."""
     as4 = draw(st.booleans())
     width = 4 if as4 else 2
     modeled = draw(st.lists(st.sampled_from(_MODELED), max_size=7))
@@ -595,14 +657,6 @@ def update_records(draw):
         struct.pack("!H", len(withdrawn)) + withdrawn
         + struct.pack("!H", len(block)) + block + nlri
     )
-    message = b"\xff" * 16 + struct.pack("!HB", 19 + len(body), 2) + body
-    record = (
-        struct.pack("!II" if as4 else "!HH", 65001, 64512)
-        + struct.pack("!HH", 0, 1)
-        + bytes([10, 0, 0, 1, 10, 0, 0, 2])
-        + message
-    )
-    blob = struct.pack("!IHHI", REFERENCE_TS, 16, 4 if as4 else 1, len(record)) + record
 
     path = first.get(ATTR_AS_PATH, ())
     as4_path = first.get(ATTR_AS4_PATH)
@@ -617,6 +671,21 @@ def update_records(draw):
         med=first.get(ATTR_MED),
         next_hop=first.get(ATTR_NEXT_HOP, mp_next_hop),
     )
+    return as4, body, expected
+
+
+@st.composite
+def update_records(draw):
+    """(record bytes, expected decoded fields) for one BGP4MP UPDATE."""
+    as4, body, expected = draw(update_bodies())
+    message = b"\xff" * 16 + struct.pack("!HB", 19 + len(body), 2) + body
+    record = (
+        struct.pack("!II" if as4 else "!HH", 65001, 64512)
+        + struct.pack("!HH", 0, 1)
+        + bytes([10, 0, 0, 1, 10, 0, 0, 2])
+        + message
+    )
+    blob = struct.pack("!IHHI", REFERENCE_TS, 16, 4 if as4 else 1, len(record)) + record
     return blob, expected
 
 
@@ -637,3 +706,90 @@ def test_update_decode_matches_oracle(case):
     assert attrs.communities == expected["communities"]
     assert attrs.med == expected["med"]
     assert attrs.next_hop == expected["next_hop"]
+
+
+# ---------------------------------------------------------------------------
+# the field memos of decode_update_body
+#
+# decode_update_body keeps the decoded IPv4 prefix fields and attribute
+# blocks in two lru_cache memos.  With each memo's __wrapped__ in its
+# place, every call decodes from scratch: that is the reference.
+
+
+def decode_unmemoized(body, as4):
+    with mock.patch.object(
+        bgp, "_decode_ipv4_prefixes", bgp._decode_ipv4_prefixes.__wrapped__
+    ), mock.patch.object(bgp, "_decode_attributes", bgp._decode_attributes.__wrapped__):
+        return decode_update_body(body, as4)
+
+
+def decode_outcome(decode, body, as4):
+    """The decoded fields with their types, or the error's type and text."""
+    try:
+        withdrawn, announced, attributes = decode(body, as4)
+    except BgpParseError as exc:
+        return type(exc), str(exc)
+    return (
+        (type(withdrawn), withdrawn),
+        (type(announced), announced),
+        (type(attributes), attributes),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(update_bodies())
+def test_memoized_decode_equals_unmemoized(case):
+    """Two calls give what a fresh decode gives, under either AS width:
+    the attribute memo's key holds as4 as well as the block."""
+    as4, body, _ = case
+    assert decode_outcome(decode_unmemoized, body, as4)[0][0] is tuple
+    for width in (as4, not as4):
+        want = decode_outcome(decode_unmemoized, body, width)
+        for _ in range(2):
+            assert decode_outcome(decode_update_body, body, width) == want
+
+
+@st.composite
+def malformed_bodies(draw):
+    """(as4, an UPDATE body cut short or with one byte changed)."""
+    as4, body, _ = draw(update_bodies())
+    at = draw(st.integers(0, len(body) - 1))
+    if draw(st.booleans()):
+        return as4, body[:at]
+    return as4, body[:at] + bytes([draw(st.integers(0, 255))]) + body[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_bodies())
+def test_broken_body_decodes_alike_on_every_call(case):
+    as4, body = case
+    want = decode_outcome(decode_unmemoized, body, as4)
+    for _ in range(3):
+        assert decode_outcome(decode_update_body, body, as4) == want
+
+
+@pytest.mark.parametrize(
+    "attrs,nlri,memo,message",
+    [
+        (bytes.fromhex("800403000001"), b"", "_decode_attributes", "MED payload must be 4 bytes"),
+        (_ATTRS, bytes.fromhex("190a0000"), "_decode_ipv4_prefixes", "truncated prefix bytes"),
+        (_ATTRS + b"\x40\x02", b"", "_decode_attributes", "truncated attribute header"),
+    ],
+)
+def test_a_field_that_fails_raises_on_every_call(attrs, nlri, memo, message):
+    """Nothing is stored for a field that fails, so each call misses."""
+    body = b"\x00\x00" + struct.pack("!H", len(attrs)) + attrs + nlri
+    misses = getattr(bgp, memo).cache_info().misses
+    for _ in range(3):
+        with pytest.raises(BgpParseError, match=message):
+            decode_update_body(body, False)
+    assert getattr(bgp, memo).cache_info().misses == misses + 3
+
+
+def test_repeated_fields_share_their_decoded_objects():
+    """The classifier's n/n by identity rests on this."""
+    first = decode_update_body(_UPDATE_BODY, False)
+    second = decode_update_body(bytes(bytearray(_UPDATE_BODY)), False)
+    assert first == second
+    assert first[1] is second[1]  # the NLRI's prefixes
+    assert first[2] is second[2]  # the attributes
