@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import BgpChurnError
 from .model import US_PER_DAY, UpdateRecord
-from .mrt.bgp import BgpAttributes, PathElement, address_str
+from .mrt.bgp import BgpAttributes, PathElement
 
 # delegated-extended status values that mean "usable on the internet"
 ALLOCATED_STATUSES = frozenset({"allocated", "assigned"})
@@ -35,39 +35,61 @@ def _record_date_key(arrival_us: int) -> int:
     return dt.year * 10000 + dt.month * 100 + dt.day
 
 
+# host-bit mask by prefix length text; only canonical decimal lengths are keys
 _V4_HOST_MASKS = {str(n): (1 << (32 - n)) - 1 for n in range(33)}
+_V6_HOST_MASKS = {str(n): (1 << (128 - n)) - 1 for n in range(129)}
+_OCTETS = {str(n): n for n in range(256)}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-def _v4_span(prefix: str) -> Optional[tuple[int, int]]:
-    """First and last address of a canonical IPv4 CIDR ("10.0.0.0/8").
+def _v4_int(text: str) -> Optional[int]:
+    """The address of canonical dotted-quad text ("10.0.0.0"), else None.
 
-    None for any other text, including IPv6, leading zeros and set host
-    bits, which ``ipaddress`` then parses or rejects.  The address is
-    canonical when formatting its bytes gives the same text back.
+    Only four decimal octets without leading zeros are read, so any text
+    accepted here means the same address to ``ipaddress``; the rest
+    (leading zeros, "1.2.3", non-ASCII digits, spaces) is left to it.
     """
-    addr, _, length = prefix.partition("/")
-    host = _V4_HOST_MASKS.get(length)
-    if host is None:
-        return None
     try:
-        packed = bytes(map(int, addr.split(".")))
-    except ValueError:
+        a, b, c, d = text.split(".")
+        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
+    except (KeyError, ValueError):
         return None
-    if len(packed) != 4 or address_str(packed) != addr:
+
+
+def _hex_groups(groups: list[str], value: int) -> Optional[int]:
+    for group in groups:
+        if not 0 < len(group) <= 4 or not _HEX_DIGITS.issuperset(group):
+            return None
+        value = value << 16 | int(group, 16)
+    return value
+
+
+def _v6_int(text: str) -> Optional[int]:
+    """The address of IPv6 text made of hex groups and at most one "::".
+
+    None for anything else, such as an embedded IPv4 tail or a %scope
+    suffix, which ``ipaddress`` then parses or rejects.  Every text
+    accepted here means the same address to ``ipaddress``.
+    """
+    head, gap, tail = text.partition("::")
+    left = head.split(":") if head else []
+    right = tail.split(":") if tail else []
+    missing = 8 - len(left) - len(right)
+    if missing < 1 if gap else missing:
         return None
-    first = int.from_bytes(packed, "big")
-    if first & host:
-        return None
-    return first, first | host
+    value = _hex_groups(left, 0)
+    return None if value is None else _hex_groups(right, value << 16 * missing)
 
 
 class _IntervalSet:
-    """Static interval stabbing: sorted starts + running max end.
+    """Static interval stabbing: sorted starts, and per date a running max end.
 
-    Built once from (first, last, valid_from) rows.  Query: did any
-    interval containing x become valid on or before the query date?
-    Intervals may overlap across registries; the running maximum of ends
-    keeps lookups O(log n) without normalization.
+    Built once from (first, last, valid_from) rows.  Query: did one
+    interval valid by the query date contain [first, last]?  For a date,
+    ``reach[i]`` is the largest end among rows ``0..i`` that are valid by
+    then, so a lookup is one bisect and one read: O(log n) whatever the
+    rows' overlap.  The reach arrays of the last two dates queried are
+    kept, so a run that crosses midnight builds each once.
     """
 
     def __init__(self, rows: Iterable[tuple[int, int, int]]):
@@ -75,18 +97,32 @@ class _IntervalSet:
         self.starts = [first for first, _, _ in rows]
         self.ends = [last for _, last, _ in rows]
         self.valid_from = [valid_from for _, _, valid_from in rows]
-        self._max_ends = list(accumulate(self.ends, max))
+        self._date: Optional[int] = None
+        self._reach: list = []
+        self._previous: tuple[Optional[int], list] = (None, [])
+
+    def _build_reach(self, date_key: int) -> list:
+        below = float("-inf")  # no row valid yet reaches anything
+        return list(accumulate(
+            (last if valid_from <= date_key else below
+             for last, valid_from in zip(self.ends, self.valid_from)),
+            max,
+        ))
+
+    def _use_date(self, date_key: int) -> None:
+        previous_date, previous_reach = self._previous
+        self._previous = (self._date, self._reach)
+        self._date = date_key
+        self._reach = (
+            previous_reach if previous_date == date_key else self._build_reach(date_key)
+        )
 
     def covers(self, first: int, last: int, date_key: int) -> bool:
         """True iff one interval valid by date_key contains [first, last]."""
+        if date_key != self._date:
+            self._use_date(date_key)
         hi = bisect.bisect_right(self.starts, first)
-        # walk left only while some interval to the left can still reach last
-        for i in range(hi - 1, -1, -1):
-            if self._max_ends[i] < last:
-                return False
-            if self.ends[i] >= last and self.valid_from[i] <= date_key:
-                return True
-        return False
+        return hi > 0 and self._reach[hi - 1] >= last
 
 
 @dataclass
@@ -107,17 +143,18 @@ class AllocationTable:
         Text that is no network address, such as "10.0.0.1/24", raises
         BgpChurnError.
         """
-        span = _v4_span(prefix)
-        if span is not None:
-            return self.v4_intervals.covers(span[0], span[1], date_key)
-        try:
-            net = ipaddress.ip_network(prefix)
-        except ValueError as exc:
-            raise BgpChurnError(f"bad prefix {prefix!r}: {exc}") from exc
-        table = self.v4_intervals if net.version == 4 else self.v6_intervals
-        return table.covers(
-            int(net.network_address), int(net.broadcast_address), date_key
-        )
+        addr, _, length = prefix.partition("/")
+        v6 = ":" in addr
+        host = (_V6_HOST_MASKS if v6 else _V4_HOST_MASKS).get(length)
+        first = _v6_int(addr) if v6 else _v4_int(addr)
+        if host is None or first is None or first & host:
+            try:
+                net = ipaddress.ip_network(prefix)
+            except ValueError as exc:
+                raise BgpChurnError(f"bad prefix {prefix!r}: {exc}") from exc
+            v6, first, host = net.version == 6, int(net.network_address), int(net.hostmask)
+        table = self.v6_intervals if v6 else self.v4_intervals
+        return table.covers(first, first | host, date_key)
 
     def covers_date(self, date_key: int) -> bool:
         return bool(self.earliest_date) and date_key >= self.earliest_date
@@ -147,16 +184,23 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
             continue
         try:
             if rtype == "ipv6":
-                net = ipaddress.IPv6Network(f"{start}/{value}")
-                first, last = int(net.network_address), int(net.broadcast_address)
+                host, first = _V6_HOST_MASKS.get(value), _v6_int(start)
+                if host is None or first is None or first & host:
+                    net = ipaddress.IPv6Network(f"{start}/{value}")
+                    first, host = int(net.network_address), int(net.hostmask)
+                last = first | host
             else:  # a first ASN or IPv4 address and a count
-                first = int(start if rtype == "asn" else ipaddress.IPv4Address(start))
+                first = int(start) if rtype == "asn" else _v4_int(start)
+                if first is None:
+                    first = int(ipaddress.IPv4Address(start))
                 last = first + int(value) - 1
         except ValueError:
             continue
-        valid_from = dates.setdefault(date, _date_key(date))
+        valid_from = dates.get(date)
+        if valid_from is None:
+            valid_from = dates[date] = _date_key(date)
         rows[rtype].append((first, last, valid_from))
-    earliest = min((v for group in rows.values() for *_, v in group if v), default=0)
+    earliest = min(filter(None, dates.values()), default=0)
     return AllocationTable(*map(_IntervalSet, rows.values()), earliest)
 
 

@@ -13,6 +13,7 @@ import gzip
 import io
 import struct
 import zlib
+from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -90,6 +91,9 @@ _CHUNK = 64 * 1024
 # NamedTuple construction through its Python __new__ costs a frame
 _new = tuple.__new__
 
+# every UPDATE of a session repeats its peer address: format each once
+_peer_address = lru_cache(maxsize=1024)(address_str)
+
 
 class MrtRecordHeader(NamedTuple):
     timestamp: int
@@ -154,7 +158,7 @@ def _decode_bgp4mp_message(
     msg_type, payload = split_bgp_message(body[i + 2 * addr_len :])
     if msg_type != MSG_UPDATE:
         return None
-    peer_address = address_str(body[i : i + addr_len])
+    peer_address = _peer_address(body[i : i + addr_len])
     withdrawn, announced, attributes = decode_update_body(payload, as4)
     return _new(
         RawBgpMessage, (peer_asn, peer_address, withdrawn, announced, attributes)

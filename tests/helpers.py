@@ -222,6 +222,47 @@ def reference_record_from_dict(obj: dict) -> UpdateRecord:
 
 
 # ---------------------------------------------------------------------------
+# reference delegated-extended loader
+#
+# The loader allocation.load_delegated replaced: every IPv4 start and
+# IPv6 network goes through ipaddress.  The fast loader must keep,
+# skip and convert every row as this one does.
+
+_ALLOCATED_STATUSES = frozenset({"allocated", "assigned"})
+
+
+def reference_load_delegated(
+    lines: Iterable[str],
+) -> tuple[dict[str, list[tuple[int, int, int]]], int]:
+    """The sorted (first, last, valid_from) rows per family, and the
+    smallest nonzero valid-from (0 when no kept row has one)."""
+    rows: dict[str, list[tuple[int, int, int]]] = {"asn": [], "ipv4": [], "ipv6": []}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("|")
+        if len(parts) < 7:
+            continue
+        _reg, _cc, rtype, start, value, date, status = parts[:7]
+        if status not in _ALLOCATED_STATUSES or rtype not in rows:
+            continue
+        try:
+            if rtype == "ipv6":
+                net = ipaddress.IPv6Network(f"{start}/{value}")
+                first, last = int(net.network_address), int(net.broadcast_address)
+            else:
+                first = int(start if rtype == "asn" else ipaddress.IPv4Address(start))
+                last = first + int(value) - 1
+        except ValueError:
+            continue
+        valid_from = int(date) if date and date.isdigit() else 0
+        rows[rtype].append((first, last, valid_from))
+    earliest = min((v for group in rows.values() for *_, v in group if v), default=0)
+    return {rtype: sorted(group) for rtype, group in rows.items()}, earliest
+
+
+# ---------------------------------------------------------------------------
 # random stream generator with construction-time ground truth
 
 

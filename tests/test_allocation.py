@@ -17,6 +17,7 @@ from bgpchurn.allocation import (
     FLAG_TABLE_GAP,
     AllocationTable,
     FilterStats,
+    _IntervalSet,
     filter_allocated,
     load_delegated,
 )
@@ -24,7 +25,12 @@ from bgpchurn.errors import BgpChurnError
 
 from bgpchurn.model import expand_message
 
-from helpers import make_announcement, make_withdrawal, update_entry
+from helpers import (
+    make_announcement,
+    make_withdrawal,
+    reference_load_delegated,
+    update_entry,
+)
 
 DELEGATED_SAMPLE = """\
 2|ripencc|20200101|4|19840101|20200101|+00:00
@@ -270,6 +276,180 @@ def test_interval_cover_matches_linear_scan(blocks, query):
     assert table.asn_intervals.covers(first, last, 20150601) == linear
 
 
+DATES = ("", "19991231", "20000101", "20100101", "20150601")
+
+
+@st.composite
+def dated_blocks(draw):
+    """(start, count, date) ASN rows, some nested in or overlapping others."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 20))):
+        if blocks and draw(st.booleans()):
+            start, count, _ = draw(st.sampled_from(blocks))
+            inner = draw(st.integers(0, count - 1))
+            start += inner
+            count = draw(st.integers(1, count - inner + 8))  # inside, or past the end
+        else:
+            start, count = draw(st.integers(0, 2**12)), draw(st.integers(1, 2**10))
+        blocks.append((start, count, draw(st.sampled_from(DATES))))
+    return blocks
+
+
+@settings(max_examples=300)
+@given(
+    blocks=dated_blocks(),
+    queries=st.lists(
+        st.tuples(
+            st.integers(0, 2**12 + 2**10),
+            st.integers(0, 64),
+            st.sampled_from([int(d) for d in DATES if d]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_dated_cover_matches_linear_scan(blocks, queries):
+    """Each row has its own valid-from date, and the queries interleave
+    dates, so the per-date reach arrays are built, kept and dropped."""
+    table = delegated(("asn", start, count, date) for start, count, date in blocks)
+    for first, width, date_key in queries:
+        last = first + width
+        linear = any(
+            s <= first and last <= s + c - 1 and int(d or 0) <= date_key
+            for s, c, d in blocks
+        )
+        assert table.asn_intervals.covers(first, last, date_key) == linear
+
+
+def test_worst_case_lookup_reads_one_reach_entry(monkeypatch):
+    """One wide row valid since 2000 over 200,000 narrower rows that only
+    become valid in 2030: each lookup reads one reach entry, and each
+    date's array is built once while the run moves between two days."""
+    rows = [(0, 10**9, 20000101)]
+    rows += [(10 * i + 1, 10 * i + 5, 20300101) for i in range(200_000)]
+    intervals = _IntervalSet(rows)
+    builds, reads = [], []
+
+    class CountedReads(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return list.__getitem__(self, index)
+
+    build = intervals._build_reach
+    monkeypatch.setattr(
+        intervals, "_build_reach", lambda d: builds.append(d) or CountedReads(build(d))
+    )
+    lookups = 0
+    for date_key in (20150601, 20150602, 20150601, 20150602):
+        for i in range(0, 200_000, 20_000):
+            assert intervals.covers(10 * i + 2, 10 * i + 4, date_key)  # the wide row
+            assert not intervals.covers(10 * i + 2, 10**9 + 1, date_key)
+            lookups += 2
+    assert builds == [20150601, 20150602]
+    assert len(reads) == lookups
+    assert intervals.covers(10 * 199_999 + 2, 10 * 199_999 + 4, 20300101)
+    assert builds == [20150601, 20150602, 20300101]
+
+
+# --- the fast loader keeps, skips and converts every row as ipaddress does ---
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def ipv4_texts(draw):
+    octets = draw(st.lists(st.integers(0, 255), min_size=4, max_size=4))
+    canonical = ".".join(map(str, octets))
+    form = draw(st.sampled_from(
+        ("canonical", "canonical", "zeros", "three", "arabic", "padded", "junk")
+    ))
+    if form == "zeros":
+        at = draw(st.integers(0, 3))
+        octets = [f"0{o}" if i == at else str(o) for i, o in enumerate(octets)]
+        return ".".join(octets)
+    if form == "three":
+        return ".".join(map(str, octets[:3]))
+    if form == "arabic":
+        return canonical.translate(ARABIC_INDIC)
+    if form == "padded":
+        return draw(st.sampled_from((f" {canonical}", f"{canonical} ", f" {canonical} ")))
+    if form == "junk":
+        return draw(st.text(alphabet="0123456789.:x/ ", max_size=12))
+    return canonical
+
+
+@st.composite
+def ipv6_rows(draw):
+    """(start, value) of an ipv6 row, in the text forms registries and typos give."""
+    length = draw(st.integers(0, 128))
+    value = draw(st.integers(0, 2**128 - 1))
+    for group in draw(st.lists(st.integers(0, 7), max_size=8)):  # zero runs for "::"
+        value &= ~(0xFFFF << 16 * group)
+    if not draw(st.booleans()):  # host bits set stays possible
+        value &= ~((1 << (128 - length)) - 1)
+    address = ipaddress.IPv6Address(value)
+    form = draw(st.sampled_from(
+        ("compressed", "compressed", "upper", "exploded", "mapped", "scope", "odd", "junk")
+    ))
+    groups = address.exploded.split(":")
+    at = draw(st.integers(0, 7))
+    odd = draw(st.sampled_from(("0x{}", "+{}", " {}", "{}_0", "{}\u0660")))
+    groups[at] = odd.format(groups[at].lstrip("0")[:2] or "0")  # int(..., 16) takes it
+    start = {
+        "odd": ":".join(groups),
+        "compressed": str(address),
+        "upper": str(address).upper(),
+        "exploded": address.exploded,
+        "mapped": f"::ffff:{ipaddress.IPv4Address(value & 0xFFFFFFFF)}",
+        "scope": f"{address}%eth0",
+        "junk": draw(st.text(alphabet="0123456789abcdefABX:.%/ ", max_size=16)),
+    }[form]
+    lengths = (str(length),) * 3 + (f"0{length}", f"+{length}", "129", "", f"{length} ")
+    return start, draw(st.sampled_from(lengths))
+
+
+COUNTS = ("256", "1", "0", "-1", "abc", "1_0", "+32", "032", "", " 8", "65536")
+
+
+@st.composite
+def delegated_lines(draw):
+    kind = draw(st.sampled_from(("asn", "ipv4", "ipv6", "ipv6", "other")))
+    if kind == "other":
+        return draw(st.sampled_from((
+            "", "# a comment", "ripencc|*|asn|*|1|summary", "ripencc|*|ipv4|*|2",
+            "2|ripencc|20200101|4|19840101|20200101|+00:00",
+            "ripencc|ZZ|ipv5|10.0.0.0|256|20100101|allocated",
+        )))
+    if kind == "asn":
+        n = draw(st.integers(0, 2**32))
+        start = draw(st.sampled_from(
+            (str(n), f"+{n}", f" {n}", "-1", "x", str(n).translate(ARABIC_INDIC))
+        ))
+        value = draw(st.sampled_from(COUNTS))
+    elif kind == "ipv4":
+        start, value = draw(ipv4_texts()), draw(st.sampled_from(COUNTS))
+    else:
+        start, value = draw(ipv6_rows())
+    date = draw(st.sampled_from(DATES + ("2010-01-01", "00000000")))
+    status = draw(st.sampled_from(("allocated", "assigned", "available", "reserved")))
+    line = f"ripencc|ZZ|{kind}|{start}|{value}|{date}|{status}"
+    return line + draw(st.sampled_from(("", "|opaque", "\n", "  ")))
+
+
+@settings(max_examples=400)
+@given(st.lists(delegated_lines(), max_size=25))
+def test_loader_matches_reference_loader(lines):
+    table = load_delegated(lines)
+    rows, earliest = reference_load_delegated(lines)
+    for intervals, rtype in (
+        (table.asn_intervals, "asn"),
+        (table.v4_intervals, "ipv4"),
+        (table.v6_intervals, "ipv6"),
+    ):
+        assert list(zip(intervals.starts, intervals.ends, intervals.valid_from)) == rows[rtype]
+    assert table.earliest_date == earliest
+
+
 # --- the canonical-text and per-day shortcuts agree with ipaddress/datetime ---
 
 
@@ -323,12 +503,38 @@ def test_prefix_allocated_matches_ipaddress_at_block_edges(blocks, data):
         "10.0.0/24", "10.0.0.0.0/24", "10.0.0.0", "10.0.0.0/", "/24", "",
         "10.0.0.0/+8", " 10.0.0.0/8", "10.0.0.0/255.255.0.0", "10.0.0.256/32",
         "\u0661\u0660.0.0.0/8", "2001:db8::/48", "2001:db8::1/48", "garbage",
+        "2001:DB8::/48", "2001:0db8:0000:0000:0000:0000:0000:0000/48", "2001:db8::/048",
+        "::ffff:10.0.0.0/104", "2001:db8::%eth0/48", "2001:db8::/129", "2001:db8::/+48",
+        "1:2:3:4::5:6:7:8/128", "2001::db8::/48", ":2001:db8::/48", "12345::/16",
+        "0x20::/16", "::/0", "::/128",
     ],
 )
 def test_prefix_allocated_text_forms_match_ipaddress(prefix):
     table = sample_table()
     assert outcome(table.prefix_allocated, prefix, 20150601, BgpChurnError) == outcome(
         lambda p, d: reference_prefix_allocated(table, p, d), prefix, 20150601, ValueError
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        ipv6_rows(),
+        st.tuples(  # inside or at the edge of the sample table's 2001:db8::/32
+            st.sampled_from(
+                ("2001:db8::", "2001:db8:ffff::", "2001:DB8::", "2001:0db8::", "2001:db9::")
+            ),
+            st.sampled_from(("31", "32", "48", "128", "048")),
+        ),
+    ),
+    st.sampled_from((20150601, 20080731, 20080801)),
+)
+def test_prefix_allocated_v6_text_matches_ipaddress(row, date_key):
+    start, length = row
+    prefix = f"{start}/{length}"
+    table = sample_table()  # 2001:db8::/32 from 2008-08-01
+    assert outcome(table.prefix_allocated, prefix, date_key, BgpChurnError) == outcome(
+        lambda p, d: reference_prefix_allocated(table, p, d), prefix, date_key, ValueError
     )
 
 

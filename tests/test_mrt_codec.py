@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgpchurn.errors import BgpParseError, MrtError
-from bgpchurn.mrt import bgp
+from bgpchurn.mrt import bgp, codec
 from bgpchurn.mrt.bgp import (
     AS_SEQUENCE,
     AS_SET,
@@ -421,6 +421,34 @@ def test_bgp4mp_addresses_equal_ipaddress_text(fields):
     assert entry.kind == "update"
     assert entry.message.peer_address == str(ipaddress.ip_address(peer))
     assert address_str(local) == str(ipaddress.ip_address(local))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, 2)).flatmap(
+        lambda afi: st.tuples(
+            st.just(afi),
+            st.lists(
+                st.binary(min_size=MAX_BITS[afi] // 8, max_size=MAX_BITS[afi] // 8),
+                min_size=1,
+                max_size=3,
+            ),
+            st.lists(st.integers(0, 2), min_size=1, max_size=8),
+        )
+    )
+)
+def test_memoized_peer_address_equals_unmemoized(case):
+    """The peer address text is read through a memo keyed on its bytes;
+    a decode with it equals one that formats every address afresh."""
+    afi, peers, order = case
+    for pick in order:
+        peer = peers[pick % len(peers)]
+        body = struct.pack("!HHHH", 65001, 64512, 0, afi) + peer + peer + _END_OF_RIB
+        header = MrtRecordHeader(0, 16, 1, len(body))
+        with mock.patch.object(codec, "_peer_address", codec._peer_address.__wrapped__):
+            want = decode_entry(header, body)
+        assert want.message.peer_address == str(ipaddress.ip_address(peer))
+        assert decode_entry(header, body) == want
 
 
 def test_as_path_codec_widths():
