@@ -57,6 +57,7 @@ def _v4_int(text: str) -> Optional[int]:
 
 
 def _hex_groups(groups: list[str], value: int) -> Optional[int]:
+    """``value`` with each 1-4 digit hex group shifted in, else None."""
     for group in groups:
         if not 0 < len(group) <= 4 or not _HEX_DIGITS.issuperset(group):
             return None
@@ -75,7 +76,8 @@ def _v6_int(text: str) -> Optional[int]:
     left = head.split(":") if head else []
     right = tail.split(":") if tail else []
     missing = 8 - len(left) - len(right)
-    if missing < 1 if gap else missing:
+    # "::" stands for at least one zero group; without it there are eight
+    if missing < 1 if gap else missing != 0:
         return None
     value = _hex_groups(left, 0)
     return None if value is None else _hex_groups(right, value << 16 * missing)
@@ -200,6 +202,7 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
         if valid_from is None:
             valid_from = dates[date] = _date_key(date)
         rows[rtype].append((first, last, valid_from))
+    # dates holds the dates of kept rows only
     earliest = min(filter(None, dates.values()), default=0)
     return AllocationTable(*map(_IntervalSet, rows.values()), earliest)
 

@@ -353,7 +353,7 @@ def test_worst_case_lookup_reads_one_reach_entry(monkeypatch):
 
 # --- the fast loader keeps, skips and converts every row as ipaddress does ---
 
-ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
 @st.composite
@@ -446,7 +446,8 @@ def test_loader_matches_reference_loader(lines):
         (table.v4_intervals, "ipv4"),
         (table.v6_intervals, "ipv6"),
     ):
-        assert list(zip(intervals.starts, intervals.ends, intervals.valid_from)) == rows[rtype]
+        found = list(zip(intervals.starts, intervals.ends, intervals.valid_from))
+        assert found == rows[rtype]
     assert table.earliest_date == earliest
 
 
@@ -522,7 +523,8 @@ def test_prefix_allocated_text_forms_match_ipaddress(prefix):
         ipv6_rows(),
         st.tuples(  # inside or at the edge of the sample table's 2001:db8::/32
             st.sampled_from(
-                ("2001:db8::", "2001:db8:ffff::", "2001:DB8::", "2001:0db8::", "2001:db9::")
+                ("2001:db8::", "2001:db8:ffff::", "2001:DB8::", "2001:0db8::",
+                 "2001:db9::")
             ),
             st.sampled_from(("31", "32", "48", "128", "048")),
         ),
