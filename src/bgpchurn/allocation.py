@@ -83,6 +83,22 @@ def _v6_int(text: str) -> Optional[int]:
     return None if value is None else _hex_groups(right, value << 16 * missing)
 
 
+def _network(prefix: str, v6: bool) -> tuple[int, int]:
+    """The first address and host mask of network text "addr/length".
+
+    Canonical text is read by ``_v6_int`` or ``_v4_int``; anything else,
+    host bits set included, goes through ``ipaddress``, whose ValueError
+    propagates.
+    """
+    addr, _, length = prefix.partition("/")
+    host = (_V6_HOST_MASKS if v6 else _V4_HOST_MASKS).get(length)
+    first = _v6_int(addr) if v6 else _v4_int(addr)
+    if host is None or first is None or first & host:
+        net = (ipaddress.IPv6Network if v6 else ipaddress.IPv4Network)(prefix)
+        first, host = int(net.network_address), int(net.hostmask)
+    return first, host
+
+
 class _IntervalSet:
     """Static interval stabbing: sorted starts, and per date a running max end.
 
@@ -90,8 +106,9 @@ class _IntervalSet:
     interval valid by the query date contain [first, last]?  For a date,
     ``reach[i]`` is the largest end among rows ``0..i`` that are valid by
     then, so a lookup is one bisect and one read: O(log n) whatever the
-    rows' overlap.  The reach arrays of the last two dates queried are
-    kept, so a run that crosses midnight builds each once.
+    rows' overlap.  Only the last date's reach array is kept, so each
+    change of the query date costs one O(n) build; records in day order
+    pay it once per day.
     """
 
     def __init__(self, rows: Iterable[tuple[int, int, int]]):
@@ -101,7 +118,6 @@ class _IntervalSet:
         self.valid_from = [valid_from for _, _, valid_from in rows]
         self._date: Optional[int] = None
         self._reach: list = []
-        self._previous: tuple[Optional[int], list] = (None, [])
 
     def _build_reach(self, date_key: int) -> list:
         below = float("-inf")  # no row valid yet reaches anything
@@ -111,18 +127,10 @@ class _IntervalSet:
             max,
         ))
 
-    def _use_date(self, date_key: int) -> None:
-        previous_date, previous_reach = self._previous
-        self._previous = (self._date, self._reach)
-        self._date = date_key
-        self._reach = (
-            previous_reach if previous_date == date_key else self._build_reach(date_key)
-        )
-
     def covers(self, first: int, last: int, date_key: int) -> bool:
         """True iff one interval valid by date_key contains [first, last]."""
         if date_key != self._date:
-            self._use_date(date_key)
+            self._date, self._reach = date_key, self._build_reach(date_key)
         hi = bisect.bisect_right(self.starts, first)
         return hi > 0 and self._reach[hi - 1] >= last
 
@@ -145,16 +153,11 @@ class AllocationTable:
         Text that is no network address, such as "10.0.0.1/24", raises
         BgpChurnError.
         """
-        addr, _, length = prefix.partition("/")
-        v6 = ":" in addr
-        host = (_V6_HOST_MASKS if v6 else _V4_HOST_MASKS).get(length)
-        first = _v6_int(addr) if v6 else _v4_int(addr)
-        if host is None or first is None or first & host:
-            try:
-                net = ipaddress.ip_network(prefix)
-            except ValueError as exc:
-                raise BgpChurnError(f"bad prefix {prefix!r}: {exc}") from exc
-            v6, first, host = net.version == 6, int(net.network_address), int(net.hostmask)
+        v6 = ":" in prefix
+        try:
+            first, host = _network(prefix, v6)
+        except ValueError as exc:
+            raise BgpChurnError(f"bad prefix {prefix!r}: {exc}") from exc
         table = self.v6_intervals if v6 else self.v4_intervals
         return table.covers(first, first | host, date_key)
 
@@ -186,10 +189,7 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
             continue
         try:
             if rtype == "ipv6":
-                host, first = _V6_HOST_MASKS.get(value), _v6_int(start)
-                if host is None or first is None or first & host:
-                    net = ipaddress.IPv6Network(f"{start}/{value}")
-                    first, host = int(net.network_address), int(net.hostmask)
+                first, host = _network(f"{start}/{value}", True)
                 last = first | host
             else:  # a first ASN or IPv4 address and a count
                 first = int(start) if rtype == "asn" else _v4_int(start)

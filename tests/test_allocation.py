@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgpchurn.allocation import (
@@ -321,12 +321,9 @@ def test_dated_cover_matches_linear_scan(blocks, queries):
         assert table.asn_intervals.covers(first, last, date_key) == linear
 
 
-def test_worst_case_lookup_reads_one_reach_entry(monkeypatch):
-    """One wide row valid since 2000 over 200,000 narrower rows that only
-    become valid in 2030: each lookup reads one reach entry, and each
-    date's array is built once while the run moves between two days."""
-    rows = [(0, 10**9, 20000101)]
-    rows += [(10 * i + 1, 10 * i + 5, 20300101) for i in range(200_000)]
+def counted_intervals(monkeypatch, rows):
+    """An _IntervalSet over ``rows`` and the lists of its reach builds
+    (dates) and reach reads (indices)."""
     intervals = _IntervalSet(rows)
     builds, reads = [], []
 
@@ -339,9 +336,19 @@ def test_worst_case_lookup_reads_one_reach_entry(monkeypatch):
     monkeypatch.setattr(
         intervals, "_build_reach", lambda d: builds.append(d) or CountedReads(build(d))
     )
+    return intervals, builds, reads
+
+
+def test_worst_case_lookup_reads_one_reach_entry(monkeypatch):
+    """One wide row valid since 2000 over 200,000 narrower rows that only
+    become valid in 2030: each lookup reads one reach entry, and dates
+    queried in order build one array each."""
+    rows = [(0, 10**9, 20000101)]
+    rows += [(10 * i + 1, 10 * i + 5, 20300101) for i in range(200_000)]
+    intervals, builds, reads = counted_intervals(monkeypatch, rows)
     lookups = 0
-    for date_key in (20150601, 20150602, 20150601, 20150602):
-        for i in range(0, 200_000, 20_000):
+    for date_key in (20150601, 20150602):
+        for i in range(0, 200_000, 10_000):
             assert intervals.covers(10 * i + 2, 10 * i + 4, date_key)  # the wide row
             assert not intervals.covers(10 * i + 2, 10**9 + 1, date_key)
             lookups += 2
@@ -349,6 +356,17 @@ def test_worst_case_lookup_reads_one_reach_entry(monkeypatch):
     assert len(reads) == lookups
     assert intervals.covers(10 * 199_999 + 2, 10 * 199_999 + 4, 20300101)
     assert builds == [20150601, 20150602, 20300101]
+
+
+def test_each_date_change_builds_one_reach_array(monkeypatch):
+    """Only the last date's array is kept: queries that interleave three
+    dates pay one O(n) build at every change of date, none on a repeat."""
+    rows = [(10 * i, 10 * i + 5, 20150601 + i % 3) for i in range(1_000)]
+    intervals, builds, _ = counted_intervals(monkeypatch, rows)
+    dates = [20150601, 20150602, 20150602, 20150603, 20150601, 20150603, 20150603]
+    for date_key in dates:
+        intervals.covers(0, 5, date_key)
+    assert builds == [20150601, 20150602, 20150603, 20150601, 20150603]
 
 
 # --- the fast loader keeps, skips and converts every row as ipaddress does ---
@@ -389,7 +407,8 @@ def ipv6_rows(draw):
         value &= ~((1 << (128 - length)) - 1)
     address = ipaddress.IPv6Address(value)
     form = draw(st.sampled_from(
-        ("compressed", "compressed", "upper", "exploded", "mapped", "scope", "odd", "junk")
+        ("compressed", "compressed", "upper", "exploded", "mapped", "scope", "odd",
+         "ipv4", "junk")
     ))
     groups = address.exploded.split(":")
     at = draw(st.integers(0, 7))
@@ -402,6 +421,7 @@ def ipv6_rows(draw):
         "exploded": address.exploded,
         "mapped": f"::ffff:{ipaddress.IPv4Address(value & 0xFFFFFFFF)}",
         "scope": f"{address}%eth0",
+        "ipv4": str(ipaddress.IPv4Address(value >> 96)),  # an IPv4 network when length <= 32
         "junk": draw(st.text(alphabet="0123456789abcdefABX:.%/ ", max_size=16)),
     }[form]
     lengths = (str(length),) * 3 + (f"0{length}", f"+{length}", "129", "", f"{length} ")
@@ -438,6 +458,7 @@ def delegated_lines(draw):
 
 @settings(max_examples=400)
 @given(st.lists(delegated_lines(), max_size=25))
+@example(["ripencc|ZZ|ipv6|10.0.0.0|8|20100101|allocated"])  # an IPv4 network, no IPv6 row
 def test_loader_matches_reference_loader(lines):
     table = load_delegated(lines)
     rows, earliest = reference_load_delegated(lines)
