@@ -20,6 +20,7 @@ from bgpchurn.mrt.bgp import (
     AFI_IPV4,
     AFI_IPV6,
     ATTR_MP_REACH_NLRI,
+    ATTR_MP_UNREACH_NLRI,
     FLAG_OPTIONAL,
     MSG_KEEPALIVE,
     BgpAttributes,
@@ -30,7 +31,6 @@ from bgpchurn.mrt.bgp import (
     attr_origin,
     build_bgp_message,
     community_value,
-    encode_prefixes,
     path_segments,
 )
 from bgpchurn.mrt.build import build_bgp4mp_record, build_update_record
@@ -339,17 +339,46 @@ def random_stream(
 # synthetic MRT files
 
 
-def attr_mp_reach(prefixes: Iterable, next_hop) -> WireAttribute:
-    """An MP_REACH_NLRI attribute announcing ``prefixes`` (ip_network objects)."""
+def wire_prefixes(prefixes: Iterable) -> bytes:
+    """The NLRI encoding of ip_network objects or "address/length" texts.
+
+    A text keeps the host bits it is written with, as a non-minimal
+    encoding on the wire would.
+    """
+    out = b""
+    for prefix in prefixes:
+        if isinstance(prefix, str):
+            address, _, bits = prefix.partition("/")
+            packed, bits = ipaddress.ip_address(address).packed, int(bits)
+        else:
+            packed, bits = prefix.network_address.packed, prefix.prefixlen
+        out += bytes([bits]) + packed[: (bits + 7) // 8]
+    return out
+
+
+def attr_mp_reach(prefixes: Iterable, next_hop, link_local=None) -> WireAttribute:
+    """An MP_REACH_NLRI attribute announcing ``prefixes`` (see wire_prefixes).
+
+    With ``link_local`` the IPv6 next hop is 32 bytes: global, then link-local.
+    """
     nh = ipaddress.ip_address(next_hop)
     afi = AFI_IPV4 if nh.version == 4 else AFI_IPV6
+    packed = nh.packed
+    if link_local is not None:
+        packed += ipaddress.IPv6Address(link_local).packed
     payload = (
-        struct.pack("!HBB", afi, 1, len(nh.packed))
-        + nh.packed
+        struct.pack("!HBB", afi, 1, len(packed))
+        + packed
         + b"\x00"
-        + encode_prefixes(prefixes)
+        + wire_prefixes(prefixes)
     )
     return WireAttribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload)
+
+
+def attr_mp_unreach(prefixes: Iterable, afi: int = AFI_IPV6) -> WireAttribute:
+    """An MP_UNREACH_NLRI attribute withdrawing ``prefixes`` (see wire_prefixes)."""
+    payload = struct.pack("!HB", afi, 1) + wire_prefixes(prefixes)
+    return WireAttribute(FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, payload)
 
 
 def build_keepalive_record(
