@@ -9,13 +9,13 @@ rather than being dropped.
 from __future__ import annotations
 
 import bisect
-import ipaddress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import accumulate
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
+from .addr import ipv4_int, network_span
 from .errors import BgpChurnError
 from .model import US_PER_DAY, UpdateRecord
 from .mrt.bgp import BgpAttributes, PathElement
@@ -33,70 +33,6 @@ def _date_key(yyyymmdd: str) -> int:
 def _record_date_key(arrival_us: int) -> int:
     dt = datetime.fromtimestamp(arrival_us // 1_000_000, tz=timezone.utc)
     return dt.year * 10000 + dt.month * 100 + dt.day
-
-
-# host-bit mask by prefix length text; only canonical decimal lengths are keys
-_V4_HOST_MASKS = {str(n): (1 << (32 - n)) - 1 for n in range(33)}
-_V6_HOST_MASKS = {str(n): (1 << (128 - n)) - 1 for n in range(129)}
-_OCTETS = {str(n): n for n in range(256)}
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
-def _v4_int(text: str) -> Optional[int]:
-    """The address of canonical dotted-quad text ("10.0.0.0"), else None.
-
-    Only four decimal octets without leading zeros are read, so any text
-    accepted here means the same address to ``ipaddress``; the rest
-    (leading zeros, "1.2.3", non-ASCII digits, spaces) is left to it.
-    """
-    try:
-        a, b, c, d = text.split(".")
-        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
-    except (KeyError, ValueError):
-        return None
-
-
-def _hex_groups(groups: list[str], value: int) -> Optional[int]:
-    """``value`` with each 1-4 digit hex group shifted in, else None."""
-    for group in groups:
-        if not 0 < len(group) <= 4 or not _HEX_DIGITS.issuperset(group):
-            return None
-        value = value << 16 | int(group, 16)
-    return value
-
-
-def _v6_int(text: str) -> Optional[int]:
-    """The address of IPv6 text made of hex groups and at most one "::".
-
-    None for anything else, such as an embedded IPv4 tail or a %scope
-    suffix, which ``ipaddress`` then parses or rejects.  Every text
-    accepted here means the same address to ``ipaddress``.
-    """
-    head, gap, tail = text.partition("::")
-    left = head.split(":") if head else []
-    right = tail.split(":") if tail else []
-    missing = 8 - len(left) - len(right)
-    # "::" stands for at least one zero group; without it there are eight
-    if missing < 1 if gap else missing != 0:
-        return None
-    value = _hex_groups(left, 0)
-    return None if value is None else _hex_groups(right, value << 16 * missing)
-
-
-def _network(prefix: str, v6: bool) -> tuple[int, int]:
-    """The first address and host mask of network text "addr/length".
-
-    Canonical text is read by ``_v6_int`` or ``_v4_int``; anything else,
-    host bits set included, goes through ``ipaddress``, whose ValueError
-    propagates.
-    """
-    addr, _, length = prefix.partition("/")
-    host = (_V6_HOST_MASKS if v6 else _V4_HOST_MASKS).get(length)
-    first = _v6_int(addr) if v6 else _v4_int(addr)
-    if host is None or first is None or first & host:
-        net = (ipaddress.IPv6Network if v6 else ipaddress.IPv4Network)(prefix)
-        first, host = int(net.network_address), int(net.hostmask)
-    return first, host
 
 
 class _IntervalSet:
@@ -155,7 +91,7 @@ class AllocationTable:
         """
         v6 = ":" in prefix
         try:
-            first, host = _network(prefix, v6)
+            first, host = network_span(prefix, v6)
         except ValueError as exc:
             raise BgpChurnError(f"bad prefix {prefix!r}: {exc}") from exc
         table = self.v6_intervals if v6 else self.v4_intervals
@@ -189,12 +125,10 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
             continue
         try:
             if rtype == "ipv6":
-                first, host = _network(f"{start}/{value}", True)
+                first, host = network_span(f"{start}/{value}", True)
                 last = first | host
             else:  # a first ASN or IPv4 address and a count
-                first = int(start) if rtype == "asn" else _v4_int(start)
-                if first is None:
-                    first = int(ipaddress.IPv4Address(start))
+                first = int(start) if rtype == "asn" else ipv4_int(start)
                 last = first + int(value) - 1
         except ValueError:
             continue

@@ -8,7 +8,6 @@ identical inputs and flags (fetch excepted).
 from __future__ import annotations
 
 import argparse
-import ipaddress
 import os
 import sys
 from dataclasses import asdict
@@ -18,6 +17,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from . import __version__
+from .addr import canonical_network
 from .allocation import AllocationFilter, load_delegated
 from .beacon import (
     DEFAULT_BEACONS,
@@ -149,7 +149,7 @@ def _beacon_list(path: Path) -> frozenset[str]:
         if not text:
             continue
         try:
-            beacons.add(str(ipaddress.ip_network(text)))
+            beacons.add(canonical_network(text))
         except ValueError as exc:
             raise BgpChurnError(f"{path}:{lineno}: bad beacon prefix: {exc}") from exc
     return frozenset(beacons)

@@ -7,13 +7,13 @@ records keyed by (session, prefix).
 
 from __future__ import annotations
 
-import ipaddress
 import json
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
+from .addr import canonical_address
 from .errors import BgpChurnError
 from .mrt.bgp import BgpAttributes, PathElement, community_str, community_value
 from .mrt.codec import MrtEntry
@@ -238,7 +238,7 @@ def _out_of_range(name: str, value: int) -> ValueError:
 
 def _address(text: str, name: str) -> str:
     try:
-        return str(ipaddress.ip_address(text))
+        return canonical_address(text)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
+from ..addr import ipv4_text, ipv6_text
 from ..errors import BgpParseError
 
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
@@ -98,7 +99,7 @@ class BgpAttributes(NamedTuple):
     back.  ``path`` is the effective AS path after AS4_PATH merging, as
     elements; ``communities`` keeps wire order even though comparisons
     treat them as a multiset; ``next_hop`` is the canonical address
-    text, as ``str(ipaddress.ip_address(...))`` gives it.
+    text of ``bgpchurn.addr``.
     """
 
     path: tuple[PathElement, ...] = ()
@@ -110,9 +111,8 @@ class BgpAttributes(NamedTuple):
 class RawBgpMessage(NamedTuple):
     """A BGP UPDATE lifted out of one MRT record: its peer, prefixes, attributes.
 
-    Addresses and prefixes are canonical strings, exactly what ``str()``
-    gives for the ``ipaddress`` objects: "192.0.2.1", "10.0.0.0/24",
-    "2001:db8::/32".
+    Addresses and prefixes are canonical text (``bgpchurn.addr``):
+    "192.0.2.1", "10.0.0.0/24", "2001:db8::/32".
     """
 
     peer_asn: int
@@ -142,54 +142,26 @@ def _prefix_chunks(buf: bytes, max_bits: int) -> Iterator[tuple[int, bytes]]:
         i = end
 
 
-def decode_prefixes(buf: bytes, afi: int) -> list[IPNetwork]:
-    """Decode the (length, truncated address) prefix encoding."""
-    if afi == AFI_IPV4:
-        max_bits, addr_len = 32, 4
-    elif afi == AFI_IPV6:
-        max_bits, addr_len = 128, 16
-    else:
-        raise BgpParseError(f"unsupported AFI {afi}")
-    out: list[IPNetwork] = []
-    for bits, chunk in _prefix_chunks(buf, max_bits):
-        addr = ipaddress.ip_address(chunk + b"\x00" * (addr_len - len(chunk)))
-        # strict=False masks stray host bits in non-canonical encodings
-        out.append(ipaddress.ip_network((addr, bits), strict=False))
-    return out
-
-
-_V4_PAD = (b"\x00\x00\x00\x00", b"\x00\x00\x00", b"\x00\x00", b"\x00", b"")
-_OCTETS = tuple(str(n) for n in range(256))
-
-
-def _dotted_quad(packed: bytes) -> str:
-    a, b, c, d = packed
-    return f"{_OCTETS[a]}.{_OCTETS[b]}.{_OCTETS[c]}.{_OCTETS[d]}"
+# by AFI: the maximum length, the zero padding by bytes given, the formatter
+_AFIS = {AFI_IPV4: (32, tuple(bytes(4 - n) for n in range(5)), ipv4_text),
+         AFI_IPV6: (128, tuple(bytes(16 - n) for n in range(17)), ipv6_text)}
 
 
 def decode_prefix_strs(buf: bytes, afi: int) -> list[str]:
-    """Decode prefixes straight to the text ``str()`` gives decode_prefixes.
-
-    IPv4 is formatted from the wire bytes with stray host bits cleared;
-    IPv6 goes through ``ipaddress`` to keep its RFC 5952 form.
-    """
-    if afi != AFI_IPV4:
-        return [str(net) for net in decode_prefixes(buf, afi)]
+    """Decode prefixes straight to their canonical text ("10.0.0.0/24",
+    "2001:db8::/32"), with stray host bits cleared."""
+    try:
+        max_bits, pad, text = _AFIS[afi]
+    except KeyError:
+        raise BgpParseError(f"unsupported AFI {afi}") from None
     out: list[str] = []
-    for bits, chunk in _prefix_chunks(buf, 32):
+    for bits, chunk in _prefix_chunks(buf, max_bits):
         if bits & 7:
             # only the last byte can hold host bits
             keep = 0xFF00 >> (bits & 7) & 0xFF
             chunk = chunk[:-1] + bytes((chunk[-1] & keep,))
-        out.append(f"{_dotted_quad(chunk + _V4_PAD[len(chunk)])}/{bits}")
+        out.append(f"{text(chunk + pad[len(chunk)])}/{bits}")
     return out
-
-
-def address_str(packed: bytes) -> str:
-    """``str(ip_address(packed))`` for a 4- or 16-byte address."""
-    if len(packed) == 4:
-        return _dotted_quad(packed)
-    return str(ipaddress.IPv6Address(packed))
 
 
 def encode_prefixes(prefixes: Iterable[IPNetwork]) -> bytes:
@@ -303,10 +275,10 @@ def _decode_mp_reach(payload: bytes) -> tuple[list[str], Optional[str]]:
     i += nh_len + 1  # skip reserved byte
     next_hop: Optional[str] = None
     if afi == AFI_IPV4 and nh_len >= 4:
-        next_hop = address_str(nh_bytes[:4])
+        next_hop = ipv4_text(nh_bytes[:4])
     elif afi == AFI_IPV6 and nh_len >= 16:
         # a 32-byte next hop carries global + link-local; keep the global one
-        next_hop = address_str(nh_bytes[:16])
+        next_hop = ipv6_text(nh_bytes[:16])
     return decode_prefix_strs(payload[i:], afi), next_hop
 
 
@@ -358,7 +330,7 @@ def _decode_attributes(
         elif type_code == ATTR_NEXT_HOP:
             if len(payload) != 4:
                 raise BgpParseError("NEXT_HOP payload must be 4 bytes")
-            next_hop = address_str(payload)
+            next_hop = ipv4_text(payload)
         elif type_code == ATTR_MED:
             if len(payload) != 4:
                 raise BgpParseError("MED payload must be 4 bytes")

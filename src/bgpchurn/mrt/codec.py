@@ -17,14 +17,9 @@ from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
+from ..addr import address_text
 from ..errors import BgpParseError, MrtError
-from .bgp import (
-    MSG_UPDATE,
-    RawBgpMessage,
-    address_str,
-    decode_update_body,
-    split_bgp_message,
-)
+from .bgp import MSG_UPDATE, RawBgpMessage, decode_update_body, split_bgp_message
 
 # MRT record types
 TYPE_BGP4MP = 16
@@ -92,7 +87,7 @@ _CHUNK = 64 * 1024
 _new = tuple.__new__
 
 # every UPDATE of a session repeats its peer address: format each once
-_peer_address = lru_cache(maxsize=1024)(address_str)
+_peer_address = lru_cache(maxsize=1024)(address_text)
 
 
 class MrtRecordHeader(NamedTuple):

@@ -12,10 +12,12 @@ import random
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Optional
 
 from bgpchurn.classify import AnnouncementType, collapse_path
 from bgpchurn.model import ANNOUNCEMENT, WITHDRAWAL, SessionKey, UpdateRecord
+from bgpchurn.errors import BgpParseError
 from bgpchurn.mrt.bgp import (
     AFI_IPV4,
     AFI_IPV6,
@@ -34,6 +36,7 @@ from bgpchurn.mrt.bgp import (
     path_segments,
 )
 from bgpchurn.mrt.build import build_bgp4mp_record, build_update_record
+from bgpchurn.mrt.codec import write_mrt_stream
 
 # ---------------------------------------------------------------------------
 # record construction
@@ -263,6 +266,38 @@ def reference_load_delegated(
 
 
 # ---------------------------------------------------------------------------
+# reference prefix decoder
+#
+# The decoder mrt.bgp.decode_prefix_strs replaced: each prefix becomes
+# an ipaddress network, host bits cleared by strict=False.  The fast
+# decoder must give str() of each network, and fail where this one does.
+
+
+def decode_prefixes(buf: bytes, afi: int) -> list:
+    """Decode the (length, truncated address) prefix encoding to networks."""
+    if afi == AFI_IPV4:
+        max_bits, addr_len = 32, 4
+    elif afi == AFI_IPV6:
+        max_bits, addr_len = 128, 16
+    else:
+        raise BgpParseError(f"unsupported AFI {afi}")
+    out = []
+    i = 0
+    while i < len(buf):
+        bits = buf[i]
+        i += 1
+        if bits > max_bits:
+            raise BgpParseError(f"prefix length {bits} exceeds AFI maximum")
+        end = i + (bits + 7) // 8
+        if end > len(buf):
+            raise BgpParseError("truncated prefix bytes")
+        addr = ipaddress.ip_address(buf[i:end].ljust(addr_len, b"\x00"))
+        out.append(ipaddress.ip_network((addr, bits), strict=False))
+        i = end
+    return out
+
+
+# ---------------------------------------------------------------------------
 # random stream generator with construction-time ground truth
 
 
@@ -379,6 +414,95 @@ def attr_mp_unreach(prefixes: Iterable, afi: int = AFI_IPV6) -> WireAttribute:
     """An MP_UNREACH_NLRI attribute withdrawing ``prefixes`` (see wire_prefixes)."""
     payload = struct.pack("!HB", afi, 1) + wire_prefixes(prefixes)
     return WireAttribute(FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, payload)
+
+
+# IPv6 prefixes in each shape RFC 5952 text distinguishes
+V6_PREFIXES = (
+    "2001:db8::/32",  # one zero run, at the end
+    "2001:0:0:1::/64",  # a shorter run before the longest
+    "2001:db8:1:0:0:1:0:0/128",  # tied runs: the first is compressed
+    "2001:db8:0:1:0:1:0:1/128",  # single zero groups: none compressed
+    "::/0",
+    "::ffff:0:0/96",  # IPv4-mapped
+    "::a00:0/104",  # IPv4-compatible
+    "64:ff9b::/96",
+    "2001:db8:abcd:13ff::/55",  # a host bit on the wire: 2001:db8:abcd:1200::/55
+)
+T0 = 1_682_899_200  # 2023-05-01 00:00 UTC
+
+
+def write_dual_stack(directory: Path) -> list[str]:
+    """Write two five-minute update files from three sessions; their names.
+
+    ``a`` is an IPv6 session whose peer address has tied zero runs and
+    whose next hop is 32 bytes; ``b`` is an IPv4 session that also
+    announces IPv6 prefixes; ``c`` is an AS4 session over an IPv4-mapped
+    IPv6 address, with microsecond timestamps.
+    """
+    a = dict(peer_asn=65002, peer_address="2001:db8:0:0:1:0:0:1",
+             local_asn=64512, local_address="2001:db8::2")
+    b = dict(peer_asn=65001, peer_address="192.0.2.1",
+             local_asn=64512, local_address="192.0.2.254")
+    c = dict(peer_asn=4_200_000_000, peer_address="::ffff:192.0.2.7",
+             local_asn=64512, local_address="::ffff:192.0.2.254")
+
+    def v6(prefixes, path, community=1, link_local="fe80::1", width=2):
+        return [attr_origin(), attr_as_path(path_segments(path), width),
+                attr_communities([path[0] << 16 | community]),
+                attr_mp_reach(prefixes, "2001:db8::1", link_local)]
+
+    v4 = (65001, 65010)
+    files = {
+        "updates.20230501.0000": [
+            build_update_record(T0, **a, attributes=v6(V6_PREFIXES[:5], (65002, 65020))),
+            build_update_record(
+                T0 + 10, **b, announced=("10.0.0.0/24", "10.1.0.0/16"),
+                attributes=std_attrs(v4) + [
+                    attr_mp_reach(V6_PREFIXES[5:], "2001:db8:ffff::1")
+                ],
+            ),
+            build_update_record(T0 + 20, **a, attributes=v6(V6_PREFIXES[:5], (65002, 65020))),
+            build_update_record(T0 + 30, **a, attributes=v6(V6_PREFIXES[:3], (65002, 65020), 2)),
+            build_update_record(T0 + 40, **a, attributes=[attr_mp_unreach(V6_PREFIXES[1:2])]),
+            build_update_record(T0 + 50, **a, attributes=v6(V6_PREFIXES[1:2], (65002, 65020), 2)),
+            build_update_record(
+                T0 + 60, **b, announced=("10.0.0.0/24", "10.1.0.0/16"),
+                attributes=std_attrs(v4) + [
+                    attr_mp_reach(V6_PREFIXES[5:], "2001:db8:ffff::1")
+                ],
+            ),
+        ],
+        "updates.20230501.0005": [
+            build_update_record(
+                T0 + 300, **a, attributes=v6(V6_PREFIXES[:5], (65002, 65030, 65020))
+            ),
+            build_update_record(
+                T0 + 310, **b, announced=("10.0.0.0/24",),
+                attributes=std_attrs((65001, 65001, 65010)),
+            ),
+            build_update_record(
+                T0 + 320, **b, withdrawn=("10.1.0.0/16",),
+                attributes=[attr_mp_unreach(V6_PREFIXES[5:7])],
+            ),
+            build_update_record(
+                T0 + 330, **c, microsecond=1,
+                attributes=v6(V6_PREFIXES[6:], (65003, 65040), link_local=None, width=4),
+            ),
+            build_update_record(
+                T0 + 330, **c, microsecond=2,
+                attributes=[attr_mp_unreach(V6_PREFIXES[8:])],
+            ),
+            build_update_record(
+                T0 + 340, **c, microsecond=3,
+                attributes=v6(V6_PREFIXES[:1] + V6_PREFIXES[8:], (65003, 65040), 2,
+                              link_local=None, width=4),
+            ),
+        ],
+    }
+    for name, entries in files.items():
+        with open(directory / name, "wb") as f:
+            write_mrt_stream(entries, f)
+    return list(files)
 
 
 def build_keepalive_record(

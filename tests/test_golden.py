@@ -12,7 +12,7 @@ generator's truth, so a change to the generator fails as an input
 mismatch rather than passing as an output change.
 
 The seed-3 corpora hold IPv4 only, so a fourth input, ``dual-stack``,
-is built here with ``tests/helpers.py``: IPv4 and IPv6 sessions whose
+is built with ``tests/helpers.py``: IPv4 and IPv6 sessions whose
 MP_REACH/MP_UNREACH prefixes take every zero-run shape, with a 32-byte
 next hop and one prefix carrying host bits on the wire.
 
@@ -38,11 +38,8 @@ from pathlib import Path
 import pytest
 
 from bgpchurn.cli import main
-from bgpchurn.mrt.bgp import attr_as_path, attr_communities, attr_origin, path_segments
-from bgpchurn.mrt.build import build_update_record
-from bgpchurn.mrt.codec import write_mrt_stream
 
-from helpers import attr_mp_reach, attr_mp_unreach, std_attrs
+from helpers import write_dual_stack
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("golden.json")
@@ -77,94 +74,6 @@ COMMANDS = (
                 "out/dual-stack-classify/labels.jsonl"]),
 )
 
-# IPv6 prefixes in each shape RFC 5952 text distinguishes
-V6_PREFIXES = (
-    "2001:db8::/32",  # one zero run, at the end
-    "2001:0:0:1::/64",  # a shorter run before the longest
-    "2001:db8:1:0:0:1:0:0/128",  # tied runs: the first is compressed
-    "2001:db8:0:1:0:1:0:1/128",  # single zero groups: none compressed
-    "::/0",
-    "::ffff:0:0/96",  # IPv4-mapped
-    "::a00:0/104",  # IPv4-compatible
-    "64:ff9b::/96",
-    "2001:db8:abcd:13ff::/55",  # a host bit on the wire: 2001:db8:abcd:1200::/55
-)
-T0 = 1_682_899_200  # 2023-05-01 00:00 UTC
-
-
-def build_dual_stack(directory: Path) -> dict:
-    """Two five-minute update files from three sessions, and their names.
-
-    ``a`` is an IPv6 session whose peer address has tied zero runs and
-    whose next hop is 32 bytes; ``b`` is an IPv4 session that also
-    announces IPv6 prefixes; ``c`` is an AS4 session over an IPv4-mapped
-    IPv6 address, with microsecond timestamps.
-    """
-    a = dict(peer_asn=65002, peer_address="2001:db8:0:0:1:0:0:1",
-             local_asn=64512, local_address="2001:db8::2")
-    b = dict(peer_asn=65001, peer_address="192.0.2.1",
-             local_asn=64512, local_address="192.0.2.254")
-    c = dict(peer_asn=4_200_000_000, peer_address="::ffff:192.0.2.7",
-             local_asn=64512, local_address="::ffff:192.0.2.254")
-
-    def v6(prefixes, path, community=1, link_local="fe80::1", width=2):
-        return [attr_origin(), attr_as_path(path_segments(path), width),
-                attr_communities([path[0] << 16 | community]),
-                attr_mp_reach(prefixes, "2001:db8::1", link_local)]
-
-    v4 = (65001, 65010)
-    files = {
-        "updates.20230501.0000": [
-            build_update_record(T0, **a, attributes=v6(V6_PREFIXES[:5], (65002, 65020))),
-            build_update_record(
-                T0 + 10, **b, announced=("10.0.0.0/24", "10.1.0.0/16"),
-                attributes=std_attrs(v4) + [
-                    attr_mp_reach(V6_PREFIXES[5:], "2001:db8:ffff::1")
-                ],
-            ),
-            build_update_record(T0 + 20, **a, attributes=v6(V6_PREFIXES[:5], (65002, 65020))),
-            build_update_record(T0 + 30, **a, attributes=v6(V6_PREFIXES[:3], (65002, 65020), 2)),
-            build_update_record(T0 + 40, **a, attributes=[attr_mp_unreach(V6_PREFIXES[1:2])]),
-            build_update_record(T0 + 50, **a, attributes=v6(V6_PREFIXES[1:2], (65002, 65020), 2)),
-            build_update_record(
-                T0 + 60, **b, announced=("10.0.0.0/24", "10.1.0.0/16"),
-                attributes=std_attrs(v4) + [
-                    attr_mp_reach(V6_PREFIXES[5:], "2001:db8:ffff::1")
-                ],
-            ),
-        ],
-        "updates.20230501.0005": [
-            build_update_record(
-                T0 + 300, **a, attributes=v6(V6_PREFIXES[:5], (65002, 65030, 65020))
-            ),
-            build_update_record(
-                T0 + 310, **b, announced=("10.0.0.0/24",),
-                attributes=std_attrs((65001, 65001, 65010)),
-            ),
-            build_update_record(
-                T0 + 320, **b, withdrawn=("10.1.0.0/16",),
-                attributes=[attr_mp_unreach(V6_PREFIXES[5:7])],
-            ),
-            build_update_record(
-                T0 + 330, **c, microsecond=1,
-                attributes=v6(V6_PREFIXES[6:], (65003, 65040), link_local=None, width=4),
-            ),
-            build_update_record(
-                T0 + 330, **c, microsecond=2,
-                attributes=[attr_mp_unreach(V6_PREFIXES[8:])],
-            ),
-            build_update_record(
-                T0 + 340, **c, microsecond=3,
-                attributes=v6(V6_PREFIXES[:1] + V6_PREFIXES[8:], (65003, 65040), 2,
-                              link_local=None, width=4),
-            ),
-        ],
-    }
-    for name, entries in files.items():
-        with open(directory / name, "wb") as f:
-            write_mrt_stream(entries, f)
-    return {"inputs": list(files)}
-
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -196,7 +105,7 @@ def build_and_run(base: Path) -> dict:
     """Generate the seed-3 corpora under ``base`` and run every command."""
     builders = {
         **load_corpus_module().BUILDERS,
-        "dual-stack": lambda seed, directory: build_dual_stack(directory),
+        "dual-stack": lambda seed, directory: {"inputs": write_dual_stack(directory)},
     }
     inputs, truths = {}, {}
     for workload, build in builders.items():

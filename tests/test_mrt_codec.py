@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgpchurn.addr import address_text
 from bgpchurn.errors import BgpParseError, MrtError
 from bgpchurn.mrt import bgp, codec
 from bgpchurn.mrt.bgp import (
@@ -33,14 +34,12 @@ from bgpchurn.mrt.bgp import (
     ATTR_MP_UNREACH_NLRI,
     ATTR_NEXT_HOP,
     WireAttribute,
-    address_str,
     attr_as_path,
     community_str,
     community_value,
     decode_attribute_block,
     decode_path,
     decode_prefix_strs,
-    decode_prefixes,
     decode_update_body,
     encode_as_path,
     encode_attribute_block,
@@ -59,7 +58,7 @@ from bgpchurn.mrt.codec import (
     write_mrt_stream,
 )
 
-from helpers import build_keepalive_record, update_entry
+from helpers import build_keepalive_record, decode_prefixes, update_entry
 
 # ---------------------------------------------------------------------------
 # hand-built reference record
@@ -420,7 +419,7 @@ def test_bgp4mp_addresses_equal_ipaddress_text(fields):
     entry = decode_entry(MrtRecordHeader(0, 16, 1, len(body)), body)
     assert entry.kind == "update"
     assert entry.message.peer_address == str(ipaddress.ip_address(peer))
-    assert address_str(local) == str(ipaddress.ip_address(local))
+    assert address_text(local) == str(ipaddress.ip_address(local))
 
 
 @settings(max_examples=200, deadline=None)
