@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .addr import canonical_address
+from .addr import canonical_address, canonical_network
 from .errors import BgpChurnError
 from .mrt.bgp import BgpAttributes, PathElement, community_str, community_value
 from .mrt.codec import MrtEntry
@@ -115,7 +115,7 @@ def expand_stream(
 # One object per line:
 #   arrival_us: int epoch microseconds
 #   collector, peer_asn, peer_address: session key
-#   prefix: CIDR string
+#   prefix: CIDR string, read in its canonical text (host bits unset)
 #   kind: "announcement" | "withdrawal", written from attrs (None for
 #     a withdrawal)
 #   as_path: list of ints / sorted-int lists (AS_SET), announcements only
@@ -221,8 +221,9 @@ def labeled_lines(labeled: Iterable[tuple[UpdateRecord, str, bool]]) -> Iterator
 # fails on its first bad field.  Next hops, communities and sessions
 # repeat from line to line, so their checks are memoized in bounded
 # memos that hold no exceptions, each reached only once the field's
-# JSON types are checked.  Peer addresses and next hops are kept in the
-# canonical text decode gives them.
+# JSON types are checked.  Peer addresses, next hops and prefixes are
+# kept in the canonical text decode gives them; prefixes are mostly
+# distinct, so theirs is read without a memo.
 
 _TYPE_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list"}
 _UINT32_MAX = 2**32 - 1
@@ -332,6 +333,10 @@ def record_from_dict(obj: dict) -> UpdateRecord:
     prefix = obj["prefix"]
     if type(prefix) is not str:
         raise _wrong_type("prefix", str, prefix)
+    try:
+        prefix = canonical_network(prefix)
+    except ValueError as exc:
+        raise ValueError(f"prefix: {exc}") from None
     index = obj.get("source_message_index", 0)
     if type(index) is not int:
         raise _wrong_type("source_message_index", int, index)

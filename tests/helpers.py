@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ipaddress
 import random
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -158,6 +159,14 @@ def _address(text: str, name: str) -> str:
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _prefix_from_json(value) -> str:
+    text = _require(value, str, "prefix")
+    try:
+        return str(ipaddress.ip_network(text))
+    except ValueError as exc:
+        raise ValueError(f"prefix: {exc}") from None
+
+
 def _as_set_from_json(item) -> tuple[int, ...]:
     if type(item) is not list or not all(type(asn) is int for asn in item):
         raise ValueError(f"as_path element must be an int or a list of ints: {item!r}")
@@ -212,7 +221,7 @@ def reference_record_from_dict(obj: dict) -> UpdateRecord:
     return UpdateRecord(
         _at_least_0(_require(obj["arrival_us"], int, "arrival_us"), "arrival_us"),
         _session_from_json(obj),
-        _require(obj["prefix"], str, "prefix"),
+        _prefix_from_json(obj["prefix"]),
         attrs,
         _at_least_0(
             _require(obj.get("source_message_index", 0), int, "source_message_index"),
@@ -254,7 +263,11 @@ def reference_load_delegated(
             if rtype == "ipv6":
                 net = ipaddress.IPv6Network(f"{start}/{value}")
                 first, last = int(net.network_address), int(net.broadcast_address)
-            else:
+            else:  # counts, and ASN starts, are ASCII decimal; a count is at least 1
+                if not re.fullmatch("[0-9]+", value) or int(value) == 0:
+                    continue
+                if rtype == "asn" and not re.fullmatch("[0-9]+", start):
+                    continue
                 first = int(start if rtype == "asn" else ipaddress.IPv4Address(start))
                 last = first + int(value) - 1
         except ValueError:

@@ -206,3 +206,4 @@ def test_jsonl_read_calls_no_ipaddress(tmp_path, no_ipaddress):
         "192.0.2.1", "2001:db8::1:0:0:1", "2001:db8::1"
     ]
     assert [r.attrs.next_hop for r in records] == ["192.0.2.1", "2001:db8::1", "2001:db8::a"]
+    assert [r.prefix for r in records] == ["10.0.0.0/24", "2001:db8::/32", "2001:db8:0:1::/64"]

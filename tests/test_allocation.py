@@ -92,6 +92,26 @@ def test_earliest_date_skips_undated_and_dropped_rows():
     assert not table.prefix_allocated("2001:db8::/32", 20150601)
 
 
+def test_empty_row_sets_no_coverage_date():
+    table = load_delegated([
+        "ripencc|ZZ|ipv4|10.0.0.0|0|19000101|allocated",
+        "ripencc|ZZ|ipv4|192.0.2.0|256|20100115|allocated",
+    ])
+    assert table.earliest_date == 20100115
+    assert not table.covers_date(19500101)
+
+
+@pytest.mark.parametrize("value", ["+32", " 8", "1_0", "-1", "\u0661"])
+def test_counts_and_asn_starts_are_ascii_decimal(value):
+    table = load_delegated([
+        f"ripencc|ZZ|asn|64496|{value}|20050701|allocated",
+        f"ripencc|ZZ|asn|{value}|1|20050701|allocated",
+        f"ripencc|ZZ|ipv4|10.0.0.0|{value}|20040101|allocated",
+    ])
+    assert table.asn_intervals.starts == table.v4_intervals.starts == []
+    assert table.earliest_date == 0
+
+
 def test_prefix_needs_single_covering_block():
     halves = [("ipv4", "10.0.0.0", 128, 20000101), ("ipv4", "10.0.0.128", 128, 20000101)]
     table = delegated(halves)

@@ -633,6 +633,12 @@ BAD_LINES = [
     ("med", -3),
     ("source_message_index", -1),
     pytest.param("line", "[" * 100_000, id="line-nested-past-recursion-limit"),
+    ("prefix", "banana"),  # a prefix is network text, host bits unset
+    ("prefix", ""),
+    ("prefix", "10.0.0.1/24"),
+    ("prefix", "10.0.0.0/33"),
+    ("prefix", "2001:db8::1/32"),
+    ("prefix", 167772160),
 ]
 
 
@@ -720,8 +726,20 @@ def test_classify_allocation_rejects_bad_jsonl_prefix(tmp_path, capsys, prefix):
     argv = ["classify", str(src), "-o", str(out), "--allocation", str(delegated)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(prefix) in err
+    assert err.startswith(f"error: {src}:4: prefix: ") and prefix in err
     assert list(out.iterdir()) == []
+
+
+def test_classify_reads_jsonl_prefixes_in_canonical_text(tmp_path, capsys):
+    rows = beacon_rows()
+    rows[1]["prefix"], rows[3]["prefix"] = "2001:0DB8::/32", "2001:db8::/32"
+    src = write_jsonl(tmp_path / "records.jsonl", rows)
+    out = tmp_path / "out"
+    assert main(["classify", str(src), "-o", str(out)]) == 0
+    labels = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()]
+    assert [(r["prefix"], r["label"]) for r in labels[1:4:2]] == [
+        ("2001:db8::/32", "initial"), ("2001:db8::/32", "nn"),
+    ]
 
 
 def test_artifacts_get_umask_permissions(tmp_path):
