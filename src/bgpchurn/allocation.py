@@ -30,13 +30,6 @@ def _date_key(yyyymmdd: str) -> int:
     return int(yyyymmdd) if yyyymmdd and yyyymmdd.isdigit() else 0
 
 
-def _decimal(text: str) -> int:
-    """The value of ASCII decimal digits; ValueError for any other text."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a decimal number: {text!r}")
-    return int(text)
-
-
 def _record_date_key(arrival_us: int) -> int:
     dt = datetime.fromtimestamp(arrival_us // 1_000_000, tz=timezone.utc)
     return dt.year * 10000 + dt.month * 100 + dt.day
@@ -135,10 +128,11 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
                 first, host = network_span(f"{start}/{value}", True)
                 last = first | host
             else:  # a first ASN or IPv4 address, and a count of at least 1
-                first = _decimal(start) if rtype == "asn" else ipv4_int(start)
-                count = _decimal(value)
-                if count < 1:
-                    continue  # an empty row allocates nothing
+                # in ASCII digits: int() alone also takes "+32", " 8" and "1_0"
+                count = int(value) if value.isascii() and value.isdigit() else 0
+                if count == 0 or rtype == "asn" and not (start.isascii() and start.isdigit()):
+                    continue
+                first = int(start) if rtype == "asn" else ipv4_int(start)
                 last = first + count - 1
         except ValueError:
             continue
