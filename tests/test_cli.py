@@ -638,7 +638,6 @@ BAD_LINES = [
     ("prefix", "10.0.0.1/24"),
     ("prefix", "10.0.0.0/33"),
     ("prefix", "2001:db8::1/32"),
-    ("prefix", 167772160),
 ]
 
 
