@@ -1,4 +1,4 @@
-"""Address and prefix text, read and printed in one place.
+"""Address and prefix text, read, printed and packed in one place.
 
 The text is what Python 3.11's ``ipaddress`` prints: dotted quads, and
 IPv6 as RFC 5952 lowercase hex groups with the first longest run of two
@@ -100,6 +100,14 @@ def network_span(prefix: str, v6: bool) -> tuple[int, int]:
         net = (ipaddress.IPv6Network if v6 else ipaddress.IPv4Network)(prefix)
         span = int(net.network_address), int(net.hostmask)
     return span
+
+
+def address_bytes(text: str) -> bytes:
+    """The 4 or 16 wire bytes of address text; ``ip_address(text).packed``."""
+    value = _v6_int(text) if ":" in text else _v4_int(text)
+    if value is None:
+        return ipaddress.ip_address(text).packed
+    return value.to_bytes(16 if ":" in text else 4, "big")
 
 
 def canonical_address(text: str) -> str:

@@ -10,16 +10,12 @@ never a re-encoding of the decoded view.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from ..addr import ipv4_text, ipv6_text
+from ..addr import address_bytes, ipv4_text, ipv6_text, network_span
 from ..errors import BgpParseError
-
-IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
 # BGP message types (RFC 4271 4.1)
 MSG_UPDATE = 2
@@ -72,23 +68,13 @@ def community_value(text: str) -> int:
     return high_value << 16 | low_value
 
 
-@dataclass(frozen=True)
-class WireAttribute:
-    """One path attribute to encode, for building messages."""
-
-    flags: int
-    type_code: int
-    payload: bytes
-
-    def encode(self) -> bytes:
-        flags = self.flags
-        if len(self.payload) > 0xFF:
-            flags |= FLAG_EXT_LEN
-        if flags & FLAG_EXT_LEN:
-            head = struct.pack("!BBH", flags, self.type_code, len(self.payload))
-        else:
-            head = struct.pack("!BBB", flags, self.type_code, len(self.payload))
-        return head + self.payload
+def wire_attribute(flags: int, type_code: int, payload: bytes) -> bytes:
+    """One path attribute's wire bytes, for building messages; a payload
+    over 255 bytes sets the extended-length flag."""
+    if len(payload) > 0xFF:
+        flags |= FLAG_EXT_LEN
+    head = "!BBH" if flags & FLAG_EXT_LEN else "!BBB"
+    return struct.pack(head, flags, type_code, len(payload)) + payload
 
 
 class BgpAttributes(NamedTuple):
@@ -164,11 +150,14 @@ def decode_prefix_strs(buf: bytes, afi: int) -> list[str]:
     return out
 
 
-def encode_prefixes(prefixes: Iterable[IPNetwork]) -> bytes:
+def encode_prefixes(prefixes: Iterable[str]) -> bytes:
+    """The (length, truncated address) encoding of IPv4 or IPv6 network text."""
     parts = []
-    for p in prefixes:
-        nbytes = (p.prefixlen + 7) // 8
-        parts.append(bytes([p.prefixlen]) + p.network_address.packed[:nbytes])
+    for prefix in prefixes:
+        size = 16 if ":" in prefix else 4
+        first, host = network_span(prefix, size == 16)
+        bits = size * 8 - host.bit_length()
+        parts.append(bytes([bits]) + first.to_bytes(size, "big")[: (bits + 7) // 8])
     return b"".join(parts)
 
 
@@ -258,10 +247,6 @@ def decode_attribute_block(buf: bytes) -> Iterator[tuple[int, int, bytes]]:
             raise BgpParseError("attribute payload exceeds block")
         yield flags, type_code, buf[i : i + length]
         i += length
-
-
-def encode_attribute_block(attrs: Iterable[WireAttribute]) -> bytes:
-    return b"".join(a.encode() for a in attrs)
 
 
 def _decode_mp_reach(payload: bytes) -> tuple[list[str], Optional[str]]:
@@ -408,12 +393,13 @@ def build_bgp_message(msg_type: int, payload: bytes) -> bytes:
 
 
 def build_update_message(
-    withdrawn: Iterable[IPNetwork] = (),
-    attributes: Iterable[WireAttribute] = (),
-    announced: Iterable[IPNetwork] = (),
+    withdrawn: Iterable[str] = (),
+    attributes: Iterable[bytes] = (),
+    announced: Iterable[str] = (),
 ) -> bytes:
+    """An UPDATE of network texts and path attributes' wire bytes."""
     wbytes = encode_prefixes(withdrawn)
-    abytes = encode_attribute_block(attributes)
+    abytes = b"".join(attributes)
     nbytes = encode_prefixes(announced)
     payload = (
         struct.pack("!H", len(wbytes))
@@ -428,26 +414,25 @@ def build_update_message(
 # attribute constructors used when synthesizing messages
 
 
-def attr_origin(value: int = 0) -> WireAttribute:
-    return WireAttribute(FLAG_TRANSITIVE, ATTR_ORIGIN, bytes([value]))
+def attr_origin(value: int = 0) -> bytes:
+    return wire_attribute(FLAG_TRANSITIVE, ATTR_ORIGIN, bytes([value]))
 
 
-def attr_as_path(segments: Iterable[Segment], width: int = 2) -> WireAttribute:
-    return WireAttribute(FLAG_TRANSITIVE, ATTR_AS_PATH, encode_as_path(segments, width))
+def attr_as_path(segments: Iterable[Segment], width: int = 2) -> bytes:
+    return wire_attribute(FLAG_TRANSITIVE, ATTR_AS_PATH, encode_as_path(segments, width))
 
 
-def attr_next_hop(address) -> WireAttribute:
-    packed = ipaddress.ip_address(address).packed
-    return WireAttribute(FLAG_TRANSITIVE, ATTR_NEXT_HOP, packed)
+def attr_next_hop(address: str) -> bytes:
+    return wire_attribute(FLAG_TRANSITIVE, ATTR_NEXT_HOP, address_bytes(address))
 
 
-def attr_med(value: int) -> WireAttribute:
-    return WireAttribute(FLAG_OPTIONAL, ATTR_MED, struct.pack("!I", value))
+def attr_med(value: int) -> bytes:
+    return wire_attribute(FLAG_OPTIONAL, ATTR_MED, struct.pack("!I", value))
 
 
-def attr_communities(values: Iterable[int]) -> WireAttribute:
+def attr_communities(values: Iterable[int]) -> bytes:
     vals = tuple(values)
-    return WireAttribute(
+    return wire_attribute(
         FLAG_OPTIONAL | FLAG_TRANSITIVE,
         ATTR_COMMUNITIES,
         struct.pack(f"!{len(vals)}I", *vals),

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from typing import Iterable, Optional
 
-from .bgp import WireAttribute, build_update_message
+from ..addr import address_bytes
+from .bgp import build_update_message
 from .codec import (
     BGP4MP_MESSAGE,
     BGP4MP_MESSAGE_AS4,
@@ -29,19 +29,17 @@ def build_bgp4mp_record(
     as4: bool = False,
 ) -> MrtEntry:
     """Wrap one raw BGP message in a BGP4MP (or BGP4MP_ET) record."""
-    peer = ipaddress.ip_address(peer_address)
-    local = ipaddress.ip_address(local_address)
-    if peer.version != local.version:
+    peer, local = address_bytes(peer_address), address_bytes(local_address)
+    if len(peer) != len(local):
         raise ValueError("peer and local addresses must share a family")
-    afi = 1 if peer.version == 4 else 2
+    afi = 1 if len(peer) == 4 else 2
     if not as4 and max(peer_asn, local_asn) > 0xFFFF:
         as4 = True
     as_code = "!II" if as4 else "!HH"
     body = (
         struct.pack(as_code, peer_asn, local_asn)
         + struct.pack("!HH", 0, afi)
-        + peer.packed
-        + local.packed
+        + peer + local
         + bgp_message
     )
     if microsecond is None:
@@ -60,15 +58,13 @@ def build_update_record(
     peer_address: str,
     local_asn: int,
     local_address: str,
-    withdrawn: Iterable = (),
-    attributes: Iterable[WireAttribute] = (),
-    announced: Iterable = (),
+    withdrawn: Iterable[str] = (),
+    attributes: Iterable[bytes] = (),
+    announced: Iterable[str] = (),
     microsecond: Optional[int] = None,
     as4: bool = False,
 ) -> MrtEntry:
-    nets = [ipaddress.ip_network(p) for p in announced]
-    gone = [ipaddress.ip_network(p) for p in withdrawn]
-    message = build_update_message(gone, attributes, nets)
+    message = build_update_message(withdrawn, attributes, announced)
     return build_bgp4mp_record(
         timestamp,
         peer_asn,

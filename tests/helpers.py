@@ -27,7 +27,6 @@ from bgpchurn.mrt.bgp import (
     FLAG_OPTIONAL,
     MSG_KEEPALIVE,
     BgpAttributes,
-    WireAttribute,
     attr_as_path,
     attr_communities,
     attr_next_hop,
@@ -35,6 +34,7 @@ from bgpchurn.mrt.bgp import (
     build_bgp_message,
     community_value,
     path_segments,
+    wire_attribute,
 )
 from bgpchurn.mrt.build import build_bgp4mp_record, build_update_record
 from bgpchurn.mrt.codec import write_mrt_stream
@@ -404,7 +404,7 @@ def wire_prefixes(prefixes: Iterable) -> bytes:
     return out
 
 
-def attr_mp_reach(prefixes: Iterable, next_hop, link_local=None) -> WireAttribute:
+def attr_mp_reach(prefixes: Iterable, next_hop, link_local=None) -> bytes:
     """An MP_REACH_NLRI attribute announcing ``prefixes`` (see wire_prefixes).
 
     With ``link_local`` the IPv6 next hop is 32 bytes: global, then link-local.
@@ -420,13 +420,13 @@ def attr_mp_reach(prefixes: Iterable, next_hop, link_local=None) -> WireAttribut
         + b"\x00"
         + wire_prefixes(prefixes)
     )
-    return WireAttribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload)
+    return wire_attribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload)
 
 
-def attr_mp_unreach(prefixes: Iterable, afi: int = AFI_IPV6) -> WireAttribute:
+def attr_mp_unreach(prefixes: Iterable, afi: int = AFI_IPV6) -> bytes:
     """An MP_UNREACH_NLRI attribute withdrawing ``prefixes`` (see wire_prefixes)."""
     payload = struct.pack("!HB", afi, 1) + wire_prefixes(prefixes)
-    return WireAttribute(FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, payload)
+    return wire_attribute(FLAG_OPTIONAL, ATTR_MP_UNREACH_NLRI, payload)
 
 
 # IPv6 prefixes in each shape RFC 5952 text distinguishes
@@ -536,7 +536,7 @@ def std_attrs(
     path: Iterable = (65001, 65002),
     next_hop: str = "10.0.0.1",
     communities: Iterable[int] = (),
-) -> list[WireAttribute]:
+) -> list[bytes]:
     attrs = [attr_origin(0), attr_as_path(path_segments(path)), attr_next_hop(next_hop)]
     communities = tuple(communities)
     if communities:

@@ -23,9 +23,13 @@ from bgpchurn.model import (
     read_records_jsonl,
 )
 from bgpchurn.mrt import bgp, codec
+from bgpchurn.mrt.bgp import (
+    attr_as_path, attr_next_hop, attr_origin, encode_prefixes, path_segments
+)
+from bgpchurn.mrt.build import build_update_record
 from bgpchurn.mrt.codec import read_mrt_stream
 
-from helpers import write_dual_stack
+from helpers import attr_mp_reach, attr_mp_unreach, write_dual_stack
 
 
 @st.composite
@@ -53,11 +57,13 @@ def ipv6_packed(draw):
 @example(b"\x00\x01\x00\x00" + b"\x00\x02" * 6)  # one zero group, not compressed
 def test_ipv6_text_equals_ipaddress_text(packed):
     assert addr.address_text(packed) == str(ipaddress.IPv6Address(packed))
+    assert addr.address_bytes(addr.address_text(packed)) == packed
 
 
 @given(st.binary(min_size=4, max_size=4))
 def test_ipv4_text_equals_ipaddress_text(packed):
     assert addr.address_text(packed) == str(ipaddress.IPv4Address(packed))
+    assert addr.address_bytes(addr.address_text(packed)) == packed
 
 
 @pytest.mark.parametrize(
@@ -92,13 +98,15 @@ ADDRESS_TEXTS = [
 @pytest.mark.parametrize("text", ADDRESS_TEXTS)
 def test_canonical_address_equals_ipaddress(text):
     try:
-        expected = str(ipaddress.ip_address(text))
+        expected = ipaddress.ip_address(text)
     except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            addr.canonical_address(text)
-        assert str(info.value) == str(exc)
+        for read in (addr.canonical_address, addr.address_bytes):
+            with pytest.raises(ValueError) as info:
+                read(text)
+            assert str(info.value) == str(exc)
     else:
-        assert addr.canonical_address(text) == expected
+        assert addr.canonical_address(text) == str(expected)
+        assert addr.address_bytes(text) == expected.packed
 
 
 NETWORK_TEXTS = [
@@ -122,6 +130,18 @@ def test_canonical_network_equals_ipaddress(text):
         assert addr.canonical_network(text) == expected
 
 
+@pytest.mark.parametrize("text", NETWORK_TEXTS)
+def test_encode_prefixes_equals_ipaddress(text):
+    try:
+        net = ipaddress.ip_network(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            encode_prefixes([text])
+    else:
+        packed = net.network_address.packed[: (net.prefixlen + 7) // 8]
+        assert encode_prefixes([text]) == bytes([net.prefixlen]) + packed
+
+
 @settings(max_examples=500, deadline=None)
 @given(ipv6_packed(), st.integers(0, 128), st.sampled_from(("compressed", "exploded", "upper")))
 def test_canonical_network_v6_equals_ipaddress(packed, length, form):
@@ -134,7 +154,7 @@ def test_canonical_network_v6_equals_ipaddress(packed, length, form):
     assert addr.canonical_network(f"{text}/{length}") == str(net)
 
 
-# --- canonical input never reaches ipaddress on the read path ----------------
+# --- canonical input never reaches ipaddress, read or written ----------------
 
 IPADDRESS_NAMES = (
     "ip_address", "ip_network", "IPv4Address", "IPv6Address", "IPv4Network", "IPv6Network"
@@ -207,3 +227,25 @@ def test_jsonl_read_calls_no_ipaddress(tmp_path, no_ipaddress):
     ]
     assert [r.attrs.next_hop for r in records] == ["192.0.2.1", "2001:db8::1", "2001:db8::a"]
     assert [r.prefix for r in records] == ["10.0.0.0/24", "2001:db8::/32", "2001:db8:0:1::/64"]
+
+
+def test_building_updates_calls_no_ipaddress(no_ipaddress):
+    mp = [attr_mp_reach(["2001:db8::/32", "2001:0:0:1::/64"], "2001:db8::1", "fe80::1"),
+          attr_mp_unreach(["2001:db8:1::/48"])]
+    no_ipaddress()
+    head = [attr_origin(), attr_as_path(path_segments([65001, 65002]))]
+    v4 = build_update_record(
+        1, 65001, "192.0.2.1", 64512, "192.0.2.2", withdrawn=["10.1.0.0/16"],
+        attributes=head + [attr_next_hop("192.0.2.1")], announced=["10.0.0.0/24", "0.0.0.0/0"],
+    )
+    v6 = build_update_record(
+        1, 65002, "2001:db8::1:0:0:1", 64512, "2001:db8::2", attributes=head + mp
+    )
+    assert v4.message.withdrawn_prefixes == ("10.1.0.0/16",)
+    assert v4.message.announced_prefixes == ("10.0.0.0/24", "0.0.0.0/0")
+    assert v4.message.attributes.next_hop == "192.0.2.1"
+    assert v6.message.peer_address == "2001:db8::1:0:0:1"
+    assert v6.message.withdrawn_prefixes == ("2001:db8:1::/48",)
+    assert v6.message.announced_prefixes == ("2001:db8::/32", "2001:0:0:1::/64")
+    assert v6.message.attributes.next_hop == "2001:db8::1"
+    assert encode_prefixes(["2001:db8::/32", "10.0.0.0/8"]) == bytes.fromhex("2020010db8080a")

@@ -87,6 +87,20 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_only_addr_imports_ipaddress():
+    """Address and prefix text is read, printed and packed by bgpchurn.addr
+    alone, so no other module builds ipaddress objects."""
+    package = SRC / "bgpchurn"
+    found = [
+        f"{path.relative_to(package)}:{lineno}"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "addr.py"
+        for lineno, name in imported_modules(path)
+        if name == "ipaddress"
+    ]
+    assert found == []
+
+
 def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:

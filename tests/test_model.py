@@ -26,7 +26,6 @@ from bgpchurn.mrt.bgp import (
     ATTR_MP_REACH_NLRI,
     BgpAttributes,
     FLAG_OPTIONAL,
-    WireAttribute,
     attr_as_path,
     attr_communities,
     attr_med,
@@ -34,6 +33,7 @@ from bgpchurn.mrt.bgp import (
     attr_origin,
     encode_prefixes,
     path_segments,
+    wire_attribute,
 )
 from bgpchurn.mrt.build import build_update_record
 
@@ -205,7 +205,7 @@ def _prefixes(version, min_size=0):
     bits = 32 if version == 4 else 128
     return st.lists(
         st.builds(
-            lambda addr, length: ipaddress.ip_network((addr, length), strict=False),
+            lambda addr, length: str(ipaddress.ip_network((addr, length), strict=False)),
             st.ip_addresses(v=version),
             st.integers(0, bits),
         ),
@@ -231,7 +231,7 @@ def expanded_updates(draw):
     next_hop = None
     if form == "next_hop":
         next_hop = draw(st.ip_addresses(v=4))
-        attrs.append(attr_next_hop(next_hop))
+        attrs.append(attr_next_hop(str(next_hop)))
     elif form == "mp16":
         next_hop = draw(st.ip_addresses(v=6))
         attrs.append(attr_mp_reach(draw(_prefixes(6, min_size=1)), next_hop))
@@ -241,7 +241,7 @@ def expanded_updates(draw):
             struct.pack("!HBB", 2, 1, 32) + next_hop.packed + link_local.packed
             + b"\x00" + encode_prefixes(draw(_prefixes(6, min_size=1)))
         )
-        attrs.append(WireAttribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload))
+        attrs.append(wire_attribute(FLAG_OPTIONAL, ATTR_MP_REACH_NLRI, payload))
     peer, local = draw(
         st.sampled_from((("10.0.0.1", "10.0.0.2"), ("2001:db8::1", "2001:db8::2")))
     )
@@ -251,9 +251,9 @@ def expanded_updates(draw):
         peer_address=peer,
         local_asn=64512,
         local_address=local,
-        withdrawn=[str(p) for p in draw(_prefixes(4))],
+        withdrawn=draw(_prefixes(4)),
         attributes=attrs,
-        announced=[str(p) for p in v4],
+        announced=v4,
         microsecond=draw(st.one_of(st.none(), st.integers(0, 999_999))),
         as4=True,
     )
