@@ -27,7 +27,13 @@ FLAG_TABLE_GAP = "table_gap"
 
 
 def _date_key(yyyymmdd: str) -> int:
-    return int(yyyymmdd) if yyyymmdd and yyyymmdd.isdigit() else 0
+    """Eight ASCII digits as an int, an empty date (undated) as 0; any
+    other text raises ValueError."""
+    if not yyyymmdd:
+        return 0
+    if len(yyyymmdd) != 8 or not (yyyymmdd.isascii() and yyyymmdd.isdigit()):
+        raise ValueError(f"bad date {yyyymmdd!r}")
+    return int(yyyymmdd)
 
 
 def _record_date_key(arrival_us: int) -> int:
@@ -134,11 +140,11 @@ def load_delegated(source: Union[str, Path, IO[str], Iterable[str]]) -> Allocati
                     continue
                 first = int(start) if rtype == "asn" else ipv4_int(start)
                 last = first + count - 1
+            valid_from = dates.get(date)
+            if valid_from is None:
+                valid_from = dates[date] = _date_key(date)
         except ValueError:
             continue
-        valid_from = dates.get(date)
-        if valid_from is None:
-            valid_from = dates[date] = _date_key(date)
         rows[rtype].append((first, last, valid_from))
     # dates holds the dates of kept rows only
     earliest = min(filter(None, dates.values()), default=0)

@@ -272,7 +272,9 @@ def reference_load_delegated(
                 last = first + int(value) - 1
         except ValueError:
             continue
-        valid_from = int(date) if date and date.isdigit() else 0
+        if date and not re.fullmatch("[0-9]{8}", date):
+            continue  # a date is eight ASCII digits, or empty for undated
+        valid_from = int(date or 0)
         rows[rtype].append((first, last, valid_from))
     earliest = min((v for group in rows.values() for *_, v in group if v), default=0)
     return {rtype: sorted(group) for rtype, group in rows.items()}, earliest

@@ -43,6 +43,8 @@ ripencc|SE|ipv6|2001:db8::|32|20080801|assigned|opaque5
 # trailing comment line
 """
 
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
 # arrival stamp inside table coverage (2015-06-01 UTC)
 IN_RANGE_US = 1_433_116_800 * 1_000_000
 
@@ -99,6 +101,20 @@ def test_empty_row_sets_no_coverage_date():
     ])
     assert table.earliest_date == 20100115
     assert not table.covers_date(19500101)
+
+
+# the last is 19000101 in Arabic-Indic digits, which isdigit() and int() take
+@pytest.mark.parametrize(
+    "date", ["2010-01-01", "2010101", "201001011", " ", "19000101".translate(ARABIC_INDIC)]
+)
+def test_a_row_with_a_bad_date_is_skipped(date):
+    table = load_delegated([
+        f"ripencc|ZZ|ipv4|10.0.0.0|256|{date}|allocated",
+        "ripencc|ZZ|ipv4|192.0.2.0|256|20100115|allocated",
+    ])
+    assert table.v4_intervals.starts == [0xC0000200]
+    assert not table.prefix_allocated("10.0.0.0/24", 19500101)
+    assert table.earliest_date == 20100115
 
 
 @pytest.mark.parametrize("value", ["+32", " 8", "1_0", "-1", "\u0661"])
@@ -391,9 +407,6 @@ def test_each_date_change_builds_one_reach_array(monkeypatch):
 
 # --- the fast loader keeps, skips and converts every row as ipaddress does ---
 
-ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
-
-
 @st.composite
 def ipv4_texts(draw):
     octets = draw(st.lists(st.integers(0, 255), min_size=4, max_size=4))
@@ -470,7 +483,9 @@ def delegated_lines(draw):
         start, value = draw(ipv4_texts()), draw(st.sampled_from(COUNTS))
     else:
         start, value = draw(ipv6_rows())
-    date = draw(st.sampled_from(DATES + ("2010-01-01", "00000000")))
+    date = draw(st.sampled_from(
+        DATES + ("2010-01-01", "00000000", "2010101", "19000101".translate(ARABIC_INDIC))
+    ))
     status = draw(st.sampled_from(("allocated", "assigned", "available", "reserved")))
     line = f"ripencc|ZZ|{kind}|{start}|{value}|{date}|{status}"
     return line + draw(st.sampled_from(("", "|opaque", "\n", "  ")))
