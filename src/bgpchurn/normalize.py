@@ -75,10 +75,8 @@ class Normalizer:
             if rec is None:
                 return None
         repaired = repair_route_server_path(rec)
-        if repaired is not rec:
-            self.flags[FLAG_REPAIRED_PATH] += 1
-            if not rec.attrs.path:
-                self.flags[FLAG_ANOMALOUS_EMPTY_PATH] += 1
+        if repaired is not rec:  # count the flags the repair added
+            self.flags.update(repaired.flags[len(rec.flags):])
         return self.disambiguate(repaired)
 
     def disambiguate(self, rec: UpdateRecord) -> UpdateRecord:
