@@ -238,6 +238,18 @@ def read_mrt_stream(
     yield from _read_stream(open_archive(source, container))
 
 
+def _read_long(f: BinaryIO, length: int) -> bytes:
+    """A body longer than ``_CHUNK``, read in ``_CHUNK`` pieces: a corrupt
+    32-bit length then costs what the file holds, not what it claims."""
+    body = bytearray()
+    while len(body) < length:
+        piece = f.read(min(length - len(body), _CHUNK))
+        if not piece:
+            break
+        body += piece
+    return bytes(body)
+
+
 def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
     index = 0
     while True:
@@ -248,7 +260,8 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
             if len(head) < _COMMON_HEADER.size:
                 raise MrtError(f"record {index}: header cut short at {len(head)} bytes")
             header = _new(MrtRecordHeader, _COMMON_HEADER.unpack(head))
-            body = f.read(header.length)
+            length = header.length
+            body = f.read(length) if length <= _CHUNK else _read_long(f, length)
         except _CONTAINER_ERRORS as exc:
             raise MrtError(f"record {index}: {exc}") from exc
         if len(body) < header.length:

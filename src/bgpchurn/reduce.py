@@ -195,7 +195,7 @@ def corpus_reduction(
         try:
             summary.reports.append(reduce_file(path, output_dir / path.name, clf))
         except Exception as exc:  # noqa: BLE001 - per-file isolation
-            summary.failures[str(path)] = str(exc)
+            summary.failures[str(path)] = str(exc) or type(exc).__name__
             clf = StreamClassifier() if warm else None
     return summary
 

@@ -259,6 +259,35 @@ def test_truncated_body_raises():
         list(read_mrt_stream(REFERENCE_RECORD[:-5]))
 
 
+class RecordingReader(io.BytesIO):
+    """A plain stream that records the size of each read."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+def test_corrupt_length_reads_no_more_than_a_chunk_at_once():
+    claimed = 3 << 30  # 3 GiB, over 20 bytes of body
+    f = RecordingReader(MrtRecordHeader(REFERENCE_TS, 16, 1, claimed).encode() + bytes(20))
+    cut = re.escape(f"record 0: body cut short (20 of {claimed} bytes)")
+    with pytest.raises(MrtError, match=cut):
+        list(read_mrt_stream(f, "plain"))
+    assert 0 < max(f.sizes) <= codec._CHUNK
+
+
+def test_long_records_read_in_pieces_equal_the_input():
+    entries = _CHUNKED_INPUTS["a record over a chunk"] + [raw_entry(3 * CHUNK, 4)]
+    blob = b"".join(e.encode() for e in entries)
+    f = RecordingReader(blob)
+    assert b"".join(e.encode() for e in read_mrt_stream(f, "plain")) == blob
+    assert max(f.sizes) == codec._CHUNK == CHUNK
+
+
 def test_keepalive_and_unknown_kinds():
     keep = build_keepalive_record(1, 65001, "10.0.0.1", 64512, "10.0.0.2")
     other = decode_entry(MrtRecordHeader(1, 42, 7, 3), b"\x00\x01\x02")
