@@ -62,8 +62,19 @@ def _utc(stamp: str) -> datetime:
 
 def _outdir(ns) -> Path:
     out = Path(ns.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise BgpChurnError(f"{out}: {exc}") from exc
     return out
+
+
+def _side_input(read, path):
+    """``read(path)``; a file that cannot be read fails as a main input does."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BgpChurnError(f"{path}: {exc}") from exc
 
 
 # -- subcommands -------------------------------------------------------------
@@ -77,6 +88,7 @@ def cmd_fetch(ns) -> int:
     target = ArchiveTarget(ns.project, ns.collector, ns.start, ns.end)
     cache_dir = ns.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
     plan = plan_urls(target)
+    out = _outdir(ns)
     report = fetch(
         plan,
         Path(cache_dir).expanduser(),
@@ -85,7 +97,7 @@ def cmd_fetch(ns) -> int:
         offline=ns.offline,
     )
     write_json(
-        _outdir(ns) / "fetch_report.json",
+        out / "fetch_report.json",
         {**asdict(report), "files": [p.relative_path for p in plan]},
     )
     print(
@@ -104,7 +116,9 @@ def cmd_fetch(ns) -> int:
 def cmd_classify(ns) -> int:
     out = _outdir(ns)
     allocated = (
-        AllocationFilter(load_delegated(ns.allocation)) if ns.allocation else None
+        AllocationFilter(_side_input(load_delegated, ns.allocation))
+        if ns.allocation
+        else None
     )
     normalizer, clf = Normalizer(allocated), StreamClassifier()
     labeled_messages = label_messages(
@@ -158,7 +172,7 @@ def _beacon_list(path: Path) -> frozenset[str]:
 def cmd_beacon(ns) -> int:
     out = _outdir(ns)
     beacons = (
-        _beacon_list(Path(ns.beacon_list))
+        _side_input(_beacon_list, Path(ns.beacon_list))
         if ns.beacon_list
         else frozenset(DEFAULT_BEACONS)
     )
@@ -208,7 +222,7 @@ def _simulate_scenario(ns, out: Path) -> int:
         sim, log = run_experiment(ns.scenario, profile)
         name = ns.scenario
     else:
-        sim, events, name = load_scenario(ns.scenario)
+        sim, events, name = _side_input(load_scenario, ns.scenario)
         log = sim.run(events)
     write_log_jsonl(log, out / f"{name}_capture.jsonl")
     for sender, receiver, tag in (("X1", "C1", "collector"), ("Y1", "X1", "upstream")):

@@ -289,19 +289,85 @@ def not_utf8(tmp_path):
     return path
 
 
+def corrupt_length(tmp_path):
+    """One record whose header claims 3 GiB over a 20-byte body."""
+    path = tmp_path / "updates.20230501.0000"
+    path.write_bytes(MrtRecordHeader(1_682_899_200, 16, 1, 3 << 30).encode() + bytes(20))
+    return path
+
+
+def assert_one_error_line(err, path):
+    """``error: <path>: …`` alone, as one line and without a traceback."""
+    assert err.startswith(f"error: {path}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize(
     "fault",
-    [lambda tmp_path: tmp_path / "nothere.mrt", directory, truncated_gzip, not_utf8],
-    ids=["missing", "directory", "truncated-gzip", "not-utf8"],
+    [lambda tmp_path: tmp_path / "nothere.mrt", directory, truncated_gzip, not_utf8,
+     corrupt_length],
+    ids=["missing", "directory", "truncated-gzip", "not-utf8", "corrupt-length"],
 )
 @pytest.mark.parametrize("command", ["classify", "beacon"])
 def test_unreadable_input_is_named(tmp_path, capsys, command, fault):
     src = fault(tmp_path)
     out = tmp_path / "out"
     assert main([command, str(src), "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {src}: "), err
+    assert_one_error_line(capsys.readouterr().err, src)
     assert list(out.iterdir()) == []  # no labels.jsonl, partition_*.csv or temp file
+
+
+def not_utf8_text(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xe9t\xe9\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [lambda tmp_path: tmp_path / "nothere.txt", directory, not_utf8_text],
+    ids=["missing", "directory", "not-utf8"],
+)
+@pytest.mark.parametrize(
+    "command,option",
+    [("classify", "--allocation"), ("beacon", "--beacon-list"), ("simulate", "--scenario")],
+)
+def test_unreadable_side_input_is_named(tmp_path, capsys, command, option, fault):
+    side = fault(tmp_path)
+    inputs = [] if command == "simulate" else [
+        str(write_mrt(tmp_path / "updates.mrt", classify_fixture()))
+    ]
+    out = tmp_path / "out"
+    assert main([command, *inputs, option, str(side), "-o", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, side)
+    assert list(out.iterdir()) == []
+
+
+FETCH_ARGS = ["--project", "ripe_ris", "--collector", "rrc00", "--offline",
+              "--start", "2023-05-01T00:00", "--end", "2023-05-01T00:05"]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["classify", "beacon", "reduce", "simulate", "fetch"])
+def test_output_directory_that_cannot_be_made_is_named(
+    tmp_path, capsys, monkeypatch, command, under
+):
+    def no_download(*args, **kwargs):
+        raise AssertionError("fetch ran before the output directory was made")
+
+    monkeypatch.setattr("bgpchurn.cli.fetch", no_download)
+    monkeypatch.setenv("BGPCHURN_CACHE", str(tmp_path / "cache"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    if command == "fetch":
+        args = FETCH_ARGS
+    elif command == "simulate":
+        args = []
+    else:
+        args = [str(write_mrt(tmp_path / "updates.mrt", classify_fixture()))]
+    assert main([command, *args, "-o", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, out)
 
 
 def write_table_dump(path):
@@ -397,6 +463,29 @@ def test_reduce_cold_vs_warm_state(tmp_path):
     assert cold[str(a)] == warm[str(a)] == 2
     assert cold[str(b)] == 0  # fresh classifier: the replay labels initial
     assert warm[str(b)] == 1  # carried state: the replay labels nn
+
+
+def test_reduce_lists_a_corrupt_length_under_failures(tmp_path):
+    bad = corrupt_length(tmp_path)
+    good = write_mrt(tmp_path / "good.mrt", classify_fixture())
+    out = tmp_path / "out"
+    assert main(["reduce", str(bad), str(good), "-o", str(out)]) == 1
+    summary = read_report(out / "reduction_summary.json")
+    assert summary["failures"] == {
+        str(bad): f"record 0: body cut short (20 of {3 << 30} bytes)"
+    }
+
+
+def test_reduce_names_a_failure_without_text_by_its_type(tmp_path, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr("bgpchurn.reduce.reduce_file", out_of_memory)
+    good = write_mrt(tmp_path / "good.mrt", classify_fixture())
+    out = tmp_path / "out"
+    assert main(["reduce", str(good), "-o", str(out)]) == 1
+    summary = read_report(out / "reduction_summary.json")
+    assert summary["failures"] == {str(good): "MemoryError"}
 
 
 def test_reduce_missing_file_exit_code(tmp_path):
