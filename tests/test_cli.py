@@ -317,15 +317,9 @@ def test_unreadable_input_is_named(tmp_path, capsys, command, fault):
     assert list(out.iterdir()) == []  # no labels.jsonl, partition_*.csv or temp file
 
 
-def not_utf8_text(tmp_path):
-    path = tmp_path / "latin1.txt"
-    path.write_bytes(b"\xe9t\xe9\n")
-    return path
-
-
 @pytest.mark.parametrize(
     "fault",
-    [lambda tmp_path: tmp_path / "nothere.txt", directory, not_utf8_text],
+    [lambda tmp_path: tmp_path / "nothere.txt", directory, not_utf8],
     ids=["missing", "directory", "not-utf8"],
 )
 @pytest.mark.parametrize(
