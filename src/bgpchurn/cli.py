@@ -5,6 +5,11 @@ outputs are CSV or line-delimited JSON; all runs are deterministic for
 identical inputs and flags (fetch excepted).
 """
 
+# Every invocation pays for what this module imports, and a day is
+# reduced file by file, one process per file.  So the code only one
+# subcommand runs (the simulator, beacon, the allocation table) is
+# imported inside that subcommand.
+
 from __future__ import annotations
 
 import argparse
@@ -18,14 +23,6 @@ from typing import Iterator, Optional
 
 from . import __version__
 from .addr import canonical_network
-from .allocation import AllocationFilter, load_delegated
-from .beacon import (
-    DEFAULT_BEACONS,
-    DEFAULT_SCHEDULE,
-    partition_communities,
-    write_partition_csv,
-    write_partition_summary_csv,
-)
 from .classify import (
     CLASSIFIER_FLAGS,
     LABELED_TYPES,
@@ -41,9 +38,6 @@ from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output, write_csv, write_json
 from .pipeline import label_messages, read_messages
 from .reduce import corpus_reduction, write_reports_csv, write_summary_json
-from .sim.export import write_capture_mrt, write_log_jsonl
-from .sim.lab import EXPERIMENTS, PROFILES, run_experiment, run_experiment_matrix
-from .sim.scenario import load_scenario
 
 CACHE_ENV = "BGPCHURN_CACHE"
 DEFAULT_CACHE = "~/.cache/bgpchurn"
@@ -115,11 +109,11 @@ def cmd_fetch(ns) -> int:
 
 def cmd_classify(ns) -> int:
     out = _outdir(ns)
-    allocated = (
-        AllocationFilter(_side_input(load_delegated, ns.allocation))
-        if ns.allocation
-        else None
-    )
+    allocated = None
+    if ns.allocation:
+        from .allocation import AllocationFilter, load_delegated
+
+        allocated = AllocationFilter(_side_input(load_delegated, ns.allocation))
     normalizer, clf = Normalizer(allocated), StreamClassifier()
     labeled_messages = label_messages(
         read_messages(ns.inputs, ns.collector), normalizer, clf
@@ -170,6 +164,14 @@ def _beacon_list(path: Path) -> frozenset[str]:
 
 
 def cmd_beacon(ns) -> int:
+    from .beacon import (
+        DEFAULT_BEACONS,
+        DEFAULT_SCHEDULE,
+        partition_communities,
+        write_partition_csv,
+        write_partition_summary_csv,
+    )
+
     out = _outdir(ns)
     beacons = (
         _side_input(_beacon_list, Path(ns.beacon_list))
@@ -217,6 +219,10 @@ def cmd_reduce(ns) -> int:
 
 
 def _simulate_scenario(ns, out: Path) -> int:
+    from .sim.export import write_capture_mrt, write_log_jsonl
+    from .sim.lab import EXPERIMENTS, PROFILES, run_experiment
+    from .sim.scenario import load_scenario
+
     profile = PROFILES[ns.profile]
     if ns.scenario in EXPERIMENTS:
         sim, log = run_experiment(ns.scenario, profile)
@@ -235,6 +241,12 @@ def _simulate_scenario(ns, out: Path) -> int:
 
 
 def cmd_simulate(ns) -> int:
+    from .sim.lab import PROFILES, run_experiment_matrix
+
+    if ns.profile not in PROFILES:
+        raise BgpChurnError(
+            f"unknown profile {ns.profile!r}; one of: {', '.join(sorted(PROFILES))}"
+        )
     out = _outdir(ns)
     if ns.matrix:
         rows = run_experiment_matrix()
@@ -311,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--profile",
-        choices=sorted(PROFILES),
         default="default-forwarding",
+        help="router profile for --scenario; the README lists the names",
     )
     p.add_argument(
         "--matrix",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -235,6 +234,9 @@ def fetch(
             if error is None:
                 return item, None, False
         return item, error, False
+
+    # imported here: it pulls in logging, and only fetch runs a pool
+    from concurrent.futures import ThreadPoolExecutor
 
     workers = max(1, parallelism)
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -9,10 +9,12 @@ disambiguation are order-preserving and idempotent.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .allocation import AllocationFilter
 from .model import UpdateRecord
+
+if TYPE_CHECKING:  # an annotation only; classify imports it with --allocation
+    from .allocation import AllocationFilter
 
 # NamedTuple construction through its Python __new__ costs a frame
 _new = tuple.__new__

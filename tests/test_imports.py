@@ -21,6 +21,9 @@ from pathlib import Path
 import pytest
 
 import bgpchurn
+from bgpchurn.mrt.codec import write_mrt_stream
+
+from helpers import update_entry
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(bgpchurn.__file__).resolve().parents[1]
@@ -108,10 +111,50 @@ def test_no_runtime_dependencies():
     assert project.get("dependencies", []) == []
 
 
-def test_cli_import_leaves_urllib_request_unloaded():
-    """Only a download needs urllib.request, which is slow to import."""
+# Start-up is paid per invocation, so each command loads only its own
+# code: no command here loads the simulator, the MRT builders, fetch's
+# thread pool or urllib.request (only a download needs it).
+NEVER_LOADED = ("bgpchurn.sim", "bgpchurn.mrt.build", "concurrent.futures", "urllib.request")
+
+# case: (argv for cli.main, or None for a bare import; loaded; not loaded)
+LOAD_CASES = {
+    "import": (None, (), ("bgpchurn.allocation", "bgpchurn.beacon")),
+    "help": (["--help"], (), ("bgpchurn.allocation", "bgpchurn.beacon")),
+    "reduce": (["reduce", "{mrt}"], (), ("bgpchurn.allocation", "bgpchurn.beacon")),
+    "classify": (["classify", "{mrt}"], (), ("bgpchurn.allocation", "bgpchurn.beacon")),
+    "classify-allocation": (
+        ["classify", "{mrt}", "--allocation", "{delegated}"],
+        ("bgpchurn.allocation",),
+        ("bgpchurn.beacon",),
+    ),
+    "beacon": (["beacon", "{mrt}"], ("bgpchurn.beacon",), ("bgpchurn.allocation",)),
+}
+
+
+def loaded_by(case: str, tmp_path: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running ``case``."""
+    argv = LOAD_CASES[case][0]
+    if argv is None:
+        run = "import bgpchurn.cli"
+    else:
+        mrt = tmp_path / "updates.mrt"
+        with open(mrt, "wb") as f:  # one message for a beacon prefix
+            write_mrt_stream([update_entry(announced=("84.205.64.0/24",))], f)
+        delegated = tmp_path / "delegated.txt"
+        delegated.write_text("ripencc|ZZ|ipv4|84.205.0.0|65536|20000101|allocated|x\n")
+        args = [a.format(mrt=mrt, delegated=delegated) for a in argv]
+        if argv != ["--help"]:
+            args += ["-o", str(tmp_path / "out")]
+        run = (
+            "from bgpchurn.cli import main\n"
+            "try:\n"
+            f"    code = main({args!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "assert code == 0, code"
+        )
+    code = f"{run}\nimport sys\nprint(*sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import sys, bgpchurn.cli; print('urllib.request' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -120,7 +163,21 @@ def test_cli_import_leaves_urllib_request_unloaded():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return set(result.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_each_command_loads_only_its_own_code(case, tmp_path):
+    _, wanted, unwanted = LOAD_CASES[case]
+    loaded = loaded_by(case, tmp_path)
+    assert set(wanted) <= loaded
+    found = sorted(
+        name
+        for name in loaded
+        for prefix in NEVER_LOADED + unwanted
+        if name == prefix or name.startswith(prefix + ".")
+    )
+    assert found == []
 
 
 WRITERS = {("csv", "writer"), ("json", "dump")}
