@@ -35,7 +35,7 @@ from .errors import BgpChurnError
 from .fetch import ArchiveTarget, fetch, plan_urls
 from .model import UpdateRecord, labeled_lines
 from .normalize import NORMALIZER_FLAGS, Normalizer
-from .output import atomic_output, write_csv, write_json
+from .output import atomic_output, make_directory, write_csv, write_json
 from .pipeline import label_messages, read_messages
 from .reduce import corpus_reduction, write_reports_csv, write_summary_json
 
@@ -52,15 +52,6 @@ def _utc(stamp: str) -> datetime:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
-
-
-def _outdir(ns) -> Path:
-    out = Path(ns.output)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise BgpChurnError(f"{out}: {exc}") from exc
-    return out
 
 
 def _side_input(read, path):
@@ -82,7 +73,7 @@ def cmd_fetch(ns) -> int:
     target = ArchiveTarget(ns.project, ns.collector, ns.start, ns.end)
     cache_dir = ns.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
     plan = plan_urls(target)
-    out = _outdir(ns)
+    out = make_directory(ns.output)
     report = fetch(
         plan,
         Path(cache_dir).expanduser(),
@@ -108,7 +99,7 @@ def cmd_fetch(ns) -> int:
 
 
 def cmd_classify(ns) -> int:
-    out = _outdir(ns)
+    out = make_directory(ns.output)
     allocated = None
     if ns.allocation:
         from .allocation import AllocationFilter, load_delegated
@@ -172,7 +163,7 @@ def cmd_beacon(ns) -> int:
         write_partition_summary_csv,
     )
 
-    out = _outdir(ns)
+    out = make_directory(ns.output)
     beacons = (
         _side_input(_beacon_list, Path(ns.beacon_list))
         if ns.beacon_list
@@ -203,7 +194,7 @@ def cmd_beacon(ns) -> int:
 
 
 def cmd_reduce(ns) -> int:
-    out = _outdir(ns)
+    out = make_directory(ns.output)
     summary = corpus_reduction(
         [Path(p) for p in ns.inputs],
         out / "pruned",
@@ -247,7 +238,7 @@ def cmd_simulate(ns) -> int:
         raise BgpChurnError(
             f"unknown profile {ns.profile!r}; one of: {', '.join(sorted(PROFILES))}"
         )
-    out = _outdir(ns)
+    out = make_directory(ns.output)
     if ns.matrix:
         rows = run_experiment_matrix()
         write_csv(

@@ -2,6 +2,8 @@
 
 Every artifact is written through ``atomic_output``, so it appears
 whole or not at all, with the permissions a plain ``open`` would give.
+An output that cannot be created fails as ``BgpChurnError`` naming its
+path, and so does an output directory, made by ``make_directory``.
 Every report is written by one of two writers: ``write_csv`` (the
 ``csv`` module's default dialect, every float at six decimals) or
 ``write_json`` (indented by two spaces, with a final newline).
@@ -16,35 +18,56 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
+from .errors import BgpChurnError
+
 
 @contextmanager
 def atomic_output(path: Union[str, Path], mode: str = "w") -> Iterator[IO]:
     """Write through a sibling temp file renamed over ``path`` on success.
 
-    If the block raises, the temp file is removed and ``path`` is left
-    as it was.  ``mode`` is "w" (UTF-8 text, newlines written as given)
-    or "wb".  The temp file is created as ``open`` creates any new file,
-    so the result gets mode 0o666 less the umask.
+    If the block raises, the temp file is removed, ``path`` is left as
+    it was and the exception passes through.  A temp file that cannot
+    be created, or renamed over ``path`` (a directory of that name,
+    say), raises ``BgpChurnError`` naming ``path``.  ``mode`` is "w"
+    (UTF-8 text, newlines written as given) or "wb".  The temp file is
+    created as ``open`` creates any new file, so the result gets mode
+    0o666 less the umask.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     binary = "b" in mode
-    f = open(  # "x": a name already taken fails instead of being truncated
-        tmp,
-        mode.replace("w", "x"),
-        encoding=None if binary else "utf-8",
-        newline=None if binary else "",
-    )
+    try:
+        f = open(  # "x": a name already taken fails instead of being truncated
+            tmp,
+            mode.replace("w", "x"),
+            encoding=None if binary else "utf-8",
+            newline=None if binary else "",
+        )
+    except OSError as exc:
+        raise BgpChurnError(f"{path}: {exc}") from exc
     try:
         with f:
             yield f
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise BgpChurnError(f"{path}: {exc}") from exc
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
+
+
+def make_directory(path: Union[str, Path]) -> Path:
+    """``path``, made with its parents if missing; a failure names it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise BgpChurnError(f"{path}: {exc}") from exc
+    return path
 
 
 def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable) -> None:

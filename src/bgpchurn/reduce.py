@@ -24,7 +24,7 @@ from .mrt.codec import (
     write_mrt_stream,
 )
 from .normalize import NORMALIZER_FLAGS, Normalizer
-from .output import atomic_output, write_csv, write_json
+from .output import atomic_output, make_directory, write_csv, write_json
 from .pipeline import label_messages, mrt_messages
 
 
@@ -188,7 +188,7 @@ def corpus_reduction(
                 f"{output_dir / path.name}"
             )
         by_name[path.name] = path
-    output_dir.mkdir(parents=True, exist_ok=True)
+    make_directory(output_dir)
     summary = CorpusSummary()
     clf = StreamClassifier() if warm else None
     for path in files:

@@ -364,6 +364,24 @@ def test_output_directory_that_cannot_be_made_is_named(
     assert_one_error_line(capsys.readouterr().err, out)
 
 
+@pytest.mark.parametrize(
+    "command,taken",
+    [("reduce", "pruned"), ("reduce", "reduction.csv"), ("classify", "labels.jsonl")],
+)
+def test_output_that_cannot_be_created_is_named(tmp_path, capsys, command, taken):
+    src = write_mrt(tmp_path / "updates.mrt", classify_fixture())
+    out = tmp_path / "out"
+    out.mkdir()
+    blocker = out / taken
+    if taken == "pruned":
+        blocker.write_text("")  # a file where reduce makes a directory
+    else:
+        blocker.mkdir()  # a directory where a report goes
+    assert main([command, str(src), "-o", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, blocker)
+    assert list(out.rglob("*.tmp")) == []
+
+
 def write_table_dump(path):
     """A one-record TABLE_DUMP_V2 (type 13) file: a RIB dump, no updates."""
     # PEER_INDEX_TABLE: collector id, an empty view name, no peers
@@ -586,6 +604,16 @@ def test_simulate_invalid_scenario_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["simulate", "--scenario", str(bad), "-o", str(tmp_path)]) == 2
+
+
+def test_simulate_unknown_profile_is_named(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--profile", "x", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown profile 'x'; one of: adj-rib-out, community-suppress, "
+        "default-forwarding, no-forward\n"
+    )
+    assert not out.exists()
 
 
 # --- beacon ---

@@ -188,6 +188,17 @@ def test_reduce_atomic_on_failure(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["in.mrt"]  # no temp litter
 
 
+def test_pruned_file_that_cannot_be_created_is_one_named_failure(tmp_path):
+    """A name that fits but leaves no room for the temp file's suffix."""
+    src = tmp_path / ("u" * 250)
+    with open(src, "wb") as f:
+        write_mrt_stream(fixture_entries(), f)
+    summary = corpus_reduction([src], tmp_path / "pruned")
+    assert summary.reports == []
+    assert summary.failures[str(src)].startswith(f"{tmp_path / 'pruned' / src.name}: ")
+    assert list((tmp_path / "pruned").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "compress,decompress,magic",
     [(gzip.compress, gzip.decompress, b"\x1f\x8b"), (bz2.compress, bz2.decompress, b"BZh")],
