@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Optional, Union
 
+from .addr import canonical_network
+from .errors import BgpChurnError
 from .mrt.bgp import community_str
 from .model import US_PER_DAY, UpdateRecord
-from .output import write_csv
+from .output import make_directory, write_csv
+from .pipeline import read_messages, side_input
 
 PHASE_ANNOUNCE = "announce_phase"
 PHASE_WITHDRAW = "withdraw_phase"
@@ -137,3 +140,51 @@ def write_partition_summary_csv(part: RevealPartition, path: Union[str, Path]) -
     shares = part.shares()
     rows = ((category, n, shares[category]) for category, n in part.sizes().items())
     write_csv(path, ["category", "count", "share"], rows)
+
+
+def _beacon_list(path: Path) -> frozenset[str]:
+    """One prefix per line, canonicalized as decoded prefixes are."""
+    beacons = set()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            beacons.add(canonical_network(text))
+        except ValueError as exc:
+            raise BgpChurnError(f"{path}:{lineno}: bad beacon prefix: {exc}") from exc
+    return frozenset(beacons)
+
+
+def run_beacon(
+    inputs: Iterable[str], output: str, beacon_list: Optional[str] = None
+) -> str:
+    """The ``beacon`` command: writes its outputs, returns its summary line."""
+    out = make_directory(output)
+    beacons = (
+        side_input(_beacon_list, Path(beacon_list))
+        if beacon_list
+        else frozenset(DEFAULT_BEACONS)
+    )
+    matched = 0
+
+    def beacon_records() -> Iterator[UpdateRecord]:
+        nonlocal matched
+        for _, expanded in read_messages(inputs):
+            for r in expanded:
+                if r.prefix in beacons:
+                    matched += 1
+                    yield r
+
+    by_value, by_multiset = partition_communities(beacon_records(), DEFAULT_SCHEDULE)
+    if not matched:
+        raise BgpChurnError(f"no records matched {len(beacons)} beacon prefixes")
+    write_partition_csv(by_value, out / "partition_values.csv")
+    write_partition_summary_csv(by_value, out / "partition_values_summary.csv")
+    write_partition_csv(by_multiset, out / "partition_multisets.csv", "multiset")
+    write_partition_summary_csv(by_multiset, out / "partition_multisets_summary.csv")
+    return (
+        f"{matched} beacon records; value partition {by_value.sizes()}, "
+        f"attribute partition {by_multiset.sizes()}"
+    )

@@ -2,13 +2,15 @@
 
 Subcommands: fetch, classify, beacon, reduce, simulate.  Analytic
 outputs are CSV or line-delimited JSON; all runs are deterministic for
-identical inputs and flags (fetch excepted).
+identical inputs and flags (fetch excepted).  Each data command is one
+library call that writes its whole output tree; this module parses,
+prints and picks the exit code.
 """
 
 # Every invocation pays for what this module imports, and a day is
 # reduced file by file, one process per file.  So the code only one
-# subcommand runs (the simulator, beacon, the allocation table) is
-# imported inside that subcommand.
+# subcommand runs (the simulator, beacon, reduce, the allocation table)
+# is imported inside that subcommand.
 
 from __future__ import annotations
 
@@ -17,27 +19,14 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import __version__
-from .addr import canonical_network
-from .classify import (
-    CLASSIFIER_FLAGS,
-    LABELED_TYPES,
-    AnnouncementType,
-    StreamClassifier,
-    write_peer_csv,
-    write_tally_csv,
-)
 from .errors import BgpChurnError
 from .fetch import ArchiveTarget, fetch, plan_urls
-from .model import UpdateRecord, labeled_lines
-from .normalize import NORMALIZER_FLAGS, Normalizer
-from .output import atomic_output, make_directory, write_csv, write_json
-from .pipeline import label_messages, read_messages
-from .reduce import corpus_reduction, write_reports_csv, write_summary_json
+from .output import make_directory, write_csv, write_json
+from .pipeline import run_classify, side_input
 
 CACHE_ENV = "BGPCHURN_CACHE"
 DEFAULT_CACHE = "~/.cache/bgpchurn"
@@ -52,14 +41,6 @@ def _utc(stamp: str) -> datetime:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
-
-
-def _side_input(read, path):
-    """``read(path)``; a file that cannot be read fails as a main input does."""
-    try:
-        return read(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise BgpChurnError(f"{path}: {exc}") from exc
 
 
 # -- subcommands -------------------------------------------------------------
@@ -99,114 +80,23 @@ def cmd_fetch(ns) -> int:
 
 
 def cmd_classify(ns) -> int:
-    out = make_directory(ns.output)
-    allocated = None
-    if ns.allocation:
-        from .allocation import AllocationFilter, load_delegated
-
-        allocated = AllocationFilter(_side_input(load_delegated, ns.allocation))
-    normalizer, clf = Normalizer(allocated), StreamClassifier()
-    labeled_messages = label_messages(
-        read_messages(ns.inputs, ns.collector), normalizer, clf
-    )
-    with atomic_output(out / "labels.jsonl") as f:
-        f.writelines(
-            labeled_lines(chain.from_iterable(labeled for _, labeled in labeled_messages))
-        )
-    write_tally_csv(clf.tally, out / "tally.csv")
-    write_peer_csv(clf.tally, out / "peer_nc_nn.csv")
-    meta = {
-        "version": __version__,
-        "allocation_filter": allocated is not None,
-        "announcements": clf.tally.announcements,
-        "withdrawals": clf.tally.withdrawals,
-        "flags": {
-            **{flag: clf.tally.flags[flag] for flag in CLASSIFIER_FLAGS},
-            **{flag: normalizer.flags[flag] for flag in NORMALIZER_FLAGS},
-        },
-    }
-    if allocated is not None:
-        meta["allocation"] = asdict(allocated.stats)
-    write_json(out / "classify_report.json", meta)
-    counts = " ".join(
-        f"{kind.value}={clf.tally.counts[kind]}"
-        for kind in LABELED_TYPES + (AnnouncementType.INITIAL,)
-    )
-    print(
-        f"labeled {clf.tally.labeled} announcements "
-        f"({counts} over {len(clf.state)} streams)"
-    )
+    print(run_classify(ns.inputs, ns.output, ns.collector, ns.allocation))
     return 0
 
 
-def _beacon_list(path: Path) -> frozenset[str]:
-    """One prefix per line, canonicalized as decoded prefixes are."""
-    beacons = set()
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, 1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            beacons.add(canonical_network(text))
-        except ValueError as exc:
-            raise BgpChurnError(f"{path}:{lineno}: bad beacon prefix: {exc}") from exc
-    return frozenset(beacons)
-
-
 def cmd_beacon(ns) -> int:
-    from .beacon import (
-        DEFAULT_BEACONS,
-        DEFAULT_SCHEDULE,
-        partition_communities,
-        write_partition_csv,
-        write_partition_summary_csv,
-    )
+    from .beacon import run_beacon
 
-    out = make_directory(ns.output)
-    beacons = (
-        _side_input(_beacon_list, Path(ns.beacon_list))
-        if ns.beacon_list
-        else frozenset(DEFAULT_BEACONS)
-    )
-    matched = 0
-
-    def beacon_records() -> Iterator[UpdateRecord]:
-        nonlocal matched
-        for _, expanded in read_messages(ns.inputs):
-            for r in expanded:
-                if r.prefix in beacons:
-                    matched += 1
-                    yield r
-
-    by_value, by_multiset = partition_communities(beacon_records(), DEFAULT_SCHEDULE)
-    if not matched:
-        raise BgpChurnError(f"no records matched {len(beacons)} beacon prefixes")
-    write_partition_csv(by_value, out / "partition_values.csv")
-    write_partition_summary_csv(by_value, out / "partition_values_summary.csv")
-    write_partition_csv(by_multiset, out / "partition_multisets.csv", "multiset")
-    write_partition_summary_csv(by_multiset, out / "partition_multisets_summary.csv")
-    print(
-        f"{matched} beacon records; value partition {by_value.sizes()}, "
-        f"attribute partition {by_multiset.sizes()}"
-    )
+    print(run_beacon(ns.inputs, ns.output, ns.beacon_list))
     return 0
 
 
 def cmd_reduce(ns) -> int:
-    out = make_directory(ns.output)
-    summary = corpus_reduction(
-        [Path(p) for p in ns.inputs],
-        out / "pruned",
-        warm=ns.state == "warm",
-    )
-    write_reports_csv(summary, out / "reduction.csv")
-    write_summary_json(summary, out / "reduction_summary.json")
-    print(
-        f"{len(summary.reports)} files reduced, mean ratio "
-        f"{summary.mean_ratio():.3f}, {len(summary.failures)} failures"
-    )
-    return 0 if not summary.failures else 1
+    from .reduce import run_reduce
+
+    line, summary = run_reduce(ns.inputs, ns.output, ns.state == "warm")
+    print(line)
+    return 1 if summary.failures else 0
 
 
 def _simulate_scenario(ns, out: Path) -> int:
@@ -219,7 +109,7 @@ def _simulate_scenario(ns, out: Path) -> int:
         sim, log = run_experiment(ns.scenario, profile)
         name = ns.scenario
     else:
-        sim, events, name = _side_input(load_scenario, ns.scenario)
+        sim, events, name = side_input(load_scenario, ns.scenario)
         log = sim.run(events)
     write_log_jsonl(log, out / f"{name}_capture.jsonl")
     for sender, receiver, tag in (("X1", "C1", "collector"), ("Y1", "X1", "upstream")):

@@ -9,15 +9,26 @@ labels, label every record the same way.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .classify import LabeledRecord, StreamClassifier
+from . import __version__
+from .classify import (
+    CLASSIFIER_FLAGS,
+    AnnouncementType,
+    LabeledRecord,
+    StreamClassifier,
+    write_peer_csv,
+    write_tally_csv,
+)
 from .errors import BgpChurnError, MrtError
 from .fetch import collector_id
-from .model import UpdateRecord, expand_message, read_records_jsonl
+from .model import UpdateRecord, expand_message, labeled_lines, read_records_jsonl
 from .mrt.codec import UPDATE_TYPES, MrtEntry, read_mrt_stream
-from .normalize import Normalizer
+from .normalize import NORMALIZER_FLAGS, Normalizer
+from .output import atomic_output, make_directory, write_json
 
 Message = tuple[Optional[MrtEntry], list[UpdateRecord]]
 
@@ -74,3 +85,50 @@ def label_messages(
                 if out is not None:
                     labeled.append(out)
         yield entry, labeled
+
+
+def side_input(read, path):
+    """``read(path)``; a file that cannot be read fails as a main input does."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BgpChurnError(f"{path}: {exc}") from exc
+
+
+def run_classify(
+    inputs: Iterable[str],
+    output: str,
+    collector: Optional[str] = None,
+    allocation: Optional[str] = None,
+) -> str:
+    """The ``classify`` command: writes its outputs, returns its summary line."""
+    out = make_directory(output)
+    allocated = None
+    if allocation:
+        from .allocation import AllocationFilter, load_delegated
+
+        allocated = AllocationFilter(side_input(load_delegated, allocation))
+    normalizer, clf = Normalizer(allocated), StreamClassifier()
+    messages = label_messages(read_messages(inputs, collector), normalizer, clf)
+    with atomic_output(out / "labels.jsonl") as f:
+        f.writelines(labeled_lines(chain.from_iterable(labeled for _, labeled in messages)))
+    write_tally_csv(clf.tally, out / "tally.csv")
+    write_peer_csv(clf.tally, out / "peer_nc_nn.csv")
+    meta = {
+        "version": __version__,
+        "allocation_filter": allocated is not None,
+        "announcements": clf.tally.announcements,
+        "withdrawals": clf.tally.withdrawals,
+        "flags": {
+            **{flag: clf.tally.flags[flag] for flag in CLASSIFIER_FLAGS},
+            **{flag: normalizer.flags[flag] for flag in NORMALIZER_FLAGS},
+        },
+    }
+    if allocated is not None:
+        meta["allocation"] = asdict(allocated.stats)
+    write_json(out / "classify_report.json", meta)
+    counts = " ".join(f"{t.value}={clf.tally.counts[t]}" for t in AnnouncementType)
+    return (
+        f"labeled {clf.tally.labeled} announcements "
+        f"({counts} over {len(clf.state)} streams)"
+    )

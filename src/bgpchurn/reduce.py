@@ -226,3 +226,19 @@ def write_summary_json(summary: CorpusSummary, path: Union[str, Path]) -> None:
             "reports": [r.to_dict() for r in summary.reports],
         },
     )
+
+
+def run_reduce(
+    inputs: Iterable[str], output: str, warm: bool = True
+) -> tuple[str, CorpusSummary]:
+    """The ``reduce`` command: writes its outputs, returns its summary line
+    and the summary, whose failures set the exit code."""
+    out = make_directory(output)
+    summary = corpus_reduction(inputs, out / "pruned", warm)
+    write_reports_csv(summary, out / "reduction.csv")
+    write_summary_json(summary, out / "reduction_summary.json")
+    line = (
+        f"{len(summary.reports)} files reduced, mean ratio "
+        f"{summary.mean_ratio():.3f}, {len(summary.failures)} failures"
+    )
+    return line, summary
