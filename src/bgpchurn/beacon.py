@@ -27,6 +27,13 @@ PHASE_OUTSIDE = "outside"
 # RIPE RIS IPv4 beacon convention: 84.205.(64+N).0/24 per collector
 DEFAULT_BEACONS = tuple(f"84.205.{64 + n}.0/24" for n in range(16))
 
+BEACON_OUTPUTS = (
+    "partition_values.csv",
+    "partition_values_summary.csv",
+    "partition_multisets.csv",
+    "partition_multisets_summary.csv",
+)
+
 
 @dataclass(frozen=True)
 class BeaconSchedule:
@@ -161,7 +168,7 @@ def run_beacon(
     inputs: Iterable[str], output: str, beacon_list: Optional[str] = None
 ) -> str:
     """The ``beacon`` command: writes its outputs, returns its summary line."""
-    out = make_directory(output)
+    out = make_directory(output, BEACON_OUTPUTS)
     beacons = (
         side_input(_beacon_list, Path(beacon_list))
         if beacon_list

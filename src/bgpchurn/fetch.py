@@ -18,12 +18,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 from .errors import BgpChurnError, MrtError
-from .mrt.codec import (
-    CONTAINER_OF_SUFFIX,
-    UPDATE_TYPES,
-    detect_container,
-    read_mrt_stream,
-)
+from .mrt.codec import CONTAINER_OF_SUFFIX, detect_container, read_update_stream
 from .output import atomic_output
 
 PROJECT_ROUTEVIEWS = "routeviews"
@@ -157,15 +152,9 @@ def probe_mrt_payload(payload: Union[str, Path, bytes]) -> bool:
     container's trailer, fails the probe, and so does an empty one.
     """
     try:
-        entries = read_mrt_stream(payload)
-        first = next(entries, None)
-        if first is None or first.header.type not in UPDATE_TYPES:
-            return False
-        for _ in entries:
-            pass
+        return sum(1 for _ in read_update_stream(payload)) > 0
     except MrtError:
         return False
-    return True
 
 
 def _default_transport(url: str) -> BinaryIO:

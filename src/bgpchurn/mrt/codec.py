@@ -238,6 +238,20 @@ def read_mrt_stream(
     yield from _read_stream(open_archive(source, container))
 
 
+def read_update_stream(
+    source: Union[str, Path, bytes], container: str = "auto"
+) -> Iterator[MrtEntry]:
+    """``read_mrt_stream`` of an update file: one whose first record is
+    BGP4MP or BGP4MP_ET.  Any other first record raises MrtError."""
+    entries = read_mrt_stream(source, container)
+    for first in entries:
+        if first.header.type not in UPDATE_TYPES:
+            raise MrtError(f"not an update file: first record type {first.header.type}")
+        yield first
+        break
+    yield from entries
+
+
 def _read_long(f: BinaryIO, length: int) -> bytes:
     """A body longer than ``_CHUNK``, read in ``_CHUNK`` pieces: a corrupt
     32-bit length then costs what the file holds, not what it claims."""

@@ -3,7 +3,9 @@
 Every artifact is written through ``atomic_output``, so it appears
 whole or not at all, with the permissions a plain ``open`` would give.
 An output that cannot be created fails as ``BgpChurnError`` naming its
-path, and so does an output directory, made by ``make_directory``.
+path, and so does an output directory, made by ``make_directory``,
+which also refuses a fixed output name that a directory holds before
+the run writes anything.
 Every report is written by one of two writers: ``write_csv`` (the
 ``csv`` module's default dialect, every float at six decimals) or
 ``write_json`` (indented by two spaces, with a final newline).
@@ -31,10 +33,11 @@ def atomic_output(path: Union[str, Path], mode: str = "w") -> Iterator[IO]:
     say), raises ``BgpChurnError`` naming ``path``.  ``mode`` is "w"
     (UTF-8 text, newlines written as given) or "wb".  The temp file is
     created as ``open`` creates any new file, so the result gets mode
-    0o666 less the umask.
+    0o666 less the umask.  Its name has a fixed length, so any name
+    that ``path`` may have can be written.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f"{os.urandom(8).hex()}.tmp")
     binary = "b" in mode
     try:
         f = open(  # "x": a name already taken fails instead of being truncated
@@ -60,13 +63,22 @@ def atomic_output(path: Union[str, Path], mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def make_directory(path: Union[str, Path]) -> Path:
-    """``path``, made with its parents if missing; a failure names it."""
+def make_directory(path: Union[str, Path], files: Iterable[str] = ()) -> Path:
+    """``path``, made with its parents if missing; a failure names it.
+
+    Each of ``files`` names an output to be written in it; one that a
+    directory holds is refused here, so that a run writes none of its
+    outputs rather than some.  A link to a directory passes, since the
+    rename replaces the link.
+    """
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise BgpChurnError(f"{path}: {exc}") from exc
+    for taken in (path / name for name in files):
+        if taken.is_dir() and not taken.is_symlink():
+            raise BgpChurnError(f"{taken}: is a directory")
     return path
 
 

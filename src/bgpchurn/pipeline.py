@@ -26,11 +26,15 @@ from .classify import (
 from .errors import BgpChurnError, MrtError
 from .fetch import collector_id
 from .model import UpdateRecord, expand_message, labeled_lines, read_records_jsonl
-from .mrt.codec import UPDATE_TYPES, MrtEntry, read_mrt_stream
+from .mrt.codec import MrtEntry, read_update_stream
 from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output, make_directory, write_json
 
 Message = tuple[Optional[MrtEntry], list[UpdateRecord]]
+
+CLASSIFY_OUTPUTS = (
+    "labels.jsonl", "tally.csv", "peer_nc_nn.csv", "classify_report.json"
+)
 
 
 def mrt_messages(path: Path, collector: str, container: str) -> Iterator[Message]:
@@ -39,9 +43,7 @@ def mrt_messages(path: Path, collector: str, container: str) -> Iterator[Message
     A file whose first record is not BGP4MP or BGP4MP_ET raises MrtError.
     """
     source = str(path)
-    for index, entry in enumerate(read_mrt_stream(path, container)):
-        if index == 0 and entry.header.type not in UPDATE_TYPES:
-            raise MrtError(f"not an update file: first record type {entry.header.type}")
+    for index, entry in enumerate(read_update_stream(path, container)):
         yield entry, expand_message(entry, collector, source, index)
 
 
@@ -102,7 +104,7 @@ def run_classify(
     allocation: Optional[str] = None,
 ) -> str:
     """The ``classify`` command: writes its outputs, returns its summary line."""
-    out = make_directory(output)
+    out = make_directory(output, CLASSIFY_OUTPUTS)
     allocated = None
     if allocation:
         from .allocation import AllocationFilter, load_delegated

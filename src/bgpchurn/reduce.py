@@ -233,7 +233,7 @@ def run_reduce(
 ) -> tuple[str, CorpusSummary]:
     """The ``reduce`` command: writes its outputs, returns its summary line
     and the summary, whose failures set the exit code."""
-    out = make_directory(output)
+    out = make_directory(output, ("reduction.csv", "reduction_summary.json"))
     summary = corpus_reduction(inputs, out / "pruned", warm)
     write_reports_csv(summary, out / "reduction.csv")
     write_summary_json(summary, out / "reduction_summary.json")

@@ -364,12 +364,31 @@ def test_output_directory_that_cannot_be_made_is_named(
     assert_one_error_line(capsys.readouterr().err, out)
 
 
+# every fixed name each command writes under -o
+OUTPUTS = {
+    "reduce": ["pruned", "reduction.csv", "reduction_summary.json"],
+    "classify": ["labels.jsonl", "tally.csv", "peer_nc_nn.csv", "classify_report.json"],
+    "beacon": ["partition_values.csv", "partition_values_summary.csv",
+               "partition_multisets.csv", "partition_multisets_summary.csv"],
+}
+
+
+def data_command_args(tmp_path, command):
+    """Inputs and options on which ``command`` succeeds: beacon is given
+    the fixture's prefix as its beacon list."""
+    args = [str(write_mrt(tmp_path / "updates.mrt", classify_fixture()))]
+    if command == "beacon":
+        beacons = tmp_path / "beacons.txt"
+        beacons.write_text("10.1.0.0/24\n")
+        args += ["--beacon-list", str(beacons)]
+    return args
+
+
 @pytest.mark.parametrize(
-    "command,taken",
-    [("reduce", "pruned"), ("reduce", "reduction.csv"), ("classify", "labels.jsonl")],
+    "command,taken", [(command, name) for command in OUTPUTS for name in OUTPUTS[command]]
 )
 def test_output_that_cannot_be_created_is_named(tmp_path, capsys, command, taken):
-    src = write_mrt(tmp_path / "updates.mrt", classify_fixture())
+    """Refused before any input is read, so the run writes nothing."""
     out = tmp_path / "out"
     out.mkdir()
     blocker = out / taken
@@ -377,9 +396,22 @@ def test_output_that_cannot_be_created_is_named(tmp_path, capsys, command, taken
         blocker.write_text("")  # a file where reduce makes a directory
     else:
         blocker.mkdir()  # a directory where a report goes
-    assert main([command, str(src), "-o", str(out)]) == 2
+    assert main([command, *data_command_args(tmp_path, command), "-o", str(out)]) == 2
     assert_one_error_line(capsys.readouterr().err, blocker)
-    assert list(out.rglob("*.tmp")) == []
+    assert list(out.rglob("*")) == [blocker]
+
+
+@pytest.mark.parametrize("command", ["classify", "beacon", "reduce"])
+def test_output_name_linked_to_a_directory_is_replaced(tmp_path, capsys, command):
+    """The rename replaces a link, not the directory it points to."""
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    link = out / OUTPUTS[command][-1]
+    link.symlink_to(elsewhere, target_is_directory=True)
+    assert main([command, *data_command_args(tmp_path, command), "-o", str(out)]) == 0
+    assert link.is_file() and not link.is_symlink()
+    assert elsewhere.is_dir() and list(elsewhere.iterdir()) == []
 
 
 def write_table_dump(path):
@@ -986,6 +1018,40 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
     assert exc_info.value.code == 0
+
+
+def tree_bytes(top):
+    return {str(p.relative_to(top)): p.read_bytes() for p in top.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["classify", "beacon", "reduce"])
+def test_library_run_is_the_command(tmp_path, capsys, command):
+    """run_classify, run_beacon and run_reduce, called in process, write
+    the command's files byte for byte and return the line it prints."""
+    from bgpchurn.beacon import run_beacon
+    from bgpchurn.pipeline import run_classify
+    from bgpchurn.reduce import run_reduce
+
+    entries = classify_fixture()
+    inputs = [str(write_mrt(tmp_path / "a.mrt", entries[:3])),
+              str(write_mrt(tmp_path / "b.mrt", entries[3:]))]
+    side = tmp_path / "side.txt"
+    if command == "classify":  # every prefix and ASN of the fixture allocated
+        side.write_text("ripencc|ZZ|ipv4|10.0.0.0|16777216|20000101|allocated|x\n"
+                        "ripencc|ZZ|asn|65001|3|20000101|allocated|x\n")
+        argv = ["--collector", "rrc00", "--allocation", str(side)]
+        run = lambda out: run_classify(inputs, out, "rrc00", str(side))  # noqa: E731
+    elif command == "beacon":
+        side.write_text("10.1.0.0/24\n")
+        argv = ["--beacon-list", str(side)]
+        run = lambda out: run_beacon(inputs, out, str(side))  # noqa: E731
+    else:
+        argv = ["--state", "cold"]
+        run = lambda out: run_reduce(inputs, out, warm=False)[0]  # noqa: E731
+    assert main([command, *inputs, *argv, "-o", str(tmp_path / "cli")]) == 0
+    printed = capsys.readouterr().out
+    assert run(str(tmp_path / "lib")) + "\n" == printed
+    assert tree_bytes(tmp_path / "lib") == tree_bytes(tmp_path / "cli") != {}
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -118,16 +118,28 @@ NEVER_LOADED = ("bgpchurn.sim", "bgpchurn.mrt.build", "concurrent.futures", "url
 
 # case: (argv for cli.main, or None for a bare import; loaded; not loaded)
 LOAD_CASES = {
-    "import": (None, (), ("bgpchurn.allocation", "bgpchurn.beacon")),
-    "help": (["--help"], (), ("bgpchurn.allocation", "bgpchurn.beacon")),
-    "reduce": (["reduce", "{mrt}"], (), ("bgpchurn.allocation", "bgpchurn.beacon")),
-    "classify": (["classify", "{mrt}"], (), ("bgpchurn.allocation", "bgpchurn.beacon")),
+    "import": (None, (), ("bgpchurn.allocation", "bgpchurn.beacon", "bgpchurn.reduce")),
+    "help": (["--help"], (), ("bgpchurn.allocation", "bgpchurn.beacon", "bgpchurn.reduce")),
+    "reduce": (
+        ["reduce", "{mrt}"],
+        ("bgpchurn.reduce",),
+        ("bgpchurn.allocation", "bgpchurn.beacon"),
+    ),
+    "classify": (
+        ["classify", "{mrt}"],
+        (),
+        ("bgpchurn.allocation", "bgpchurn.beacon", "bgpchurn.reduce"),
+    ),
     "classify-allocation": (
         ["classify", "{mrt}", "--allocation", "{delegated}"],
         ("bgpchurn.allocation",),
-        ("bgpchurn.beacon",),
+        ("bgpchurn.beacon", "bgpchurn.reduce"),
     ),
-    "beacon": (["beacon", "{mrt}"], ("bgpchurn.beacon",), ("bgpchurn.allocation",)),
+    "beacon": (
+        ["beacon", "{mrt}"],
+        ("bgpchurn.beacon",),
+        ("bgpchurn.allocation", "bgpchurn.reduce"),
+    ),
 }
 
 

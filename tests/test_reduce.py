@@ -189,14 +189,27 @@ def test_reduce_atomic_on_failure(tmp_path):
 
 
 def test_pruned_file_that_cannot_be_created_is_one_named_failure(tmp_path):
-    """A name that fits but leaves no room for the temp file's suffix."""
+    """A directory where the pruned file goes fails that file alone."""
+    src, other = tmp_path / "in.mrt", tmp_path / "other.mrt"
+    write_fixture(src, fixture_entries())
+    write_fixture(other, fixture_entries())
+    taken = tmp_path / "pruned" / src.name
+    taken.mkdir(parents=True)
+    summary = corpus_reduction([src, other], tmp_path / "pruned")
+    assert [r.file for r in summary.reports] == [str(other)]
+    assert summary.failures[str(src)].startswith(f"{taken}: ")
+    assert sorted((tmp_path / "pruned").iterdir()) == [taken, tmp_path / "pruned" / other.name]
+    assert list(taken.iterdir()) == []
+
+
+def test_input_name_of_250_bytes_is_reduced(tmp_path):
+    """The temp file's name does not grow with the output's."""
     src = tmp_path / ("u" * 250)
-    with open(src, "wb") as f:
-        write_mrt_stream(fixture_entries(), f)
+    write_fixture(src, fixture_entries())
     summary = corpus_reduction([src], tmp_path / "pruned")
-    assert summary.reports == []
-    assert summary.failures[str(src)].startswith(f"{tmp_path / 'pruned' / src.name}: ")
-    assert list((tmp_path / "pruned").iterdir()) == []
+    assert summary.failures == {}
+    assert summary.reports[0].discarded_messages == 3
+    assert list((tmp_path / "pruned").iterdir()) == [tmp_path / "pruned" / src.name]
 
 
 @pytest.mark.parametrize(
