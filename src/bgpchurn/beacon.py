@@ -165,7 +165,7 @@ def _beacon_list(path: Path) -> frozenset[str]:
 
 
 def run_beacon(
-    inputs: Iterable[str], output: str, beacon_list: Optional[str] = None
+    inputs: Iterable[str], output: Union[str, Path], beacon_list: Optional[str] = None
 ) -> str:
     """The ``beacon`` command: writes its outputs, returns its summary line."""
     out = make_directory(output, BEACON_OUTPUTS)

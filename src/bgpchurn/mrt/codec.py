@@ -14,6 +14,7 @@ import io
 import struct
 import zlib
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -242,14 +243,15 @@ def read_update_stream(
     source: Union[str, Path, bytes], container: str = "auto"
 ) -> Iterator[MrtEntry]:
     """``read_mrt_stream`` of an update file: one whose first record is
-    BGP4MP or BGP4MP_ET.  Any other first record raises MrtError."""
+    BGP4MP or BGP4MP_ET.  The first record is read at the call, and any
+    other type raises MrtError; the rest are read as iterated."""
     entries = read_mrt_stream(source, container)
-    for first in entries:
-        if first.header.type not in UPDATE_TYPES:
-            raise MrtError(f"not an update file: first record type {first.header.type}")
-        yield first
-        break
-    yield from entries
+    first = next(entries, None)
+    if first is None:
+        return entries
+    if first.header.type not in UPDATE_TYPES:
+        raise MrtError(f"not an update file: first record type {first.header.type}")
+    return chain((first,), entries)
 
 
 def _read_long(f: BinaryIO, length: int) -> bytes:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from . import __version__
 from .classify import (
@@ -99,7 +99,7 @@ def side_input(read, path):
 
 def run_classify(
     inputs: Iterable[str],
-    output: str,
+    output: Union[str, Path],
     collector: Optional[str] = None,
     allocation: Optional[str] = None,
 ) -> str:

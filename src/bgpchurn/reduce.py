@@ -229,7 +229,7 @@ def write_summary_json(summary: CorpusSummary, path: Union[str, Path]) -> None:
 
 
 def run_reduce(
-    inputs: Iterable[str], output: str, warm: bool = True
+    inputs: Iterable[str], output: Union[str, Path], warm: bool = True
 ) -> tuple[str, CorpusSummary]:
     """The ``reduce`` command: writes its outputs, returns its summary line
     and the summary, whose failures set the exit code."""
