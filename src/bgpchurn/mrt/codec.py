@@ -226,11 +226,15 @@ def read_mrt_stream(
     """Yield MrtEntry objects from a path, bytes or a binary stream.
 
     With ``auto`` the container of a path or of the bytes comes from
-    its magic bytes; a stream must name its container.
+    its magic bytes, peeked from the one open of a path; a stream must
+    name its container.
     """
     if isinstance(source, (str, Path)):
-        with open_archive(source, container) as f:
-            yield from _read_stream(f)
+        with open(source, "rb") as raw:
+            if container == "auto":
+                container = _container_of(raw.peek(3))
+            with open_archive(raw, container) as f:
+                yield from _read_stream(f)
         return
     if isinstance(source, bytes):
         if container == "auto":
@@ -239,13 +243,11 @@ def read_mrt_stream(
     yield from _read_stream(open_archive(source, container))
 
 
-def read_update_stream(
-    source: Union[str, Path, bytes], container: str = "auto"
-) -> Iterator[MrtEntry]:
-    """``read_mrt_stream`` of an update file: one whose first record is
-    BGP4MP or BGP4MP_ET.  The first record is read at the call, and any
+def read_update_stream(source: Union[str, Path, bytes]) -> Iterator[MrtEntry]:
+    """``read_mrt_stream(source)`` of an update file: one whose first record
+    is BGP4MP or BGP4MP_ET.  The first record is read at the call, and any
     other type raises MrtError; the rest are read as iterated."""
-    entries = read_mrt_stream(source, container)
+    entries = read_mrt_stream(source)
     first = next(entries, None)
     if first is None:
         return entries

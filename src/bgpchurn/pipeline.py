@@ -37,13 +37,13 @@ CLASSIFY_OUTPUTS = (
 )
 
 
-def mrt_messages(path: Path, collector: str, container: str) -> Iterator[Message]:
+def mrt_messages(path: Path, collector: str) -> Iterator[Message]:
     """Decode an update file and expand every entry, updates or not.
 
     A file whose first record is not BGP4MP or BGP4MP_ET raises MrtError.
     """
     source = str(path)
-    for index, entry in enumerate(read_update_stream(path, container)):
+    for index, entry in enumerate(read_update_stream(path)):
         yield entry, expand_message(entry, collector, source, index)
 
 
@@ -62,7 +62,7 @@ def read_messages(
             if path.suffix == ".jsonl":
                 yield from ((None, [rec]) for rec in read_records_jsonl(path))
             else:
-                yield from mrt_messages(path, collector or collector_id(path), "auto")
+                yield from mrt_messages(path, collector or collector_id(path))
         except (OSError, MrtError) as exc:
             raise BgpChurnError(f"{path}: {exc}") from exc
 

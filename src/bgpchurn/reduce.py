@@ -120,10 +120,11 @@ def reduce_file(
 
     # A fresh Normalizer per file: its same-second numbering changes no label.
     normalizer = Normalizer()
-    container = detect_container(input_path)
-    messages = mrt_messages(input_path, collector_id(input_path), container)
+    messages = mrt_messages(input_path, collector_id(input_path))
     entries = kept(label_messages(messages, normalizer, clf))
-    out_container = CONTAINER_OF_SUFFIX.get(Path(output_path).suffix, container)
+    out_container = CONTAINER_OF_SUFFIX.get(
+        Path(output_path).suffix, detect_container(input_path)
+    )
     with atomic_output(output_path, "wb") as tmp:
         bytes_out = write_mrt_stream(entries, tmp, out_container)
     return ReductionReport(
@@ -165,41 +166,6 @@ class CorpusSummary:
         return {k: _mean(v) for k, v in sorted(groups.items())}
 
 
-def corpus_reduction(
-    files: Iterable[Union[str, Path]],
-    output_dir: Union[str, Path],
-    warm: bool = True,
-) -> CorpusSummary:
-    """Reduce many files; per-file failures are recorded, not fatal.
-
-    Each pruned file is written as ``output_dir/<input name>``, so two
-    inputs with the same name are refused before any file is reduced.
-    With warm=True one classifier persists across files in input order,
-    and restarts cold after a file that fails, whose labels reached no
-    pruned output; cold restarts per file.
-    """
-    files = [Path(p) for p in files]
-    output_dir = Path(output_dir)
-    by_name: dict[str, Path] = {}
-    for path in files:
-        if path.name in by_name:
-            raise BgpChurnError(
-                f"{by_name[path.name]} and {path} would both be pruned to "
-                f"{output_dir / path.name}"
-            )
-        by_name[path.name] = path
-    make_directory(output_dir)
-    summary = CorpusSummary()
-    clf = StreamClassifier() if warm else None
-    for path in files:
-        try:
-            summary.reports.append(reduce_file(path, output_dir / path.name, clf))
-        except Exception as exc:  # noqa: BLE001 - per-file isolation
-            summary.failures[str(path)] = str(exc) or type(exc).__name__
-            clf = StreamClassifier() if warm else None
-    return summary
-
-
 # ---------------------------------------------------------------------------
 # report output
 
@@ -232,9 +198,31 @@ def run_reduce(
     inputs: Iterable[str], output: Union[str, Path], warm: bool = True
 ) -> tuple[str, CorpusSummary]:
     """The ``reduce`` command: writes its outputs, returns its summary line
-    and the summary, whose failures set the exit code."""
+    and the summary, whose failures set the exit code.
+
+    Each input is pruned to ``pruned/<input name>``, so two inputs with
+    one name are refused before ``pruned/`` is made.  A file that fails
+    is recorded, not fatal.  With warm=True one classifier persists
+    across files in input order and restarts cold after a failed file,
+    whose labels reached no pruned output; cold restarts per file.
+    """
     out = make_directory(output, ("reduction.csv", "reduction_summary.json"))
-    summary = corpus_reduction(inputs, out / "pruned", warm)
+    files, pruned = [Path(p) for p in inputs], out / "pruned"
+    firsts: dict[str, Path] = {}
+    for path in files:
+        if (first := firsts.setdefault(path.name, path)) is not path:
+            raise BgpChurnError(
+                f"{first} and {path} would both be pruned to {pruned / path.name}"
+            )
+    make_directory(pruned)
+    summary = CorpusSummary()
+    clf = StreamClassifier() if warm else None
+    for path in files:
+        try:
+            summary.reports.append(reduce_file(path, pruned / path.name, clf))
+        except Exception as exc:  # noqa: BLE001 - per-file isolation
+            summary.failures[str(path)] = str(exc) or type(exc).__name__
+            clf = StreamClassifier() if warm else None
     write_reports_csv(summary, out / "reduction.csv")
     write_summary_json(summary, out / "reduction_summary.json")
     line = (

@@ -42,7 +42,7 @@ def write_fixture(tmp_path):
 
 
 def label_file(path, allocated=None):
-    messages = mrt_messages(path, "rrc00", "auto")
+    messages = mrt_messages(path, "rrc00")
     return list(label_messages(messages, Normalizer(allocated), StreamClassifier()))
 
 

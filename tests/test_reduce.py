@@ -25,9 +25,9 @@ from bgpchurn.reduce import (
     REPORT_HEADER,
     CorpusSummary,
     ReductionReport,
-    corpus_reduction,
     message_is_unnecessary,
     reduce_file,
+    run_reduce,
     write_reports_csv,
     write_summary_json,
 )
@@ -193,12 +193,13 @@ def test_pruned_file_that_cannot_be_created_is_one_named_failure(tmp_path):
     src, other = tmp_path / "in.mrt", tmp_path / "other.mrt"
     write_fixture(src, fixture_entries())
     write_fixture(other, fixture_entries())
-    taken = tmp_path / "pruned" / src.name
+    pruned = tmp_path / "out" / "pruned"
+    taken = pruned / src.name
     taken.mkdir(parents=True)
-    summary = corpus_reduction([src, other], tmp_path / "pruned")
+    _, summary = run_reduce([src, other], tmp_path / "out")
     assert [r.file for r in summary.reports] == [str(other)]
     assert summary.failures[str(src)].startswith(f"{taken}: ")
-    assert sorted((tmp_path / "pruned").iterdir()) == [taken, tmp_path / "pruned" / other.name]
+    assert sorted(pruned.iterdir()) == [taken, pruned / other.name]
     assert list(taken.iterdir()) == []
 
 
@@ -206,10 +207,11 @@ def test_input_name_of_250_bytes_is_reduced(tmp_path):
     """The temp file's name does not grow with the output's."""
     src = tmp_path / ("u" * 250)
     write_fixture(src, fixture_entries())
-    summary = corpus_reduction([src], tmp_path / "pruned")
+    _, summary = run_reduce([src], tmp_path / "out")
     assert summary.failures == {}
     assert summary.reports[0].discarded_messages == 3
-    assert list((tmp_path / "pruned").iterdir()) == [tmp_path / "pruned" / src.name]
+    pruned = tmp_path / "out" / "pruned"
+    assert list(pruned.iterdir()) == [pruned / src.name]
 
 
 @pytest.mark.parametrize(
@@ -400,16 +402,15 @@ def test_reduce_warm_start_across_files(tmp_path):
     assert warm.discarded_messages == 1  # nn given part1's history
 
 
-def test_corpus_reduction_warm_equals_concatenation(tmp_path):
+def test_run_reduce_warm_equals_concatenation(tmp_path):
     entries = fixture_entries()
     part1, part2 = tmp_path / "updates.0000.mrt", tmp_path / "updates.0005.mrt"
     whole = tmp_path / "whole.mrt"
     write_fixture(part1, entries[:5])
     write_fixture(part2, entries[5:])
     write_fixture(whole, entries)
-    out = tmp_path / "out"
-    out.mkdir()
-    summary = corpus_reduction([part1, part2], out, warm=True)
+    _, summary = run_reduce([part1, part2], tmp_path / "out", warm=True)
+    out = tmp_path / "out" / "pruned"
     split_discards = sum(r.discarded_messages for r in summary.reports)
     whole_report = reduce_file(whole, tmp_path / "whole.out")
     assert split_discards == whole_report.discarded_messages == 3
@@ -420,7 +421,7 @@ def test_corpus_records_failures(tmp_path):
     ok = tmp_path / "ok.mrt"
     write_fixture(ok, fixture_entries())
     missing = tmp_path / "missing.mrt"
-    summary = corpus_reduction([ok, missing], tmp_path / "out")
+    _, summary = run_reduce([ok, missing], tmp_path / "out")
     assert len(summary.reports) == 1
     assert str(missing) in summary.failures
 
@@ -451,8 +452,8 @@ def test_warm_state_restarts_after_a_failed_file(tmp_path):
     b.write_bytes(blob.getvalue()[:-10])  # the second record is cut
     write_fixture(c, [update_entry(t + 600, announced=("10.1.0.0/24",),
                                    path=(65001, 65003))])
-    out = tmp_path / "out"
-    summary = corpus_reduction([a, b, c], out, warm=True)
+    _, summary = run_reduce([a, b, c], tmp_path / "out", warm=True)
+    out = tmp_path / "out" / "pruned"
     assert list(summary.failures) == [str(b)]
     assert [r.discarded_messages for r in summary.reports] == [0, 0]
     assert (out / c.name).read_bytes() == c.read_bytes()
