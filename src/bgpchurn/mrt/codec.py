@@ -269,6 +269,7 @@ def _read_long(f: BinaryIO, length: int) -> bytes:
 
 
 def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
+    """Every error, the container's or the record's, names the record's index."""
     index = 0
     while True:
         try:
@@ -276,17 +277,16 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
             if not head:
                 return
             if len(head) < _COMMON_HEADER.size:
-                raise MrtError(f"record {index}: header cut short at {len(head)} bytes")
+                raise MrtError(f"header cut short at {len(head)} bytes")
             header = _new(MrtRecordHeader, _COMMON_HEADER.unpack(head))
             length = header.length
             body = f.read(length) if length <= _CHUNK else _read_long(f, length)
-        except _CONTAINER_ERRORS as exc:
+            if len(body) < length:
+                raise MrtError(f"body cut short ({len(body)} of {length} bytes)")
+            entry = decode_entry(header, body)
+        except (*_CONTAINER_ERRORS, MrtError) as exc:
             raise MrtError(f"record {index}: {exc}") from exc
-        if len(body) < header.length:
-            raise MrtError(
-                f"record {index}: body cut short ({len(body)} of {header.length} bytes)"
-            )
-        yield decode_entry(header, body)
+        yield entry
         index += 1
 
 

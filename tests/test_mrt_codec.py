@@ -259,6 +259,22 @@ def test_truncated_body_raises():
         list(read_mrt_stream(REFERENCE_RECORD[:-5]))
 
 
+@pytest.mark.parametrize(
+    "cut,error",
+    [
+        (REFERENCE_RECORD[:8], "header cut short at 8 bytes"),
+        (REFERENCE_RECORD[:-5], f"body cut short ({len(REFERENCE_RECORD) - 17} of "
+                                f"{len(REFERENCE_RECORD) - 12} bytes)"),
+        (MrtRecordHeader(REFERENCE_TS, 17, 1, 2).encode() + b"\x00\x01",
+         "extended timestamp record shorter than 4 bytes"),
+    ],
+    ids=["header", "body", "extended-timestamp"],
+)
+def test_a_cut_record_is_named_by_its_index(cut, error):
+    with pytest.raises(MrtError, match=f"^{re.escape(f'record 1: {error}')}$"):
+        list(read_mrt_stream(REFERENCE_RECORD + cut))
+
+
 class RecordingReader(io.BytesIO):
     """A plain stream that records the size of each read."""
 
