@@ -36,8 +36,14 @@ def _date_key(yyyymmdd: str) -> int:
     return int(yyyymmdd)
 
 
+# 9999-12-31T23:59:59Z: a later arrival is judged as of 99991231, the last
+# date an 8-digit delegated date names, since datetime stops at year 9999
+_LAST_SECOND = 253_402_300_799
+
+
 def _record_date_key(arrival_us: int) -> int:
-    dt = datetime.fromtimestamp(arrival_us // 1_000_000, tz=timezone.utc)
+    second = min(arrival_us // 1_000_000, _LAST_SECOND)
+    dt = datetime.fromtimestamp(second, tz=timezone.utc)
     return dt.year * 10000 + dt.month * 100 + dt.day
 
 

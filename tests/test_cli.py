@@ -872,6 +872,25 @@ def test_classify_allocation_rejects_bad_jsonl_prefix(tmp_path, capsys, prefix):
     assert list(out.iterdir()) == []
 
 
+def test_classify_allocation_judges_an_arrival_after_year_9999_as_of_99991231(tmp_path):
+    rows = beacon_rows()  # 84.205.64.0/24 at even indexes, 10.0.0.0/24 at odd
+    rows[4]["arrival_us"] = 10**20  # in the year 3170843
+    src = write_jsonl(tmp_path / "records.jsonl", rows)
+    delegated = tmp_path / "delegated.txt"
+    delegated.write_text(
+        "ripencc|ZZ|asn|65001|2|20000101|allocated|x\n"
+        "ripencc|ZZ|ipv4|10.0.0.0|16777216|20000101|allocated|y\n"
+        "ripencc|ZZ|ipv4|84.205.64.0|256|99991231|allocated|z\n"
+    )
+    out = tmp_path / "out"
+    argv = ["classify", str(src), "-o", str(out), "--allocation", str(delegated)]
+    assert main(argv) == 0
+    assert read_report(out / "classify_report.json")["allocation"]["dropped_prefix"] == 2
+    labeled = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()]
+    assert [(row["prefix"], row["arrival_us"]) for row in labeled
+            if row["prefix"] == "84.205.64.0/24"] == [("84.205.64.0/24", 10**20)]
+
+
 def test_classify_reads_jsonl_prefixes_in_canonical_text(tmp_path, capsys):
     rows = beacon_rows()
     rows[1]["prefix"], rows[3]["prefix"] = "2001:0DB8::/32", "2001:db8::/32"
