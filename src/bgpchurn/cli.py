@@ -51,6 +51,8 @@ def cmd_fetch(ns) -> int:
         raise BgpChurnError(f"--end {ns.end} is not after --start {ns.start}")
     if ns.retries < 1:
         raise BgpChurnError(f"--retries {ns.retries} makes no attempt; give at least 1")
+    if ns.jobs < 1:
+        raise BgpChurnError(f"--jobs {ns.jobs} runs no download; give at least 1")
     target = ArchiveTarget(ns.project, ns.collector, ns.start, ns.end)
     cache_dir = ns.cache_dir or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
     plan = plan_urls(target)

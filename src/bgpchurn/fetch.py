@@ -227,8 +227,7 @@ def fetch(
     # imported here: it pulls in logging, and only fetch runs a pool
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = max(1, parallelism)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
         for item, error, was_cached in pool.map(fetch_one, plan):
             if error is not None:
                 report.failures[item.url] = error

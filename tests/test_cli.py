@@ -996,19 +996,22 @@ def test_fetch_unknown_collector_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "times,retries",
+    "times,retries,jobs",
     [
-        (("banana", "2023-05-01T00:05"), "3"),
-        (("2023-05-02T00:00", "2023-05-01T00:00"), "3"),
-        (("2023-05-01T00:00", "2023-05-01T00:00"), "3"),
-        (("2023-05-01T00:00", "2023-05-01T00:05"), "0"),
+        (("banana", "2023-05-01T00:05"), "3", "4"),
+        (("2023-05-02T00:00", "2023-05-01T00:00"), "3", "4"),
+        (("2023-05-01T00:00", "2023-05-01T00:00"), "3", "4"),
+        (("2023-05-01T00:00", "2023-05-01T00:05"), "0", "4"),
+        (("2023-05-01T00:00", "2023-05-01T00:05"), "3", "0"),
+        (("2023-05-01T00:00", "2023-05-01T00:05"), "3", "-1"),
     ],
-    ids=["bad-start", "end-before-start", "end-at-start", "no-attempts"],
+    ids=["bad-start", "end-before-start", "end-at-start", "no-attempts",
+         "no-workers", "negative-workers"],
 )
-def test_fetch_argument_errors_are_usage_errors(tmp_path, times, retries):
+def test_fetch_argument_errors_are_usage_errors(tmp_path, times, retries, jobs):
     argv = [
         "fetch", "--project", "ripe_ris", "--collector", "rrc00",
-        "--start", times[0], "--end", times[1], "--retries", retries,
+        "--start", times[0], "--end", times[1], "--retries", retries, "--jobs", jobs,
         "--cache-dir", str(tmp_path / "cache"), "--offline", "-o", str(tmp_path / "out"),
     ]
     try:
