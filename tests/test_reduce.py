@@ -385,6 +385,102 @@ def test_reduce_drops_exactly_what_classify_labels_unnecessary(messages):
         assert report.discarded_messages == sum(dropped)
 
 
+def prune_against_labels(tmp, files):
+    """Run ``classify`` and ``reduce --state warm`` over the same update
+    files, and check each pruned file against the labels: it is its input,
+    byte for byte, less exactly the messages that announce a prefix,
+    withdraw nothing and have only nc or nn labels.  Labels are paired
+    with messages by (source_file, source_message_index).  Returns the
+    labels in file order and the number of discarded messages."""
+    paths = []
+    for i, entries in enumerate(files):
+        path = tmp / f"updates.{i:04d}.mrt"  # one collector, consecutive files
+        write_fixture(path, entries)
+        paths.append(str(path))
+    assert cli_main(["classify", *paths, "-o", str(tmp / "labels")]) == 0
+    assert cli_main(["reduce", "--state", "warm", *paths, "-o", str(tmp / "out")]) == 0
+    labels = defaultdict(list)
+    with open(tmp / "labels" / "labels.jsonl", encoding="utf-8") as f:
+        for row in map(json.loads, f):
+            labels[row["source_file"], row["source_message_index"]].append(row["label"])
+    discarded = 0
+    for path in paths:
+        kept = []
+        for i, entry in enumerate(read_mrt_stream(path)):
+            msg = entry.message
+            if (
+                msg is not None
+                and msg.announced_prefixes
+                and not msg.withdrawn_prefixes
+                and all(label in ("nc", "nn") for label in labels[path, i])
+            ):
+                discarded += 1
+            else:
+                kept.append(entry.encode())
+        assert (tmp / "out" / "pruned" / Path(path).name).read_bytes() == b"".join(kept)
+    summary = json.loads((tmp / "out" / "reduction_summary.json").read_text())
+    assert sum(r["discarded_messages"] for r in summary["reports"]) == discarded
+    return [label for key in sorted(labels) for label in labels[key]], discarded
+
+
+def test_reduce_warm_prunes_what_classify_labels_across_files(tmp_path):
+    t = 1_600_000_000
+    both = ("10.1.0.0/24", "10.2.0.0/24")
+    files = [
+        [
+            update_entry(t, announced=both),  # initial, initial: kept
+            build_keepalive_record(t + 1, 65001, "10.0.0.1", 64512, "10.0.0.2"),
+            update_entry(t + 2, announced=both[:1]),  # a repeat: nn
+            update_entry(t + 3, announced=both[:1], communities=(C1,)),  # nc
+            update_entry(t + 4, announced=(), withdrawn=both[1:]),  # kept
+        ],
+        [
+            update_entry(t + 300, announced=both[:1], communities=(C1,)),  # nn, warm
+            # nn after its withdrawal, so dropped: README's known limitation
+            update_entry(t + 301, announced=both[1:]),
+            # an nn announcement beside a withdrawal: kept
+            update_entry(t + 302, announced=both[:1], withdrawn=("10.3.0.0/24",),
+                         communities=(C1,)),
+            update_entry(t + 303, announced=both, communities=(C2,)),  # nc, nc
+            update_entry(t + 304, announced=both[:1], path=(65001, 65003),
+                         communities=(C2,)),  # a path change: kept
+        ],
+        [
+            update_entry(t + 600, announced=()),  # end-of-RIB: kept
+            update_entry(t + 601, announced=both[:1], path=(65001, 65003),
+                         communities=(C2,)),  # nn
+        ],
+    ]
+    labels, discarded = prune_against_labels(tmp_path, files)
+    assert discarded == 6
+    assert {"nc", "nn", "initial"} < set(labels)
+
+
+@settings(max_examples=60)
+@given(message_specs, st.lists(st.integers(0, 30), min_size=1, max_size=2))
+def test_reduce_warm_prunes_what_classify_labels_at_any_file_cuts(messages, cuts):
+    entries = []
+    t = 1_600_000_000
+    for peer, gap, usec, announced, withdrawn, path, on_path, comms, keepalive in messages:
+        t += gap
+        if keepalive:
+            entries.append(build_keepalive_record(
+                t, peer, "10.0.0.1", 64512, "10.0.0.2", usec
+            ))
+            continue
+        if peer != ROUTE_SERVER or on_path:
+            path = (peer,) + path
+        entries.append(update_entry(
+            t, peer, announced=announced,
+            withdrawn=[p for p in withdrawn if p not in announced],
+            path=path, communities=comms, microsecond=usec,
+        ))
+    bounds = [0, *sorted(cut % (len(entries) + 1) for cut in cuts), len(entries)]
+    files = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+    with tempfile.TemporaryDirectory() as tmp:
+        prune_against_labels(Path(tmp), files)
+
+
 def test_reduce_warm_start_across_files(tmp_path):
     # consecutive files of one collector: the names share their head
     part1, part2 = tmp_path / "updates.0000.mrt", tmp_path / "updates.0005.mrt"
