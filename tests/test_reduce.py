@@ -342,9 +342,8 @@ message_specs = st.lists(
 )
 
 
-@settings(max_examples=150)
-@given(message_specs)
-def test_reduce_drops_exactly_what_classify_labels_unnecessary(messages):
+def entries_of(messages):
+    """The MRT entries that ``message_specs`` describe."""
     entries = []
     t = 1_600_000_000
     for peer, gap, usec, announced, withdrawn, path, on_path, comms, keepalive in messages:
@@ -361,6 +360,13 @@ def test_reduce_drops_exactly_what_classify_labels_unnecessary(messages):
             withdrawn=[p for p in withdrawn if p not in announced],
             path=path, communities=comms, microsecond=usec,
         ))
+    return entries
+
+
+@settings(max_examples=150)
+@given(message_specs)
+def test_reduce_drops_exactly_what_classify_labels_unnecessary(messages):
+    entries = entries_of(messages)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         src = tmp / "in.mrt"
@@ -459,22 +465,7 @@ def test_reduce_warm_prunes_what_classify_labels_across_files(tmp_path):
 @settings(max_examples=60)
 @given(message_specs, st.lists(st.integers(0, 30), min_size=1, max_size=2))
 def test_reduce_warm_prunes_what_classify_labels_at_any_file_cuts(messages, cuts):
-    entries = []
-    t = 1_600_000_000
-    for peer, gap, usec, announced, withdrawn, path, on_path, comms, keepalive in messages:
-        t += gap
-        if keepalive:
-            entries.append(build_keepalive_record(
-                t, peer, "10.0.0.1", 64512, "10.0.0.2", usec
-            ))
-            continue
-        if peer != ROUTE_SERVER or on_path:
-            path = (peer,) + path
-        entries.append(update_entry(
-            t, peer, announced=announced,
-            withdrawn=[p for p in withdrawn if p not in announced],
-            path=path, communities=comms, microsecond=usec,
-        ))
+    entries = entries_of(messages)
     bounds = [0, *sorted(cut % (len(entries) + 1) for cut in cuts), len(entries)]
     files = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
     with tempfile.TemporaryDirectory() as tmp:
