@@ -13,6 +13,7 @@ import gzip
 import io
 import struct
 import zlib
+from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -76,6 +77,8 @@ BZ2_MAGIC = b"\x42\x5a\x68"
 _CONTAINER_ERRORS = (OSError, EOFError, zlib.error)
 # the container a file's name promises
 CONTAINER_OF_SUFFIX = {".gz": "gzip", ".bz2": "bzip2"}
+# each compressed container's reader over an open binary file
+_DECOMPRESSORS = {"gzip": gzip.open, "bzip2": bz2.open}
 
 
 # BGP4MP address family -> address length
@@ -198,26 +201,29 @@ def detect_container(path: Union[str, Path]) -> str:
         return _container_of(f.read(3))
 
 
+@contextmanager
 def open_archive(
     source: Union[str, Path, BinaryIO], container: str = "auto"
-) -> BinaryIO:
-    """A reader over a path, which it then owns, or over a binary stream.
+) -> Iterator[BinaryIO]:
+    """A reader over a path, opened once, or over a binary stream.
 
-    With ``auto`` a path's container comes from its magic bytes; a
-    stream must name its container.  Closing the reader closes the file.
-    A compressed reader is buffered in ``_CHUNK`` pieces, so the small
-    reads of each record are served without a call into the decompressor.
+    With ``auto`` a path's container comes from a peek of its magic
+    bytes; a stream must name its container.  On exit it closes what it
+    opened, never a stream passed in.  A compressed reader is buffered in
+    ``_CHUNK`` pieces, so the small reads of each record are served
+    without a call into the decompressor.
     """
-    is_path = isinstance(source, (str, Path))
-    if container == "auto" and is_path:
-        container = detect_container(source)
-    if container == "gzip":
-        return io.BufferedReader(gzip.open(source, "rb"), _CHUNK)  # type: ignore[return-value]
-    if container == "bzip2":
-        return io.BufferedReader(bz2.open(source, "rb"), _CHUNK)  # type: ignore[return-value]
-    if container == "plain":
-        return open(source, "rb") if is_path else source
-    raise ValueError(f"unknown container {container!r}")
+    with ExitStack() as opened:
+        if isinstance(source, (str, Path)):
+            source = opened.enter_context(open(source, "rb"))
+            if container == "auto":
+                container = _container_of(source.peek(3))
+        if container in _DECOMPRESSORS:
+            source = _DECOMPRESSORS[container](source, "rb")
+            source = opened.enter_context(io.BufferedReader(source, _CHUNK))
+        elif container != "plain":
+            raise ValueError(f"unknown container {container!r}")
+        yield source
 
 
 def read_mrt_stream(
@@ -226,21 +232,14 @@ def read_mrt_stream(
     """Yield MrtEntry objects from a path, bytes or a binary stream.
 
     With ``auto`` the container of a path or of the bytes comes from
-    its magic bytes, peeked from the one open of a path; a stream must
-    name its container.
+    its magic bytes; a stream must name its container.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as raw:
-            if container == "auto":
-                container = _container_of(raw.peek(3))
-            with open_archive(raw, container) as f:
-                yield from _read_stream(f)
-        return
     if isinstance(source, bytes):
         if container == "auto":
             container = _container_of(source)
         source = io.BytesIO(source)
-    yield from _read_stream(open_archive(source, container))
+    with open_archive(source, container) as f:
+        yield from _read_stream(f)
 
 
 def read_update_stream(source: Union[str, Path, bytes]) -> Iterator[MrtEntry]:

@@ -122,9 +122,9 @@ def reduce_file(
     normalizer = Normalizer()
     messages = mrt_messages(input_path, collector_id(input_path))
     entries = kept(label_messages(messages, normalizer, clf))
-    out_container = CONTAINER_OF_SUFFIX.get(
-        Path(output_path).suffix, detect_container(input_path)
-    )
+    # not a .get default, which would open the input even when the name says
+    suffix = Path(output_path).suffix
+    out_container = CONTAINER_OF_SUFFIX.get(suffix) or detect_container(input_path)
     with atomic_output(output_path, "wb") as tmp:
         bytes_out = write_mrt_stream(entries, tmp, out_container)
     return ReductionReport(

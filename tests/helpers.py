@@ -7,6 +7,7 @@ agree with it on every record.
 
 from __future__ import annotations
 
+import builtins
 import ipaddress
 import random
 import re
@@ -568,3 +569,15 @@ def update_entry(
         announced=announced,
         microsecond=microsecond,
     )
+
+
+def count_opens(monkeypatch) -> list[str]:
+    """The file of every ``builtins.open`` call from now on, as text."""
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened

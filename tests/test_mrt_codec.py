@@ -53,11 +53,12 @@ from bgpchurn.mrt.codec import (
     MrtEntry,
     MrtRecordHeader,
     decode_entry,
+    open_archive,
     read_mrt_stream,
     write_mrt_stream,
 )
 
-from helpers import build_keepalive_record, decode_prefixes, update_entry
+from helpers import build_keepalive_record, count_opens, decode_prefixes, update_entry
 
 # ---------------------------------------------------------------------------
 # hand-built reference record
@@ -247,6 +248,31 @@ def test_bytes_carry_their_container_and_a_stream_names_its_own():
         assert from_bytes == b"".join(e.encode() for e in from_stream) == raw
     with pytest.raises(ValueError, match="unknown container 'auto'"):
         list(read_mrt_stream(io.BytesIO(raw)))
+
+
+@pytest.mark.parametrize(
+    "compress", [gzip.compress, bz2.compress, bytes], ids=["gzip", "bzip2", "plain"]
+)
+def test_open_archive_opens_a_path_once(tmp_path, monkeypatch, compress):
+    raw = REFERENCE_RECORD + REFERENCE_RECORD_ET
+    path = tmp_path / "updates"  # no suffix: the container comes from the bytes
+    path.write_bytes(compress(raw))
+    opened = count_opens(monkeypatch)
+    with open_archive(path) as f:
+        assert f.read() == raw
+    assert opened == [str(path)]
+    assert f.closed
+
+
+def test_open_archive_leaves_a_stream_open():
+    raw = REFERENCE_RECORD + REFERENCE_RECORD_ET
+    for compress, container in (
+        (gzip.compress, "gzip"), (bz2.compress, "bzip2"), (bytes, "plain")
+    ):
+        stream = io.BytesIO(compress(raw))
+        with open_archive(stream, container) as f:
+            assert f.read() == raw
+        assert not stream.closed, container
 
 
 def test_truncated_header_raises():

@@ -32,7 +32,7 @@ from bgpchurn.reduce import (
     write_summary_json,
 )
 
-from helpers import build_keepalive_record, update_entry
+from helpers import build_keepalive_record, count_opens, update_entry
 
 NC = AnnouncementType.NC
 NN = AnnouncementType.NN
@@ -265,8 +265,9 @@ def test_reduce_gzip_header_is_deterministic(tmp_path):
     assert header[4:8] == b"\x00\x00\x00\x00"  # mtime 0
 
 
-# bzip2 is left out: bz2 binds open at import, past builtins.open
-@pytest.mark.parametrize("pack", [gzip.compress, bytes], ids=["gzip", "plain"])
+@pytest.mark.parametrize(
+    "pack", [gzip.compress, bz2.compress, bytes], ids=["gzip", "bzip2", "plain"]
+)
 def test_reduce_opens_its_input_twice(tmp_path, monkeypatch, pack):
     """Once for the magic bytes, once to read the records."""
     src = tmp_path / "in.mrt"
@@ -282,6 +283,22 @@ def test_reduce_opens_its_input_twice(tmp_path, monkeypatch, pack):
     monkeypatch.setattr(builtins, "open", counting_open)
     reduce_file(src, tmp_path / "out.mrt")
     assert opened.count(str(src)) == 2
+
+
+@pytest.mark.parametrize(
+    "pack,suffix", [(gzip.compress, ".gz"), (bz2.compress, ".bz2")], ids=["gzip", "bzip2"]
+)
+def test_reduce_opens_an_input_named_by_its_container_once(
+    tmp_path, monkeypatch, pack, suffix
+):
+    """The output's name says its container, so the input is not peeked."""
+    src = tmp_path / f"in.mrt{suffix}"
+    blob = io.BytesIO()
+    write_mrt_stream(fixture_entries(), blob)
+    src.write_bytes(pack(blob.getvalue()))
+    opened = count_opens(monkeypatch)
+    reduce_file(src, tmp_path / f"out{suffix}")
+    assert opened.count(str(src)) == 1
 
 
 def test_reduce_repairs_route_server_paths(tmp_path):
