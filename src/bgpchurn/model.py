@@ -121,7 +121,8 @@ def expand_stream(
 #   as_path: list of ints / sorted-int lists (AS_SET), announcements only
 #   communities: list of "high:low" strings
 #   next_hop: canonical address text ("192.0.2.1", "2001:db8::1", the
-#     global address of a 32-byte IPv6 next hop) or null; med: int or null
+#     global address of a 32-byte IPv6 next hop; an MP_REACH next hop by
+#     its length, whatever the AFI) or null; med: int or null
 #   source_message_index, source_file, native_usec, flags
 
 

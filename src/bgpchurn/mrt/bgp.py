@@ -85,7 +85,9 @@ class BgpAttributes(NamedTuple):
     back.  ``path`` is the effective AS path after AS4_PATH merging, as
     elements; ``communities`` keeps wire order even though comparisons
     treat them as a multiset; ``next_hop`` is the canonical address
-    text of ``bgpchurn.addr``.
+    text of ``bgpchurn.addr``, from NEXT_HOP or else from MP_REACH_NLRI
+    by its length: 4 bytes IPv4, 16 or 32 the global IPv6 address, any
+    other length None.
     """
 
     path: tuple[PathElement, ...] = ()
@@ -258,11 +260,12 @@ def _decode_mp_reach(payload: bytes) -> tuple[list[str], Optional[str]]:
         raise BgpParseError("truncated MP_REACH next hop")
     nh_bytes = payload[i : i + nh_len]
     i += nh_len + 1  # skip reserved byte
+    # the next hop's form is its length, whatever the AFI (RFC 8950): a
+    # 32-byte next hop carries global + link-local; keep the global one
     next_hop: Optional[str] = None
-    if afi == AFI_IPV4 and nh_len >= 4:
-        next_hop = ipv4_text(nh_bytes[:4])
-    elif afi == AFI_IPV6 and nh_len >= 16:
-        # a 32-byte next hop carries global + link-local; keep the global one
+    if nh_len == 4:
+        next_hop = ipv4_text(nh_bytes)
+    elif nh_len in (16, 32):
         next_hop = ipv6_text(nh_bytes[:16])
     return decode_prefix_strs(payload[i:], afi), next_hop
 

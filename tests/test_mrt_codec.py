@@ -330,6 +330,32 @@ def test_long_records_read_in_pieces_equal_the_input():
     assert max(f.sizes) == codec._CHUNK == CHUNK
 
 
+_V6_GLOBAL = bytes.fromhex("20010db8000000000000000000000001")  # 2001:db8::1
+_V6_LINK_LOCAL = bytes.fromhex("fe800000000000000000000000000001")  # fe80::1
+
+
+@pytest.mark.parametrize(
+    "afi,next_hop,expected",
+    [
+        (1, bytes([192, 0, 2, 1]), "192.0.2.1"),
+        (1, _V6_GLOBAL, "2001:db8::1"),  # RFC 8950
+        (1, _V6_GLOBAL + _V6_LINK_LOCAL, "2001:db8::1"),
+        (2, _V6_GLOBAL, "2001:db8::1"),
+        (2, _V6_GLOBAL + _V6_LINK_LOCAL, "2001:db8::1"),
+        (1, bytes(8) + bytes([192, 0, 2, 1]), None),  # a route distinguisher first
+    ],
+    ids=["ipv4-4", "ipv4-16", "ipv4-32", "ipv6-16", "ipv6-32", "ipv4-12"],
+)
+def test_mp_reach_next_hop_is_read_by_its_length(afi, next_hop, expected):
+    nlri = bytes([24, 10, 0, 0]) if afi == 1 else bytes([32]) + _V6_GLOBAL[:4]
+    payload = struct.pack("!HBB", afi, 1, len(next_hop)) + next_hop + b"\x00" + nlri
+    block = wire_attribute(0x80, ATTR_MP_REACH_NLRI, payload)  # and no NEXT_HOP
+    body = struct.pack("!HH", 0, len(block)) + block
+    _, announced, attributes = decode_update_body(body, True)
+    assert announced == (("10.0.0.0/24",) if afi == 1 else ("2001:db8::/32",))
+    assert attributes.next_hop == expected
+
+
 def test_keepalive_and_unknown_kinds():
     keep = build_keepalive_record(1, 65001, "10.0.0.1", 64512, "10.0.0.2")
     other = decode_entry(MrtRecordHeader(1, 42, 7, 3), b"\x00\x01\x02")
