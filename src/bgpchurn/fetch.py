@@ -189,8 +189,8 @@ def fetch(
 
     def download(url: str, path: Path) -> Optional[str]:
         """One attempt: None once ``path`` holds the payload, else the error."""
-        path.parent.mkdir(parents=True, exist_ok=True)
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             # a raise inside the block removes the temp file
             with atomic_output(path, "wb") as tmp:
                 with get(url) as response:

@@ -241,6 +241,18 @@ def test_fetch_retries_then_succeeds(tmp_path):
     assert sleeps == [1.0]  # first backoff step only
 
 
+def test_fetch_cache_path_that_cannot_be_made_fails_only_its_file(tmp_path):
+    plan = two_file_plan()[:1]
+    url = plan[0].url
+    (tmp_path / "rrc00").write_bytes(b"")  # a file where the collector's directory goes
+    transport = FakeTransport({url: mrt_blob(compress="gzip")})
+    report = fetch(plan, tmp_path, transport=transport, attempts=1, sleep=no_sleep)
+    assert transport.calls == []
+    assert "Not a directory" in report.failures[url]
+    assert report.downloaded == 0
+    assert report.counts_consistent()
+
+
 def test_fetch_rejects_corrupt_payload(tmp_path):
     plan = two_file_plan()[:1]
     url = plan[0].url
