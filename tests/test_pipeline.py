@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+from collections import deque
+from itertools import chain
+
 from bgpchurn.allocation import AllocationFilter, filter_allocated, load_delegated
 from bgpchurn.classify import StreamClassifier
-from bgpchurn.model import expand_stream
+from bgpchurn.model import expand_stream, labeled_lines, read_records_jsonl
 from bgpchurn.mrt.codec import read_mrt_stream, write_mrt_stream
 from bgpchurn.normalize import FLAG_REPAIRED_PATH, Normalizer, normalize_stream
 from bgpchurn.pipeline import label_messages, mrt_messages
 
-from helpers import build_keepalive_record, update_entry
+from helpers import build_keepalive_record, random_stream, update_entry
 
 C1 = (65001 << 16) | 100
 T = 1_600_000_000
@@ -99,3 +104,78 @@ def test_native_stamp_does_not_reset_the_same_second_count(tmp_path):
     assert native.arrival_us == T * 1_000_000 + 500
     assert again.arrival_us > first.arrival_us
     assert "out_of_order" not in again.flags
+
+
+# ---------------------------------------------------------------------------
+# memory stays flat over a replayed corpus
+#
+# Every structure that grows with input is bounded (README), so once one
+# pass has filled the streams, sessions and memos, replaying the same
+# corpus allocates nothing that stays.  tracemalloc's size counts bytes,
+# not seconds, so the property needs no timing.
+
+DAY_US = 86_400 * 1_000_000
+PASSES = 4
+SLACK = 4096  # bytes: a free list or a resized table may settle late
+
+
+def corpus():
+    return random_stream(random.Random(7), 3000, n_sessions=12, n_prefixes=40).records
+
+
+def replay(records, sizes):
+    """Each record as a message, PASSES times, a day later each pass;
+    ``sizes`` gets tracemalloc's current size as each pass ends."""
+    for n in range(PASSES):
+        for rec in records:
+            yield None, [rec._replace(arrival_us=rec.arrival_us + n * DAY_US)]
+        sizes.append(tracemalloc.get_traced_memory()[0])
+
+
+def traced(run):
+    """The sizes ``run`` records, with tracemalloc on for its span."""
+    sizes = []
+    tracemalloc.start()
+    try:
+        run(sizes)
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == PASSES
+    return sizes
+
+
+def labeled(messages):
+    return label_messages(messages, Normalizer(), StreamClassifier())
+
+
+def test_labeling_a_replayed_corpus_keeps_memory_flat():
+    records = corpus()
+    sizes = traced(lambda sizes: deque(labeled(replay(records, sizes)), maxlen=0))
+    assert abs(sizes[3] - sizes[1]) < SLACK, sizes
+
+
+def test_writing_label_lines_of_a_replayed_corpus_keeps_memory_flat():
+    records = corpus()
+
+    def run(sizes):
+        labels = chain.from_iterable(out for _, out in labeled(replay(records, sizes)))
+        deque(labeled_lines(labels), maxlen=0)
+
+    sizes = traced(run)
+    assert abs(sizes[3] - sizes[1]) < SLACK, sizes
+
+
+def test_reading_one_jsonl_file_again_keeps_memory_flat(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(labeled_lines(
+            chain.from_iterable(out for _, out in labeled((None, [r]) for r in corpus()))
+        ))
+
+    def run(sizes):
+        for _ in range(PASSES):
+            deque(read_records_jsonl(path), maxlen=0)
+            sizes.append(tracemalloc.get_traced_memory()[0])
+
+    sizes = traced(run)
+    assert abs(sizes[3] - sizes[1]) < SLACK, sizes
