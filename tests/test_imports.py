@@ -291,3 +291,67 @@ def test_every_memo_is_bounded():
     assert memos
     for memo in memos:
         assert isinstance(memo.cache_parameters()["maxsize"], int), memo
+
+
+# perfbench/pipelines.py still calls these, and src does not; the
+# benchmark change that stops calling them deletes them.
+BENCHMARK_ONLY = {
+    "expand_stream",
+    "normalize_stream",
+    "filter_allocated",
+    "StreamClassifier.process",
+    "record_to_dict",
+    "FilterStats.dropped",
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, name, node) of each module-level function and
+    class and of each method of those classes but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def references(tree: ast.AST):
+    """(line, name) of each name and each attribute name in a tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    """Each function, class and method of the package is used by package
+    code outside its own definition, so none is kept alive by tests alone."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "bgpchurn").rglob("*.py"))
+    }
+    used: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for line, name in references(tree):
+            used.setdefault(name, []).append((path, line))
+    unused = {
+        qualified
+        for path, tree in trees.items()
+        for qualified, name, node in definitions(tree)
+        if all(
+            where == path and node.lineno <= line <= node.end_lineno
+            for where, line in used.get(name, ())
+        )
+    }
+    assert sorted(unused) == sorted(BENCHMARK_ONLY)
+    bench = {
+        name
+        for path in (ROOT / "perfbench").glob("*.py")
+        for _, name in references(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert {q.rpartition(".")[2] for q in BENCHMARK_ONLY} <= bench
