@@ -16,13 +16,15 @@ from typing import Iterable, Iterator, Optional, Union
 from .addr import canonical_network
 from .errors import BgpChurnError
 from .mrt.bgp import community_str
-from .model import US_PER_DAY, UpdateRecord
+from .model import UpdateRecord
 from .output import make_directory, write_csv
 from .pipeline import read_messages, side_input
 
 PHASE_ANNOUNCE = "announce_phase"
 PHASE_WITHDRAW = "withdraw_phase"
 PHASE_OUTSIDE = "outside"
+_WITHDRAW_US = 2 * 3600 * 1_000_000
+_WINDOW_US = 15 * 60 * 1_000_000
 
 # RIPE RIS IPv4 beacon convention: 84.205.(64+N).0/24 per collector
 DEFAULT_BEACONS = tuple(f"84.205.{64 + n}.0/24" for n in range(16))
@@ -35,26 +37,18 @@ BEACON_OUTPUTS = (
 )
 
 
-@dataclass(frozen=True)
 class BeaconSchedule:
-    """Announce/withdraw cycle anchors and the attribution window."""
+    """The RIS cycle above.  Its period divides a day, so an arrival's
+    place in the cycle is the arrival modulo the period."""
 
-    announce_offset_s: int = 0
-    withdraw_offset_s: int = 2 * 3600
-    period_s: int = 4 * 3600
-    window_s: int = 15 * 60
+    period_s = 4 * 3600
 
     def phase_of(self, arrival_us: int) -> str:
-        in_day = arrival_us % US_PER_DAY
-        period_us = self.period_s * 1_000_000
-        window_us = self.window_s * 1_000_000
-        for offset_s, phase in (
-            (self.announce_offset_s, PHASE_ANNOUNCE),
-            (self.withdraw_offset_s, PHASE_WITHDRAW),
-        ):
-            rel = (in_day - offset_s * 1_000_000) % period_us
-            if 0 <= rel < window_us:
-                return phase
+        rel = arrival_us % (self.period_s * 1_000_000)
+        if rel < _WINDOW_US:
+            return PHASE_ANNOUNCE
+        if 0 <= rel - _WITHDRAW_US < _WINDOW_US:
+            return PHASE_WITHDRAW
         return PHASE_OUTSIDE
 
 

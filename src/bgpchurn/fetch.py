@@ -177,11 +177,11 @@ def fetch(
 
     Cached files are never re-downloaded or rewritten.  ``transport``
     opens a URL as a binary stream, which is copied in chunks into a
-    sibling temp file, renamed in only once it passes
-    ``probe_mrt_payload`` and is in the container its name says.
-    A file is tried up to ``attempts`` times, waiting ``BACKOFF_S``,
-    then twice as long after each later failure, and not after the
-    last.  Per-file failures are collected in the report.
+    sibling temp file, renamed in only once it passes ``probe_mrt_payload``
+    and is in the container its name says.  A file whose cache directory
+    can be made is tried up to ``attempts`` times, waiting ``BACKOFF_S``,
+    then twice as long after each later failure, and not after the last.
+    Per-file failures are collected in the report.
     """
     cache_dir = Path(cache_dir)
     report = FetchReport(planned=len(plan))
@@ -190,7 +190,6 @@ def fetch(
     def download(url: str, path: Path) -> Optional[str]:
         """One attempt: None once ``path`` holds the payload, else the error."""
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             # a raise inside the block removes the temp file
             with atomic_output(path, "wb") as tmp:
                 with get(url) as response:
@@ -215,6 +214,10 @@ def fetch(
             return item, None, True
         if offline:
             return item, "not cached and offline mode is on", False
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return item, str(exc), False
         error = "no attempts made"
         for attempt in range(attempts):
             if attempt:

@@ -7,6 +7,7 @@ records keyed by (session, prefix).
 
 from __future__ import annotations
 
+import io
 import json
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 from .addr import canonical_address, canonical_network
 from .errors import BgpChurnError
 from .mrt.bgp import BgpAttributes, PathElement, community_str, community_value
-from .mrt.codec import MrtEntry
+from .mrt.codec import MrtEntry, open_archive
 
 ANNOUNCEMENT = "announcement"
 WITHDRAWAL = "withdrawal"
@@ -361,26 +362,24 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_records_jsonl(path: Union[str, Path]) -> Iterator[UpdateRecord]:
-    """Records of a .jsonl file; a bad line fails naming ``path:line``."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
+    """Records of a .jsonl file, plain, gzip or bzip2 by its magic bytes.
+    A bad line fails naming ``path:line``; a bad file raises an INPUT_ERRORS."""
+    with open_archive(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
                 try:
-                    try:
-                        obj, end = _raw_decode(line)
-                    except ValueError:
-                        end = -1
-                    if end != len(line):
-                        # not one JSON value: json.loads raises its exact error
-                        obj = json.loads(line)
-                    rec = record_from_dict(obj)
-                except KeyError as exc:
-                    raise BgpChurnError(f"{path}:{lineno}: missing key {exc}") from exc
-                except (AttributeError, TypeError, ValueError, RecursionError) as exc:
-                    raise BgpChurnError(f"{path}:{lineno}: {exc}") from exc
-                yield rec
-        except UnicodeDecodeError as exc:  # decoding happens in the for
-            raise BgpChurnError(f"{path}: {exc}") from exc
+                    obj, end = _raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    # not one JSON value: json.loads raises its exact error
+                    obj = json.loads(line)
+                rec = record_from_dict(obj)
+            except KeyError as exc:
+                raise BgpChurnError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (AttributeError, TypeError, ValueError, RecursionError) as exc:
+                raise BgpChurnError(f"{path}:{lineno}: {exc}") from exc
+            yield rec

@@ -73,8 +73,8 @@ _COMMON_HEADER = struct.Struct("!IHHI")
 
 GZIP_MAGIC = b"\x1f\x8b"
 BZ2_MAGIC = b"\x42\x5a\x68"
-# what a gzip or bzip2 reader raises on a cut or corrupt stream
-_CONTAINER_ERRORS = (OSError, EOFError, zlib.error)
+# what fails an input: the file system's, a container's, UTF-8's or MRT's errors
+INPUT_ERRORS = (OSError, EOFError, zlib.error, UnicodeDecodeError, MrtError)
 # the container a file's name promises
 CONTAINER_OF_SUFFIX = {".gz": "gzip", ".bz2": "bzip2"}
 # each compressed container's reader over an open binary file
@@ -283,7 +283,7 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
             if len(body) < length:
                 raise MrtError(f"body cut short ({len(body)} of {length} bytes)")
             entry = decode_entry(header, body)
-        except (*_CONTAINER_ERRORS, MrtError) as exc:
+        except INPUT_ERRORS as exc:
             raise MrtError(f"record {index}: {exc}") from exc
         yield entry
         index += 1

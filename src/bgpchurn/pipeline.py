@@ -23,10 +23,10 @@ from .classify import (
     write_peer_csv,
     write_tally_csv,
 )
-from .errors import BgpChurnError, MrtError
+from .errors import BgpChurnError
 from .fetch import collector_id
 from .model import UpdateRecord, expand_message, labeled_lines, read_records_jsonl
-from .mrt.codec import MrtEntry, read_update_stream
+from .mrt.codec import CONTAINER_OF_SUFFIX, INPUT_ERRORS, MrtEntry, read_update_stream
 from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output, make_directory, write_json
 
@@ -52,18 +52,20 @@ def read_messages(
 ) -> Iterator[Message]:
     """The messages of MRT files and .jsonl record files, in input order.
 
-    A .jsonl file gives (None, [record]) per line.  MRT sessions take
-    ``collector``, or else the collector of each file's path.  A file
-    that cannot be opened or decoded fails with a BgpChurnError that
-    starts with its path.
+    Any file may be plain, gzip or bzip2, by its magic bytes; one named
+    .jsonl, .jsonl.gz or .jsonl.bz2 gives (None, [record]) per line.
+    MRT sessions take ``collector``, or else the collector of each file's
+    path.  A file that cannot be opened or decoded fails with a
+    BgpChurnError that starts with its path.
     """
     for path in map(Path, paths):
+        base = path.with_suffix("") if path.suffix in CONTAINER_OF_SUFFIX else path
         try:
-            if path.suffix == ".jsonl":
+            if base.suffix == ".jsonl":
                 yield from ((None, [rec]) for rec in read_records_jsonl(path))
             else:
                 yield from mrt_messages(path, collector or collector_id(path))
-        except (OSError, MrtError) as exc:
+        except INPUT_ERRORS as exc:
             raise BgpChurnError(f"{path}: {exc}") from exc
 
 
@@ -93,7 +95,7 @@ def side_input(read, path):
     """``read(path)``; a file that cannot be read fails as a main input does."""
     try:
         return read(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         raise BgpChurnError(f"{path}: {exc}") from exc
 
 

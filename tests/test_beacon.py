@@ -14,7 +14,6 @@ from bgpchurn.beacon import (
     PHASE_ANNOUNCE,
     PHASE_OUTSIDE,
     PHASE_WITHDRAW,
-    BeaconSchedule,
     RevealPartition,
     partition_communities,
     write_partition_csv,
@@ -56,15 +55,6 @@ def test_phase_day_wrap():
     phase = DEFAULT_SCHEDULE.phase_of
     assert phase(at(0.05, day=1)) == PHASE_ANNOUNCE
     assert phase(at(22.1)) == PHASE_WITHDRAW  # last withdraw window of the day
-
-
-def test_custom_schedule():
-    sched = BeaconSchedule(announce_offset_s=600, withdraw_offset_s=4200,
-                           period_s=7200, window_s=60)
-    assert sched.phase_of(at(0.0)) == PHASE_OUTSIDE
-    assert sched.phase_of(at(0.0) + 600 * 1_000_000) == PHASE_ANNOUNCE
-    assert sched.phase_of(at(0.0) + 4200 * 1_000_000) == PHASE_WITHDRAW
-    assert sched.phase_of(at(2.0) + 600 * 1_000_000) == PHASE_ANNOUNCE  # 2h period
 
 
 @settings(max_examples=200)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import bz2
 import gzip
 import io
 import ipaddress
@@ -277,6 +278,13 @@ def truncated_gzip(tmp_path):
     return path
 
 
+def truncated_jsonl_gzip(tmp_path):
+    path = tmp_path / "labels.jsonl.gz"
+    rows = "".join(json.dumps(row) + "\n" for row in beacon_rows())
+    path.write_bytes(gzip.compress(rows.encode())[:-30])
+    return path
+
+
 def directory(tmp_path):
     path = tmp_path / "adir"
     path.mkdir()
@@ -305,8 +313,9 @@ def assert_one_error_line(err, path):
 @pytest.mark.parametrize(
     "fault",
     [lambda tmp_path: tmp_path / "nothere.mrt", directory, truncated_gzip, not_utf8,
-     corrupt_length],
-    ids=["missing", "directory", "truncated-gzip", "not-utf8", "corrupt-length"],
+     corrupt_length, truncated_jsonl_gzip],
+    ids=["missing", "directory", "truncated-gzip", "not-utf8", "corrupt-length",
+         "truncated-jsonl-gzip"],
 )
 @pytest.mark.parametrize("command", ["classify", "beacon"])
 def test_unreadable_input_is_named(tmp_path, capsys, command, fault):
@@ -315,6 +324,29 @@ def test_unreadable_input_is_named(tmp_path, capsys, command, fault):
     assert main([command, str(src), "-o", str(out)]) == 2
     assert_one_error_line(capsys.readouterr().err, src)
     assert list(out.iterdir()) == []  # no labels.jsonl, partition_*.csv or temp file
+
+
+@pytest.mark.parametrize("content", ["records", "not-utf8"])
+@pytest.mark.parametrize("command", ["classify", "beacon"])
+def test_compressed_record_file_reads_as_the_plain_file(tmp_path, capsys, command, content):
+    """A .jsonl.gz or .jsonl.bz2 input writes the bytes, prints the line and
+    fails with the message of the plain .jsonl it holds."""
+    if content == "records":
+        plain = write_jsonl(tmp_path / "labels.jsonl", beacon_rows())
+    else:
+        plain = not_utf8(tmp_path)
+    copies = {"plain": plain}
+    for name, compress in (("gz", gzip.compress), ("bz2", bz2.compress)):
+        copies[name] = plain.with_name(f"{plain.name}.{name}")
+        copies[name].write_bytes(compress(plain.read_bytes()))
+    runs = {}
+    for name, src in copies.items():
+        status = main([command, str(src), "-o", str(tmp_path / name)])
+        out, err = capsys.readouterr()
+        runs[name] = status, out, err.replace(str(src), "<input>"), tree_bytes(tmp_path / name)
+    assert runs["gz"] == runs["bz2"] == runs["plain"]
+    status, _, err, tree = runs["plain"]
+    assert (status, bool(tree)) == ((0, True) if content == "records" else (2, False))
 
 
 @pytest.mark.parametrize(

@@ -246,8 +246,9 @@ def test_fetch_cache_path_that_cannot_be_made_fails_only_its_file(tmp_path):
     url = plan[0].url
     (tmp_path / "rrc00").write_bytes(b"")  # a file where the collector's directory goes
     transport = FakeTransport({url: mrt_blob(compress="gzip")})
-    report = fetch(plan, tmp_path, transport=transport, attempts=1, sleep=no_sleep)
-    assert transport.calls == []
+    sleeps = []
+    report = fetch(plan, tmp_path, transport=transport, attempts=3, sleep=sleeps.append)
+    assert transport.calls == [] and sleeps == []  # failed at once, no retry
     assert "Not a directory" in report.failures[url]
     assert report.downloaded == 0
     assert report.counts_consistent()

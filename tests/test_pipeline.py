@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import random
 import tracemalloc
 from collections import deque
@@ -172,10 +173,14 @@ def test_reading_one_jsonl_file_again_keeps_memory_flat(tmp_path):
             chain.from_iterable(out for _, out in labeled((None, [r]) for r in corpus()))
         ))
 
-    def run(sizes):
-        for _ in range(PASSES):
-            deque(read_records_jsonl(path), maxlen=0)
-            sizes.append(tracemalloc.get_traced_memory()[0])
+    packed = tmp_path / "labels.jsonl.gz"
+    packed.write_bytes(gzip.compress(path.read_bytes()))
 
-    sizes = traced(run)
-    assert abs(sizes[3] - sizes[1]) < SLACK, sizes
+    for source in (path, packed):
+        def run(sizes):
+            for _ in range(PASSES):
+                deque(read_records_jsonl(source), maxlen=0)
+                sizes.append(tracemalloc.get_traced_memory()[0])
+
+        sizes = traced(run)
+        assert abs(sizes[3] - sizes[1]) < SLACK, (source.name, sizes)
