@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 from .errors import BgpChurnError, MrtError
-from .mrt.codec import CONTAINER_OF_SUFFIX, detect_container, read_update_stream
+from .mrt.codec import CONTAINER_OF_SUFFIX, detect_container, read_mrt_stream
 from .output import atomic_output
 
 PROJECT_ROUTEVIEWS = "routeviews"
@@ -152,7 +152,7 @@ def probe_mrt_payload(payload: Union[str, Path, bytes]) -> bool:
     container's trailer, fails the probe, and so does an empty one.
     """
     try:
-        return sum(1 for _ in read_update_stream(payload)) > 0
+        return sum(1 for _ in read_mrt_stream(payload)) > 0
     except MrtError:
         return False
 

@@ -227,7 +227,9 @@ def labeled_lines(labeled: Iterable[tuple[UpdateRecord, str, bool]]) -> Iterator
 # kept in the canonical text decode gives them; prefixes are mostly
 # distinct, so theirs is read without a memo.
 
-_TYPE_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list"}
+_TYPE_NAMES = {
+    int: "an int", str: "a string", bool: "a bool", list: "a list", dict: "an object"
+}
 _UINT32_MAX = 2**32 - 1
 
 
@@ -279,6 +281,8 @@ def _path_with_sets(path: list) -> list:
 
 
 def record_from_dict(obj: dict) -> UpdateRecord:
+    if type(obj) is not dict:
+        raise _wrong_type("record", dict, obj)
     kind = obj["kind"]
     attrs = None
     if kind == ANNOUNCEMENT:

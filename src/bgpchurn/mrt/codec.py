@@ -15,7 +15,6 @@ import struct
 import zlib
 from contextlib import ExitStack, contextmanager
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -229,7 +228,8 @@ def open_archive(
 def read_mrt_stream(
     source: Union[str, Path, BinaryIO, bytes], container: str = "auto"
 ) -> Iterator[MrtEntry]:
-    """Yield MrtEntry objects from a path, bytes or a binary stream.
+    """Yield the MrtEntry objects of an update file: a path, bytes or a
+    binary stream whose first record is BGP4MP or BGP4MP_ET.
 
     With ``auto`` the container of a path or of the bytes comes from
     its magic bytes; a stream must name its container.
@@ -240,19 +240,6 @@ def read_mrt_stream(
         source = io.BytesIO(source)
     with open_archive(source, container) as f:
         yield from _read_stream(f)
-
-
-def read_update_stream(source: Union[str, Path, bytes]) -> Iterator[MrtEntry]:
-    """``read_mrt_stream(source)`` of an update file: one whose first record
-    is BGP4MP or BGP4MP_ET.  The first record is read at the call, and any
-    other type raises MrtError; the rest are read as iterated."""
-    entries = read_mrt_stream(source)
-    first = next(entries, None)
-    if first is None:
-        return entries
-    if first.header.type not in UPDATE_TYPES:
-        raise MrtError(f"not an update file: first record type {first.header.type}")
-    return chain((first,), entries)
 
 
 def _read_long(f: BinaryIO, length: int) -> bytes:
@@ -268,7 +255,10 @@ def _read_long(f: BinaryIO, length: int) -> bytes:
 
 
 def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
-    """Every error, the container's or the record's, names the record's index."""
+    """A first record of another type than UPDATE_TYPES is refused from
+    its header, before its body is read; a later one passes through.
+    Every other error, the container's or the record's, names the
+    record's index."""
     index = 0
     while True:
         try:
@@ -278,6 +268,8 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
             if len(head) < _COMMON_HEADER.size:
                 raise MrtError(f"header cut short at {len(head)} bytes")
             header = _new(MrtRecordHeader, _COMMON_HEADER.unpack(head))
+            if not index and header.type not in UPDATE_TYPES:
+                break
             length = header.length
             body = f.read(length) if length <= _CHUNK else _read_long(f, length)
             if len(body) < length:
@@ -287,6 +279,7 @@ def _read_stream(f: BinaryIO) -> Iterator[MrtEntry]:
             raise MrtError(f"record {index}: {exc}") from exc
         yield entry
         index += 1
+    raise MrtError(f"not an update file: first record type {header.type}")
 
 
 def write_mrt_stream(

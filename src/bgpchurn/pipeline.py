@@ -26,7 +26,7 @@ from .classify import (
 from .errors import BgpChurnError
 from .fetch import collector_id
 from .model import UpdateRecord, expand_message, labeled_lines, read_records_jsonl
-from .mrt.codec import CONTAINER_OF_SUFFIX, INPUT_ERRORS, MrtEntry, read_update_stream
+from .mrt.codec import CONTAINER_OF_SUFFIX, INPUT_ERRORS, MrtEntry, read_mrt_stream
 from .normalize import NORMALIZER_FLAGS, Normalizer
 from .output import atomic_output, make_directory, write_json
 
@@ -43,7 +43,7 @@ def mrt_messages(path: Path, collector: str) -> Iterator[Message]:
     A file whose first record is not BGP4MP or BGP4MP_ET raises MrtError.
     """
     source = str(path)
-    for index, entry in enumerate(read_update_stream(path)):
+    for index, entry in enumerate(read_mrt_stream(path)):
         yield entry, expand_message(entry, collector, source, index)
 
 

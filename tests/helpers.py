@@ -128,7 +128,9 @@ def oracle_labels(records: Iterable[UpdateRecord]) -> list[AnnouncementType]:
 # checks the fields in the same order, so a bad row fails on the same
 # field with the same error.
 
-_TYPE_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list"}
+_TYPE_NAMES = {
+    int: "an int", str: "a string", bool: "a bool", list: "a list", dict: "an object"
+}
 _UINT32_MAX = 2**32 - 1
 
 
@@ -201,7 +203,7 @@ def _session_from_json(obj: dict) -> SessionKey:
 
 
 def reference_record_from_dict(obj: dict) -> UpdateRecord:
-    kind = obj["kind"]
+    kind = _require(obj, dict, "record")["kind"]
     attrs = None
     if kind == ANNOUNCEMENT:
         med = obj.get("med")

@@ -454,33 +454,56 @@ def write_table_dump(path):
     return path
 
 
+def write_record_file(path):
+    """A .jsonl record file under an MRT name, gzip when named .gz.
+
+    Its first line's ``{"arrival_us"`` reads as a header of type 29289
+    ("ri") claiming 1,818,195,315 bytes ("l_us").
+    """
+    text = "".join(json.dumps(row) + "\n" for row in beacon_rows()).encode()
+    path.write_bytes(gzip.compress(text) if path.suffix == ".gz" else text)
+    return path
+
+
+# each non-update file, by the name it is written under, and its first record type
+NON_UPDATE_FILES = [
+    (write_table_dump, "bview.20230501.0000", 13),
+    (write_record_file, "labels.mrt", 29289),
+    (write_record_file, "labels.mrt.gz", 29289),
+]
+
+
 @pytest.mark.parametrize("command", ["classify", "beacon"])
 def test_non_update_file_is_refused(tmp_path, capsys, command):
     empty = tmp_path / "empty.mrt"
     empty.write_bytes(b"")
     if command == "classify":  # an empty file is an update file with no records
         assert main([command, str(empty), "-o", str(tmp_path / "empty_out")]) == 0
-    rib = write_table_dump(tmp_path / "bview.20230501.0000")
-    out = tmp_path / "out"
-    assert main([command, str(empty), str(rib), "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {rib}: not an update file: "), err
-    assert list(out.iterdir()) == []
+    for write, name, record_type in NON_UPDATE_FILES:
+        bad = write(tmp_path / name)
+        out = tmp_path / f"out-{name}"
+        assert main([command, str(empty), str(bad), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not an update file: first record type {record_type}\n"
+        assert list(out.iterdir()) == []
 
 
 def test_reduce_lists_a_non_update_file_under_failures(tmp_path):
     empty = tmp_path / "empty.mrt"
     empty.write_bytes(b"")
-    rib = write_table_dump(tmp_path / "bview.20230501.0000")
     updates = write_mrt(tmp_path / "updates.mrt", classify_fixture())
-    out = tmp_path / "out"
-    assert main(["reduce", str(empty), str(rib), str(updates), "-o", str(out)]) == 1
-    summary = read_report(out / "reduction_summary.json")
-    assert list(summary["failures"]) == [str(rib)]
-    assert summary["failures"][str(rib)].startswith("not an update file: ")
-    assert [r["file"] for r in summary["reports"]] == [str(empty), str(updates)]
-    assert sorted(p.name for p in (out / "pruned").iterdir()) == ["empty.mrt", "updates.mrt"]
-    assert (out / "pruned" / "empty.mrt").read_bytes() == b""
+    for write, name, record_type in NON_UPDATE_FILES:
+        bad = write(tmp_path / name)
+        out = tmp_path / f"out-{name}"
+        assert main(["reduce", str(empty), str(bad), str(updates), "-o", str(out)]) == 1
+        summary = read_report(out / "reduction_summary.json")
+        assert summary["failures"] == {
+            str(bad): f"not an update file: first record type {record_type}"
+        }
+        assert [r["file"] for r in summary["reports"]] == [str(empty), str(updates)]
+        pruned = sorted(p.name for p in (out / "pruned").iterdir())
+        assert pruned == ["empty.mrt", "updates.mrt"]
+        assert (out / "pruned" / "empty.mrt").read_bytes() == b""
 
 
 # --- reduce ---
@@ -813,7 +836,17 @@ BAD_LINES = [
     ("prefix", "10.0.0.1/24"),
     ("prefix", "10.0.0.0/33"),
     ("prefix", "2001:db8::1/32"),
+    *(("line", text) for text in ("[1,2]", '"x"', "5", "null")),  # not an object
 ]
+# a line that is JSON but not an object, and the type its error names
+NOT_OBJECTS = {"[1,2]": "list", '"x"': "str", "5": "int", "null": "NoneType"}
+
+
+def assert_bad_line_error(err, src, field, value):
+    """``error: <src>:4: …``, naming the type of a line that is not an object."""
+    assert err.startswith(f"error: {src}:4: "), err
+    if field == "line" and value in NOT_OBJECTS:
+        assert err == f"error: {src}:4: record must be an object, not {NOT_OBJECTS[value]}\n"
 
 
 def write_bad_jsonl(path, field, value):
@@ -836,7 +869,7 @@ def test_beacon_validates_non_beacon_lines(tmp_path, capsys, field, value):
     src = write_bad_jsonl(tmp_path / "records.jsonl", field, value)
     out = tmp_path / "out"
     assert main(["beacon", str(src), "-o", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {src}:4: ")
+    assert_bad_line_error(capsys.readouterr().err, src, field, value)
     assert list(out.iterdir()) == []
 
 
@@ -845,7 +878,7 @@ def test_classify_rejects_bad_jsonl_line(tmp_path, capsys, field, value):
     src = write_bad_jsonl(tmp_path / "records.jsonl", field, value)
     out = tmp_path / "out"
     assert main(["classify", str(src), "-o", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {src}:4: ")
+    assert_bad_line_error(capsys.readouterr().err, src, field, value)
     assert list(out.iterdir()) == []  # no labels.jsonl, report or temp file
 
 

@@ -322,6 +322,13 @@ def test_corrupt_length_reads_no_more_than_a_chunk_at_once():
     assert 0 < max(f.sizes) <= codec._CHUNK
 
 
+def test_a_non_update_file_is_refused_from_its_first_header():
+    f = RecordingReader(MrtRecordHeader(REFERENCE_TS, 13, 1, 2**32 - 1).encode() + bytes(20))
+    with pytest.raises(MrtError, match="^not an update file: first record type 13$"):
+        list(read_mrt_stream(f, "plain"))
+    assert f.sizes == [12] and f.tell() == 12  # the header alone, no body
+
+
 def test_long_records_read_in_pieces_equal_the_input():
     entries = _CHUNKED_INPUTS["a record over a chunk"] + [raw_entry(3 * CHUNK, 4)]
     blob = b"".join(e.encode() for e in entries)
