@@ -143,20 +143,6 @@ class FetchReport:
         return self.planned == self.cached + self.downloaded + len(self.failures)
 
 
-def probe_mrt_payload(payload: Union[str, Path, bytes]) -> bool:
-    """Does the payload, a file or bytes, read whole, with a BGP4MP or
-    BGP4MP_ET first record?
-
-    Every record is read to the end of the container, so a gzip or
-    bzip2 payload cut short anywhere, even between records or in the
-    container's trailer, fails the probe, and so does an empty one.
-    """
-    try:
-        return sum(1 for _ in read_mrt_stream(payload)) > 0
-    except MrtError:
-        return False
-
-
 def _default_transport(url: str) -> BinaryIO:
     # imported here: it is slow to import, and only a download needs it
     import urllib.request
@@ -177,8 +163,8 @@ def fetch(
 
     Cached files are never re-downloaded or rewritten.  ``transport``
     opens a URL as a binary stream, which is copied in chunks into a
-    sibling temp file, renamed in only once it passes ``probe_mrt_payload``
-    and is in the container its name says.  A file whose cache directory
+    sibling temp file, renamed in only once it reads whole as an update
+    file in the container its name says.  A file whose cache directory
     can be made is tried up to ``attempts`` times, waiting ``BACKOFF_S``,
     then twice as long after each later failure, and not after the last.
     Per-file failures are collected in the report.
@@ -195,23 +181,27 @@ def fetch(
                 with get(url) as response:
                     shutil.copyfileobj(response, tmp)
                 tmp.flush()
-                if not probe_mrt_payload(tmp.name):
-                    raise BgpChurnError("payload failed MRT header probe")
-                container = detect_container(tmp.name)
                 expected = CONTAINER_OF_SUFFIX.get(path.suffix, "plain")
-                if container != expected:
+                try:
+                    records = sum(1 for _ in read_mrt_stream(tmp.name, expected))
+                except MrtError:
+                    if (found := detect_container(tmp.name)) == expected:
+                        raise
                     raise BgpChurnError(
-                        f"payload is {container}, but the name {path.name} "
-                        f"says {expected}"
+                        f"payload is {found}, but the name {path.name} says {expected}"
                     )
+                if not records:
+                    raise BgpChurnError("payload holds no MRT record")
         except Exception as exc:  # noqa: BLE001 - transport-defined
             return str(exc)
         return None
 
     def fetch_one(item: PlannedFile) -> tuple[PlannedFile, Optional[str], bool]:
         path = cache_dir / item.relative_path
-        if path.exists():
+        if path.is_file():
             return item, None, True
+        if path.exists():  # a directory, say: no download can replace it
+            return item, f"{path}: not a regular file", False
         if offline:
             return item, "not cached and offline mode is on", False
         try:
@@ -222,8 +212,7 @@ def fetch(
         for attempt in range(attempts):
             if attempt:
                 sleep(BACKOFF_S * 2 ** (attempt - 1))
-            error = download(item.url, path)
-            if error is None:
+            if (error := download(item.url, path)) is None:
                 return item, None, False
         return item, error, False
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Collection, Iterable, Iterator, Sequence, Union
 
 from .errors import BgpChurnError
 
@@ -56,10 +56,8 @@ def atomic_output(path: Union[str, Path], mode: str = "w") -> Iterator[IO]:
         except OSError as exc:
             raise BgpChurnError(f"{path}: {exc}") from exc
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -80,6 +78,16 @@ def make_directory(path: Union[str, Path], files: Iterable[str] = ()) -> Path:
         if taken.is_dir() and not taken.is_symlink():
             raise BgpChurnError(f"{taken}: is a directory")
     return path
+
+
+def refuse_clobber(inputs: Iterable, outputs: dict[Path, Collection[str]]) -> None:
+    """Refuse an input that a name in ``outputs[directory]`` would replace;
+    paths resolved, but not an output's own link, which the rename replaces."""
+    directories = {os.path.realpath(directory): directory for directory in outputs}
+    for path in inputs:
+        parent, name = os.path.split(os.path.realpath(path))
+        if name in outputs.get(directories.get(parent), ()):
+            raise BgpChurnError(f"{path}: the output {directories[parent] / name} would replace it")
 
 
 def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import __version__
 from .classify import (
@@ -28,7 +28,7 @@ from .fetch import collector_id
 from .model import UpdateRecord, expand_message, labeled_lines, read_records_jsonl
 from .mrt.codec import CONTAINER_OF_SUFFIX, INPUT_ERRORS, MrtEntry, read_mrt_stream
 from .normalize import NORMALIZER_FLAGS, Normalizer
-from .output import atomic_output, make_directory, write_json
+from .output import atomic_output, make_directory, refuse_clobber, write_json
 
 Message = tuple[Optional[MrtEntry], list[UpdateRecord]]
 
@@ -100,13 +100,14 @@ def side_input(read, path):
 
 
 def run_classify(
-    inputs: Iterable[str],
+    inputs: Sequence[str],
     output: Union[str, Path],
     collector: Optional[str] = None,
     allocation: Optional[str] = None,
 ) -> str:
     """The ``classify`` command: writes its outputs, returns its summary line."""
     out = make_directory(output, CLASSIFY_OUTPUTS)
+    refuse_clobber(inputs, {out: CLASSIFY_OUTPUTS})
     allocated = None
     if allocation:
         from .allocation import AllocationFilter, load_delegated

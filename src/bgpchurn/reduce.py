@@ -24,7 +24,7 @@ from .mrt.codec import (
     write_mrt_stream,
 )
 from .normalize import NORMALIZER_FLAGS, Normalizer
-from .output import atomic_output, make_directory, write_csv, write_json
+from .output import atomic_output, make_directory, refuse_clobber, write_csv, write_json
 from .pipeline import label_messages, mrt_messages
 
 
@@ -47,6 +47,7 @@ def message_is_unnecessary(
     return all(label in UNNECESSARY_TYPES for label in labels)
 
 
+REDUCE_OUTPUTS = ("reduction.csv", "reduction_summary.json")
 # the columns of reduction.csv and the keys of each report in
 # reduction_summary.json, in order
 REPORT_HEADER = [
@@ -200,13 +201,13 @@ def run_reduce(
     """The ``reduce`` command: writes its outputs, returns its summary line
     and the summary, whose failures set the exit code.
 
-    Each input is pruned to ``pruned/<input name>``, so two inputs with
-    one name are refused before ``pruned/`` is made.  A file that fails
-    is recorded, not fatal.  With warm=True one classifier persists
-    across files in input order and restarts cold after a failed file,
-    whose labels reached no pruned output; cold restarts per file.
+    Each input is pruned to ``pruned/<input name>``; two inputs with one
+    name, or an input an output would replace, are refused before
+    ``pruned/`` is made.  A failed file is recorded, not fatal.  warm=True
+    keeps one classifier across files in input order, restarted cold after
+    a failed file, whose labels reached no pruned output; cold restarts per file.
     """
-    out = make_directory(output, ("reduction.csv", "reduction_summary.json"))
+    out = make_directory(output, REDUCE_OUTPUTS)
     files, pruned = [Path(p) for p in inputs], out / "pruned"
     firsts: dict[str, Path] = {}
     for path in files:
@@ -214,6 +215,7 @@ def run_reduce(
             raise BgpChurnError(
                 f"{first} and {path} would both be pruned to {pruned / path.name}"
             )
+    refuse_clobber(files, {out: REDUCE_OUTPUTS, pruned: firsts})
     make_directory(pruned)
     summary = CorpusSummary()
     clf = StreamClassifier() if warm else None

@@ -573,13 +573,14 @@ def update_entry(
     )
 
 
-def count_opens(monkeypatch) -> list[str]:
-    """The file of every ``builtins.open`` call from now on, as text."""
+def count_opens(monkeypatch, with_mode: bool = False) -> list:
+    """The file of every ``builtins.open`` call from now on, as text, or
+    with ``with_mode`` a (file, mode) pair."""
     opened, real_open = [], builtins.open
 
-    def counting_open(file, *args, **kwargs):
-        opened.append(str(file))
-        return real_open(file, *args, **kwargs)
+    def counting_open(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode) if with_mode else str(file))
+        return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
     return opened

@@ -611,6 +611,64 @@ def test_reduce_refuses_inputs_with_one_name(tmp_path, capsys):
     assert not (out / "reduction.csv").exists()
 
 
+def write_gzip_mrt(path, entries):
+    buf = io.BytesIO()
+    write_mrt_stream(entries, buf)
+    path.write_bytes(gzip.compress(buf.getvalue()))
+    return path
+
+
+@pytest.mark.parametrize("via", ["out", "link-to-out"])
+def test_reduce_refuses_an_input_its_output_would_replace(tmp_path, capsys, via):
+    """Paths are compared resolved, so a link to ``out`` hides no clash."""
+    out = tmp_path / "out"
+    (out / "pruned").mkdir(parents=True)
+    (tmp_path / "link-to-out").symlink_to(out, target_is_directory=True)
+    inputs = [
+        write_gzip_mrt(tmp_path / via / "pruned" / f"updates.20230501.{hhmm}.gz",
+                       classify_fixture())
+        for hhmm in ("0000", "0005")
+    ]
+    before = [path.read_bytes() for path in inputs]
+    assert main(["reduce", "-o", str(out), *map(str, inputs)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err, inputs[0])
+    assert f"the output {out / 'pruned' / inputs[0].name} would replace it" in err
+    assert [path.read_bytes() for path in inputs] == before
+    assert sorted(p.name for p in out.rglob("*")) == sorted(
+        ["pruned", *(path.name for path in inputs)]
+    )
+
+
+def test_reduce_replaces_a_link_at_its_output_name_not_its_target(tmp_path):
+    (tmp_path / "raw").mkdir()
+    raw = write_gzip_mrt(tmp_path / "raw" / "updates.20230501.0000.gz", classify_fixture())
+    before = raw.read_bytes()
+    out = tmp_path / "out"
+    (out / "pruned").mkdir(parents=True)
+    link = out / "pruned" / raw.name
+    link.symlink_to(raw)
+    assert main(["reduce", "-o", str(out), str(link)]) == 0
+    assert raw.read_bytes() == before
+    assert link.is_file() and not link.is_symlink()
+    assert read_report(out / "reduction_summary.json")["reports"][0]["discarded_messages"]
+
+
+def test_classify_refuses_an_input_its_output_would_replace(tmp_path, capsys):
+    src = write_mrt(tmp_path / "updates.20230501.0000", classify_fixture())
+    assert main(["classify", str(src), "-o", str(tmp_path / "first")]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    labels = out / "labels.jsonl"
+    shutil.copy(tmp_path / "first" / "labels.jsonl", labels)
+    before = labels.read_bytes()
+    capsys.readouterr()
+    assert main(["classify", "-o", str(out), str(labels)]) == 2
+    assert_one_error_line(capsys.readouterr().err, labels)
+    assert labels.read_bytes() == before
+    assert list(out.iterdir()) == [labels]
+
+
 @pytest.mark.parametrize(
     "names",
     [

@@ -22,11 +22,10 @@ from bgpchurn.fetch import (
     fetch,
     layout_collector,
     plan_urls,
-    probe_mrt_payload,
 )
 from bgpchurn.mrt.codec import write_mrt_stream
 
-from helpers import update_entry
+from helpers import count_opens, update_entry
 
 
 def day(project="ripe_ris", collector="rrc00"):
@@ -126,44 +125,6 @@ def test_bad_target_fields():
         day(project="torrents")
 
 
-# --- payload probe ---
-
-
-def test_probe_accepts_real_payloads():
-    assert probe_mrt_payload(mrt_blob())
-    assert probe_mrt_payload(mrt_blob(compress="gzip"))
-    assert probe_mrt_payload(bz2.compress(mrt_blob()))
-    two = mrt_blob() + mrt_blob()
-    assert probe_mrt_payload(two) and probe_mrt_payload(gzip.compress(two))
-    buf = io.BytesIO()
-    write_mrt_stream([update_entry(1_600_000_000, microsecond=5)], buf)
-    assert probe_mrt_payload(buf.getvalue())  # BGP4MP_ET
-
-
-def gzip_cut_after_first_record() -> bytes:
-    """A gzip stream cut short right after its first whole record."""
-    z = zlib.compressobj(wbits=31)  # gzip framing
-    return z.compress(mrt_blob()) + z.flush(zlib.Z_FULL_FLUSH)
-
-
-def test_probe_rejects_garbage():
-    assert not probe_mrt_payload(b"<html>404 not found</html>")
-    assert not probe_mrt_payload(b"")
-    assert not probe_mrt_payload(b"\x1f\x8b broken gzip stream")
-    raw = mrt_blob()
-    assert not probe_mrt_payload(raw[:-1])  # first record cut short
-    assert not probe_mrt_payload(mrt_blob(compress="gzip")[:10])  # header only
-    assert not probe_mrt_payload(mrt_blob(compress="gzip")[:10] + b"\xff" * 20)
-    assert not probe_mrt_payload(bz2.compress(raw)[:20])
-    assert not probe_mrt_payload(bz2.compress(raw)[:-8])  # trailer cut off
-    assert not probe_mrt_payload(gzip_cut_after_first_record())
-    # plausible length but absurd record type
-    assert not probe_mrt_payload(b"\x00" * 4 + b"\xff\xff" + b"\x00" * 6)
-    # a whole TABLE_DUMP_V2 PEER_INDEX_TABLE: a RIB dump, not updates
-    body = b"\x0a\x00\x00\x01" + b"\x00\x00" + b"\x00\x00"
-    assert not probe_mrt_payload(struct.pack("!IHHI", 0, 13, 1, len(body)) + body)
-
-
 # --- fetching with a fake transport ---
 
 
@@ -244,14 +205,27 @@ def test_fetch_retries_then_succeeds(tmp_path):
 def test_fetch_cache_path_that_cannot_be_made_fails_only_its_file(tmp_path):
     plan = two_file_plan()[:1]
     url = plan[0].url
-    (tmp_path / "rrc00").write_bytes(b"")  # a file where the collector's directory goes
-    transport = FakeTransport({url: mrt_blob(compress="gzip")})
-    sleeps = []
-    report = fetch(plan, tmp_path, transport=transport, attempts=3, sleep=sleeps.append)
-    assert transport.calls == [] and sleeps == []  # failed at once, no retry
-    assert "Not a directory" in report.failures[url]
-    assert report.downloaded == 0
-    assert report.counts_consistent()
+    for cache, blocked, offline, failure in [
+        # a file where the collector's directory goes
+        ("file-at-directory", "rrc00", False, "Not a directory"),
+        # a directory where the file goes: never counted as cached
+        ("directory-at-file", plan[0].relative_path, False, "not a regular file"),
+        ("directory-at-file-offline", plan[0].relative_path, True, "not a regular file"),
+    ]:
+        if blocked == "rrc00":
+            (tmp_path / cache).mkdir()
+            (tmp_path / cache / blocked).write_bytes(b"")
+        else:
+            (tmp_path / cache / blocked).mkdir(parents=True)
+        transport = FakeTransport({url: mrt_blob(compress="gzip")})
+        sleeps = []
+        report = fetch(plan, tmp_path / cache, transport=transport, attempts=3,
+                       offline=offline, sleep=sleeps.append)
+        assert transport.calls == [] and sleeps == [], cache  # failed at once, no retry
+        assert failure in report.failures[url], cache
+        assert str(tmp_path / cache / blocked) in report.failures[url], cache
+        assert report.cached == report.downloaded == 0, cache
+        assert report.counts_consistent()
 
 
 def test_fetch_rejects_corrupt_payload(tmp_path):
@@ -261,7 +235,9 @@ def test_fetch_rejects_corrupt_payload(tmp_path):
     report = fetch(plan, tmp_path, transport=transport,
                    attempts=2, sleep=no_sleep)
     assert report.downloaded == 0
-    assert report.failures[url] == "payload failed MRT header probe"
+    assert report.failures[url] == (
+        "payload is plain, but the name updates.20230501.0000.gz says gzip"
+    )
     assert len(transport.calls) == 2  # kept retrying to the attempt cap
     assert not (tmp_path / plan[0].relative_path).exists()
     assert not list(tmp_path.rglob("*.tmp"))
@@ -295,6 +271,97 @@ def test_fetch_refuses_a_payload_in_another_container_than_its_name(tmp_path):
         rv.url: "payload is gzip, but the name updates.20230501.0000.bz2 says bzip2",
     }
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+def et_blob() -> bytes:
+    """One BGP4MP_ET record."""
+    buf = io.BytesIO()
+    write_mrt_stream([update_entry(1_600_000_000, microsecond=5)], buf)
+    return buf.getvalue()
+
+
+def gzip_cut_after_first_record() -> bytes:
+    """A gzip stream cut short right after its first whole record."""
+    z = zlib.compressobj(wbits=31)  # gzip framing
+    return z.compress(mrt_blob()) + z.flush(zlib.Z_FULL_FLUSH)
+
+
+# plausible length but absurd record type
+TYPE_65535 = b"\x00" * 4 + b"\xff\xff" + b"\x00" * 6
+# a whole TABLE_DUMP_V2 PEER_INDEX_TABLE: a RIB dump, not updates
+_PEER_INDEX = b"\x0a\x00\x00\x01" + b"\x00\x00" + b"\x00\x00"
+TABLE_DUMP_V2 = struct.pack("!IHHI", 0, 13, 1, len(_PEER_INDEX)) + _PEER_INDEX
+
+NAMED_GZIP = "but the name updates.20230501.0000.gz says gzip"
+NO_RECORD = "payload holds no MRT record"
+CUT = "record 0: Compressed file ended before the end-of-stream marker was reached"
+
+
+@pytest.mark.parametrize(
+    "payload,suffix,failure",
+    [
+        pytest.param(mrt_blob(compress="gzip"), ".gz", None, id="gzip"),
+        pytest.param(bz2.compress(mrt_blob()), ".bz2", None, id="bzip2"),
+        pytest.param(gzip.compress(mrt_blob() * 2), ".gz", None, id="two-records"),
+        pytest.param(gzip.compress(et_blob()), ".gz", None, id="bgp4mp-et"),
+        pytest.param(mrt_blob(), ".gz", f"payload is plain, {NAMED_GZIP}", id="plain"),
+        pytest.param(mrt_blob() * 2, ".gz", f"payload is plain, {NAMED_GZIP}",
+                     id="plain-two-records"),
+        pytest.param(bz2.compress(mrt_blob()), ".gz", f"payload is bzip2, {NAMED_GZIP}",
+                     id="bzip2-named-gz"),
+        pytest.param(b"<html>404 not found</html>", ".gz",
+                     f"payload is plain, {NAMED_GZIP}", id="html"),
+        pytest.param(mrt_blob()[:-1], ".gz", f"payload is plain, {NAMED_GZIP}",
+                     id="plain-record-cut"),
+        pytest.param(TYPE_65535, ".gz", f"payload is plain, {NAMED_GZIP}",
+                     id="plain-type-65535"),
+        pytest.param(TABLE_DUMP_V2, ".gz", f"payload is plain, {NAMED_GZIP}",
+                     id="plain-table-dump"),
+        pytest.param(b"", ".gz", NO_RECORD, id="empty"),
+        pytest.param(gzip.compress(b""), ".gz", NO_RECORD, id="empty-gzip-member"),
+        pytest.param(bz2.compress(b""), ".bz2", NO_RECORD, id="empty-bzip2"),
+        pytest.param(b"\x1f\x8b broken gzip stream", ".gz",
+                     "record 0: Unknown compression method", id="broken-gzip"),
+        pytest.param(gzip.compress(mrt_blob()[:-1]), ".gz",
+                     "record 0: body cut short (62 of 63 bytes)", id="gzip-record-cut"),
+        pytest.param(mrt_blob(compress="gzip")[:10], ".gz", CUT, id="gzip-header-only"),
+        pytest.param(mrt_blob(compress="gzip")[:10] + b"\xff" * 20, ".gz",
+                     "record 0: Error -3 while decompressing data: invalid block type",
+                     id="gzip-bad-block"),
+        pytest.param(gzip_cut_after_first_record(), ".gz", CUT,
+                     id="gzip-cut-after-first-record"),
+        pytest.param(bz2.compress(mrt_blob())[:20], ".bz2", CUT, id="bzip2-cut-at-20"),
+        pytest.param(bz2.compress(mrt_blob())[:-8], ".bz2", CUT, id="bzip2-no-trailer"),
+        pytest.param(gzip.compress(TYPE_65535), ".gz",
+                     "not an update file: first record type 65535", id="type-65535"),
+        pytest.param(gzip.compress(TABLE_DUMP_V2), ".gz",
+                     "not an update file: first record type 13", id="table-dump"),
+    ],
+)
+def test_fetch_names_each_payload_fault(tmp_path, payload, suffix, failure):
+    """A payload is committed only when it reads whole, in the container
+    its name says, as an update file of at least one record; else the
+    failure says why."""
+    ris, rv = two_file_plan()[0], plan_urls(day("routeviews", "route-views2"))[0]
+    item = ris if suffix == ".gz" else rv
+    transport = FakeTransport({item.url: payload})
+    report = fetch([item], tmp_path, transport=transport, attempts=1, sleep=no_sleep)
+    assert report.failures == ({} if failure is None else {item.url: failure})
+    assert report.downloaded == (failure is None)
+    assert (tmp_path / item.relative_path).exists() == (failure is None)
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_fetch_reads_a_good_payload_back_once(tmp_path, monkeypatch):
+    """Written, then read once; its container is peeked only after a failed read."""
+    plan = two_file_plan()[:1]
+    transport = FakeTransport({plan[0].url: mrt_blob(compress="gzip")})
+    opened = count_opens(monkeypatch, with_mode=True)
+    report = fetch(plan, tmp_path, transport=transport, sleep=no_sleep)
+    assert report.downloaded == 1
+    temp = [(file, mode) for file, mode in opened if file.endswith(".tmp")]
+    assert [mode for _, mode in temp] == ["xb", "rb"]
+    assert len({file for file, _ in temp}) == 1
 
 
 class ChunkedStream(io.BytesIO):
